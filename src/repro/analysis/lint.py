@@ -50,7 +50,7 @@ BCL012    telemetry contract: ``span(...)`` must be used as a context
 BCL013    determinism audit (flow): values tainted by wall-clock,
           process identity, unseeded randomness or unordered iteration
           must not flow into result-bearing sinks — ``CacheStats``
-          fields, journal ``record(...)`` calls, ``merge_deltas`` and
+          fields, journal ``record``/``put`` calls, ``merge_deltas`` and
           serve response payloads
 BCL014    fork-safety (flow): process-boundary entry points must not
           mutate module-level mutable state, ship unpicklable objects
@@ -70,13 +70,6 @@ BCL017    cluster coroutines (``repro.engine.cluster``) must bound every
           ``status``/``read_frame``/…) with a deadline — wrap the call
           in ``asyncio.wait_for(...)``; a hung node must never hang
           the coordinator
-BCL018    result-cache key discipline: ``execute_job`` must not read a
-          job field outside the canonical hash set (a field that can
-          change the result but not the key silently poisons every
-          cached entry), and nothing non-canonical — ``str(...)``,
-          ``repr(...)`` or an f-string — may feed a cache-key function
-          (``canonical_job_key``/``job_hash``); representation drift
-          splits one logical job across many keys
 BCL019    trace propagation discipline: spans opened inside serve or
           cluster coroutines (``span``/``stage_span``/``stage_event``)
           must thread the request context via ``trace=`` (an
@@ -138,8 +131,6 @@ RULES: dict[str, str] = {
     "without a paired close()/unlink() owner",
     "BCL017": "await on a node socket without a deadline in a cluster "
     "coroutine (wrap in asyncio.wait_for)",
-    "BCL018": "result-cache key discipline: execute_job reads a job field "
-    "outside the canonical hash, or str()/repr()/f-string feeds a cache key",
     "BCL019": "trace discipline: span/stage_span/stage_event in a serve or "
     "cluster coroutine without trace=, or a trace id minted from "
     "clock/randomness",
@@ -197,22 +188,6 @@ def _is_cluster_module(segments: tuple[str, ...]) -> bool:
 BLOCKING_IO_METHODS = frozenset(
     {"read_text", "write_text", "read_bytes", "write_bytes"}
 )
-
-#: ``SweepJob`` fields covered by the canonical result-cache key
-#: (mirrors ``repro.serve.resultcache.HASHED_JOB_FIELDS``; duplicated so
-#: the linter stays importable without the serve package).  BCL018:
-#: ``execute_job`` reading any *other* ``job.<field>`` means the cached
-#: result depends on state the key cannot see.
-RESULT_CACHE_KEY_FIELDS = frozenset(
-    {"spec", "benchmark", "side", "n", "seed", "size", "line_size",
-     "policy", "with_kinds"}
-)
-
-#: Functions whose return value keys the result cache.  BCL018: their
-#: arguments must stay canonical — ``str()``/``repr()``/f-string
-#: serialisation drifts with Python versions and repr details, silently
-#: splitting one logical job across several cache entries.
-CACHE_KEY_FUNCS = frozenset({"canonical_job_key", "job_hash", "cache_key"})
 
 #: Registry factory methods whose first argument is a metric name that
 #: must satisfy the exposition contract (BCL012).
@@ -860,21 +835,6 @@ class _Linter(ast.NodeVisitor):
         elif name == "unlink":
             self._saw_unlink = True
 
-        # BCL018: cache-key functions must be fed canonical values.  An
-        # f-string or str()/repr() serialisation in the argument list
-        # bakes incidental representation into the content hash.
-        if name in CACHE_KEY_FUNCS:
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                culprit = self._non_canonical_arg(arg)
-                if culprit:
-                    self._add(
-                        arg,
-                        "BCL018",
-                        f"{culprit} feeds cache-key function {name}(); pass "
-                        "the job/mapping itself — canonical serialisation "
-                        "happens inside the key function",
-                    )
-
         # BCL011: serve coroutines share one event loop; a single
         # blocking call there stalls every connection.  Blocking work
         # belongs in an executor (see ShardPool's shard-io threads).
@@ -948,8 +908,8 @@ class _Linter(ast.NodeVisitor):
     def _nondet_trace_arg(node: ast.Call) -> str:
         """BCL019: describe a nondeterministic mint source, or ``""``.
 
-        Unlike BCL018's shallow check, the whole argument subtree is
-        walked: ``f"gw/{time.time()}"`` hides the clock one level down.
+        The whole argument subtree is walked: ``f"gw/{time.time()}"``
+        hides the clock one level down.
         """
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
             for sub in ast.walk(arg):
@@ -972,48 +932,6 @@ class _Linter(ast.NodeVisitor):
                 ):
                     return f"{func.id}()"
         return ""
-
-    @staticmethod
-    def _non_canonical_arg(node: ast.expr) -> str:
-        """BCL018: describe a non-canonical serialisation, or ``""``.
-
-        Only the argument expression itself is judged (not its
-        subexpressions): a pre-computed string variable is the caller's
-        responsibility, but ``f"..."`` / ``str(...)`` / ``repr(...)``
-        written directly into the call is always representation drift.
-        """
-        if isinstance(node, ast.JoinedStr):
-            return "an f-string"
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in {"str", "repr"}
-        ):
-            return f"{node.func.id}(...)"
-        return ""
-
-    # -- attributes (BCL018: execute_job's side of the key contract) ---
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        # Every job field the execution path consults must be part of
-        # the canonical cache key; a field the key cannot see would let
-        # two different results share one hash.
-        if (
-            "execute_job" in self._func_stack
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "job"
-            and isinstance(node.ctx, ast.Load)
-            and not node.attr.startswith("_")
-            and node.attr not in RESULT_CACHE_KEY_FIELDS
-        ):
-            self._add(
-                node,
-                "BCL018",
-                f"execute_job reads job.{node.attr}, which is not in the "
-                "canonical result-cache key; add it to HASHED_JOB_FIELDS "
-                "(and the linter's RESULT_CACHE_KEY_FIELDS) or the cache "
-                "will serve stale results",
-            )
-        self.generic_visit(node)
 
     @staticmethod
     def _is_math_call(node: ast.expr, names: set[str] | None) -> bool:

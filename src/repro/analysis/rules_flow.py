@@ -542,8 +542,8 @@ class _FlowLintHooks:
         node: ast.AST,
     ) -> None:
         receiver, _, method = dotted.rpartition(".")
-        if method == "record" and (
-            "journal" in receiver or receiver.endswith("stats")
+        if (method == "record" and receiver.endswith("stats")) or (
+            method in ("record", "put") and "journal" in receiver
         ):
             self._check_record_args(dotted, args, kwargs, node)
         elif method == "merge_deltas" or dotted == "merge_deltas":

@@ -17,6 +17,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass
@@ -72,12 +73,18 @@ def _render_fig12(scale: ExperimentScale, opts: "RunOptions") -> str:
     ).render()
 
 
+@functools.lru_cache(maxsize=1)
+def _perf_energy(scale: ExperimentScale) -> perf_energy.PerfEnergyResult:
+    """The system simulations behind fig8 and fig9, run once per scale."""
+    return perf_energy.run(scale)
+
+
 def _render_fig8(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return perf_energy.run(scale).render_fig8()
+    return _perf_energy(scale).render_fig8()
 
 
 def _render_fig9(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return perf_energy.run(scale).render_fig9()
+    return _perf_energy(scale).render_fig9()
 
 
 def _render_tab1(scale: ExperimentScale, opts: "RunOptions") -> str:

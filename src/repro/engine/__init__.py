@@ -1,16 +1,19 @@
 """Parallel experiment engine: trace store, runner, resilience, bench.
 
-Five pieces (see ``docs/engine.md``):
+Six pieces (see ``docs/engine.md``):
 
 * :mod:`repro.engine.trace_store` — on-disk ``array('Q')`` blobs (CRC32
   framed, corrupt files quarantined + regenerated) so every synthetic
   trace is generated exactly once per machine;
 * :mod:`repro.engine.runner` — deterministic process-pool fan-out of
   (spec, benchmark, side, scale) jobs with bit-identical statistics;
+* :mod:`repro.engine.results` — the content-addressed result store
+  (:class:`ResultCache`): the served result cache and, rooted at
+  ``<run_root>/<run_id>/``, the run journal;
 * :mod:`repro.engine.resilience` — crash-safe execution: per-job
-  retries with backoff, hung-worker timeouts, the durable result
-  journal behind ``run_sweep(..., resume=run_id)``, and serial
-  fallback after repeated pool failures;
+  retries with backoff, hung-worker timeouts, the durable run journal
+  behind ``run_sweep(..., resume=run_id)``, and serial fallback after
+  repeated pool failures;
 * :mod:`repro.engine.faultinject` — deterministic fault injection
   (:class:`FaultPlan`) proving every recovery path, plus the CI chaos
   harness (``python -m repro.engine.faultinject``);
@@ -40,10 +43,12 @@ _LAZY = {
     "FaultSpec": "faultinject",
     "InjectedFault": "faultinject",
     "ResilienceConfig": "resilience",
-    "ResultJournal": "resilience",
+    "ResultCache": "results",
     "RetryPolicy": "resilience",
     "SweepFailure": "resilience",
     "default_run_root": "resilience",
+    "engine_fingerprint": "results",
+    "job_hash": "results",
     "job_key": "resilience",
 }
 
@@ -67,7 +72,7 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "ResilienceConfig",
-    "ResultJournal",
+    "ResultCache",
     "RetryPolicy",
     "SweepFailure",
     "SweepJob",
@@ -76,7 +81,9 @@ __all__ = [
     "default_jobs",
     "default_run_root",
     "default_store",
+    "engine_fingerprint",
     "execute_job",
+    "job_hash",
     "job_key",
     "run_sweep",
     "set_default_store",

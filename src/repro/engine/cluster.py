@@ -21,7 +21,7 @@ Architecture (see ``docs/cluster.md``):
   each node's coroutine pulls batches sized by its observed throughput,
   and an idle node speculatively re-dispatches ("steals") the tail half
   of the most-loaded peer's in-flight batch.  Results are deduplicated
-  on :func:`~repro.engine.resilience.job_key` — the first result wins,
+  on :meth:`~repro.engine.runner.SweepJob.key` — the first result wins,
   a slow node's late duplicate is counted and discarded, never merged
   twice.
 * A dead or circuit-open node's in-flight jobs are re-queued at the
@@ -29,11 +29,12 @@ Architecture (see ``docs/cluster.md``):
   degrades to local in-process execution (the same serial
   ``execute_job`` path ``run_sweep`` uses), so a sweep always
   completes.
-* With ``run_id=`` the coordinator reuses the engine's crash-consistent
-  :class:`~repro.engine.resilience.ResultJournal` (same create-or-resume
-  semantics as ``run_sweep``): a coordinator SIGKILL resumes
-  bit-identically, and each record now carries the ``node`` that served
-  it for provenance.
+* With ``run_id=`` the coordinator keeps the same run journal as
+  ``run_sweep``: a :class:`~repro.engine.results.ResultCache` under
+  ``<run_root>/<run_id>/`` with create-or-resume semantics, so a
+  coordinator SIGKILL resumes bit-identically.  Which node served a
+  job is in ``repro_cluster_jobs_total{node=}`` and the ``cluster.*``
+  events, not in the stored entry.
 
 Node-level chaos is deterministic: the ``node_down@job``,
 ``node_hang@job`` and ``node_flaky@job[:dispatch]`` kinds of the
@@ -62,12 +63,8 @@ from random import Random
 from typing import Any, Iterable, Sequence
 
 from repro.engine.faultinject import FaultPlan, FaultPlanError
-from repro.engine.resilience import (
-    ResultJournal,
-    RetryPolicy,
-    default_run_root,
-    job_key,
-)
+from repro.engine.resilience import RetryPolicy, default_run_root
+from repro.engine.results import ResultCache
 from repro.engine.runner import SweepJob, execute_job
 from repro.engine.trace_store import TraceStore, default_store
 from repro.obs import events as obs_events
@@ -76,7 +73,6 @@ from repro.obs import tracectx
 from repro.obs.tracectx import TraceContext
 from repro.serve.client import AsyncServeClient, ServeError
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.serve.resultcache import ResultCache
 from repro.stats.counters import CacheStats
 
 log = logging.getLogger("repro.engine.cluster")
@@ -356,8 +352,7 @@ class ClusterCoordinator:
         self._remaining: set[int] = set()
         self._queue: deque[_Task] = deque()
         self._inflight: dict[str, dict[int, _Task]] = {}
-        self._journal: ResultJournal | None = None
-        self._journal_lock: asyncio.Lock | None = None
+        self._journal: ResultCache | None = None
         self._plan: FaultPlan | None = None
         self._rng = Random(self.config.backoff_seed)
 
@@ -375,8 +370,9 @@ class ClusterCoordinator:
 
         ``run_id``/``resume`` are create-or-resume aliases exactly as in
         :func:`repro.engine.runner.run_sweep`: completed jobs replay
-        from the journal, the rest are dispatched, and a coordinator
-        killed mid-sweep resumes bit-identically.
+        from the run's stored entries, the rest are dispatched, and a
+        coordinator killed mid-sweep resumes bit-identically.  A result
+        that cannot be stored fails the sweep with ``OSError``.
         """
         job_list = list(jobs)
         if run_id and resume and run_id != resume:
@@ -385,16 +381,11 @@ class ClusterCoordinator:
                 "pass one (they are aliases)"
             )
         rid = run_id or resume
-        journal: ResultJournal | None = None
+        journal: ResultCache | None = None
         if rid:
             root = Path(run_root) if run_root is not None else default_run_root()
-            journal = ResultJournal(root / rid, fsync=self.config.fsync)
-            journal.open_run(rid, job_list)
-        try:
-            return asyncio.run(self._run_async(job_list, journal, fault_plan))
-        finally:
-            if journal is not None:
-                journal.close()
+            journal = ResultCache(root / rid, fsync=self.config.fsync)
+        return asyncio.run(self._run_async(job_list, journal, fault_plan))
 
     def summary(self) -> dict[str, Any]:
         """Per-node accounting and cluster totals for the last run."""
@@ -425,27 +416,19 @@ class ClusterCoordinator:
     async def _run_async(
         self,
         jobs: list[SweepJob],
-        journal: ResultJournal | None,
+        journal: ResultCache | None,
         plan: FaultPlan | None,
     ) -> list[CacheStats]:
         self._jobs = jobs
-        self._keys = [job_key(job) for job in jobs]
+        self._keys = [job.key() for job in jobs]
         self._key_indices = {}
         for index, key in enumerate(self._keys):
             self._key_indices.setdefault(key, []).append(index)
         self._journal = journal
-        self._journal_lock = asyncio.Lock()
         self._plan = plan
         self._results = [None] * len(jobs)
-        self._remaining = set()
+        self._remaining = set(range(len(jobs)))
         self._queue = deque()
-        completed = journal.completed if journal is not None else {}
-        for index, key in enumerate(self._keys):
-            cached = completed.get(key)
-            if cached is not None:
-                self._results[index] = cached
-            else:
-                self._remaining.add(index)
         await self._consult_cache()
         for index in sorted(self._remaining):
             self._queue.append(_Task(index))
@@ -479,38 +462,47 @@ class ClusterCoordinator:
         return [self._final(stats) for stats in self._results]
 
     async def _consult_cache(self) -> None:
-        """Answer still-pending jobs from the content-addressed cache.
+        """Answer pending jobs from the run journal, then the result cache.
 
-        Runs before any dispatch: a fleet sweep repeated with the same
-        engine fingerprint costs zero node round-trips.  Cache reads
-        touch disk, so they run on the default executor, not the loop.
+        Runs before any dispatch: a resumed run replays its stored
+        entries, and a fleet sweep repeated with the same engine
+        fingerprint costs zero node round-trips.  Reads touch disk, so
+        they run on the default executor, not the loop.
         """
-        cache = self._cache
-        if cache is None or not self._remaining:
-            return
         loop = asyncio.get_running_loop()
-        for index in sorted(self._remaining):
-            if index not in self._remaining:  # twin already answered
+        for cache in (self._journal, self._cache):
+            if cache is None:
                 continue
-            job = self._jobs[index]
-            snapshot = await loop.run_in_executor(None, cache.get, job)
-            if snapshot is None:
-                continue
-            stats = CacheStats.from_snapshot(snapshot)
-            for twin in self._key_indices[self._keys[index]]:
-                if twin in self._remaining:
-                    self._remaining.discard(twin)
-                    self._results[twin] = stats
-            self.cache_hits += 1
+            for index in sorted(self._remaining):
+                if index not in self._remaining:  # twin already answered
+                    continue
+                stats = await loop.run_in_executor(
+                    None, cache.get_stats, self._jobs[index]
+                )
+                if stats is None:
+                    continue
+                for twin in self._key_indices[self._keys[index]]:
+                    if twin in self._remaining:
+                        self._remaining.discard(twin)
+                        self._results[twin] = stats
+                if cache is self._cache:
+                    self.cache_hits += 1
 
     async def _cache_store(self, job: SweepJob, stats: CacheStats) -> None:
-        """Write-through one fresh result (off-loop: the put hits disk)."""
-        cache = self._cache
-        if cache is None:
-            return
-        await asyncio.get_running_loop().run_in_executor(
-            None, functools.partial(cache.put, job, stats.snapshot())
-        )
+        """Store one fresh result (off-loop: the puts hit disk).
+
+        The run journal must hold it before the job counts as done; the
+        result cache is a best-effort write-through.
+        """
+        loop = asyncio.get_running_loop()
+        snapshot = stats.snapshot()
+        journal, cache = self._journal, self._cache
+        if journal is not None and not await loop.run_in_executor(
+            None, journal.put, job, snapshot
+        ):
+            raise OSError(f"could not persist {job.key()} under {journal.dir}")
+        if cache is not None:
+            await loop.run_in_executor(None, cache.put, job, snapshot)
 
     @staticmethod
     def _final(stats: CacheStats | None) -> CacheStats:
@@ -688,22 +680,7 @@ class ClusterCoordinator:
                 self._results[index] = stats
             node.stats.completed += 1
             _obs.cluster_job_served(node.address)
-            await self._journal_write(self._jobs[task.index], stats, node.address)
             await self._cache_store(self._jobs[task.index], stats)
-
-    async def _journal_write(
-        self, job: SweepJob, stats: CacheStats, node_name: str
-    ) -> None:
-        """Append one result durably without blocking the event loop."""
-        journal = self._journal
-        lock = self._journal_lock
-        if journal is None or lock is None:
-            return
-        loop = asyncio.get_running_loop()
-        async with lock:
-            await loop.run_in_executor(
-                None, functools.partial(journal.record, job, stats, node=node_name)
-            )
 
     async def _run_local_fallback(self) -> None:
         """Every node is down: finish the sweep in-process, serially.
@@ -733,7 +710,6 @@ class ClusterCoordinator:
                     self._remaining.discard(twin)
                     self._results[twin] = stats
             self.fallback_jobs += 1
-            await self._journal_write(job, stats, "local")
             await self._cache_store(job, stats)
 
     def _mark_dead(self, node: NodeHandle, reason: str) -> None:

@@ -23,9 +23,10 @@ Fault classes (``FAULT_KINDS``):
     attempt starts; the hardened ``TraceStore`` must quarantine the
     blob and regenerate it from the deterministic seed.
 ``torn_journal``
-    The job's result record is half-written with no trailing newline —
-    what a power loss mid-append leaves behind.  The loader must skip
-    it and the job must re-run on resume.
+    Half of the job's journal entry reaches its temp file and the
+    rename never happens — what a power loss between ``write`` and
+    ``os.replace`` leaves behind.  The job must not count as completed
+    and must re-run on resume.
 
 Node-level classes (``NODE_KINDS``), consumed by the cluster
 coordinator (:mod:`repro.engine.cluster`) at dispatch time instead of
@@ -57,7 +58,7 @@ Run as a module, this file is the CI chaos harness: it executes a
 small sweep twice — cleanly in-process and under an all-five-kinds
 fault plan with journaling — and exits non-zero unless the faulted run
 recovers to bit-identical statistics and a subsequent resume replays
-them from the journal.
+them from the run's stored entries.
 """
 
 from __future__ import annotations
@@ -70,9 +71,12 @@ import tempfile
 import time
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
+
+from repro.engine.results import encode_entry, temp_path
 
 if TYPE_CHECKING:  # avoid an import cycle with resilience/runner
+    from repro.engine.results import ResultCache
     from repro.engine.runner import SweepJob
     from repro.engine.trace_store import TraceStore
 
@@ -292,6 +296,21 @@ def corrupt_job_blobs(store: "TraceStore", job: "SweepJob") -> None:
     # Drop any clean in-memory copy so the corruption is actually seen.
     store.clear_memory()
     log.warning("injected fault: corrupted trace blob %s", path.name)
+
+
+def tear_result_entry(
+    cache: "ResultCache", job: "SweepJob", snapshot: dict[str, Any]
+) -> None:
+    """Write half of the job's entry to its temp file, skip the rename.
+
+    The ``torn_journal`` fault: the entry never appears under its real
+    name, so the job does not count as completed and re-runs on resume.
+    """
+    text = encode_entry(job, snapshot)
+    tmp = temp_path(cache.entry_path(cache.key(job)))
+    cache.dir.mkdir(parents=True, exist_ok=True)
+    tmp.write_text(text[: max(1, len(text) // 2)], encoding="utf-8")
+    log.warning("injected fault: tore journal entry %s", tmp.name)
 
 
 # ----------------------------------------------------------------------

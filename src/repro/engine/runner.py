@@ -20,15 +20,16 @@ sanitizer's value is the invariant trail, not throughput.
 Long or flaky sweeps should opt into the crash-safe path via the
 ``run_id``/``resume``/``resilience`` keywords of :func:`run_sweep`,
 which delegate to :mod:`repro.engine.resilience` (per-job retries,
-hung-worker timeouts, a durable result journal, serial fallback) —
-see ``docs/engine.md``.
+hung-worker timeouts, durable result entries per run, serial
+fallback) — see ``docs/engine.md``.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -73,6 +74,15 @@ class SweepJob:
     line_size: int = 32
     policy: str = "lru"
     with_kinds: bool = False
+
+    def key(self) -> str:
+        """The one serialisation of this job's identity.
+
+        Canonical JSON of every dataclass field (sorted keys, fixed
+        separators), so no field can be left out of it.  Batcher
+        coalescing, cluster dedup and the result store all key on it.
+        """
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def available_cpus() -> int:
@@ -204,9 +214,9 @@ def run_sweep(
             per-access hooks by design).  Composes with ``run_id``:
             a sanitized run is journaled and resumable like any other.
         store: trace store to use (defaults to the process-wide one).
-        run_id: journal completed jobs durably under
-            ``<run_root>/<run_id>/`` and resume from any existing
-            journal with that id (create-or-resume semantics).
+        run_id: persist each completed job as a result-cache entry
+            under ``<run_root>/<run_id>/`` and resume from any entries
+            already there (create-or-resume semantics).
         resume: explicit alias for ``run_id`` that reads better at call
             sites restarting a killed sweep; if both are given they
             must agree.
@@ -224,8 +234,8 @@ def run_sweep(
     ``run_id``/``resume``/``resilience``/``fault_plan`` routes through
     :func:`repro.engine.resilience.run_resilient`, which adds per-job
     retries, wall-clock timeouts with hung-worker replacement, the
-    crash-consistent journal, and serial fallback after repeated pool
-    failures — still bit-identical to a serial run.
+    crash-consistent run journal, and serial fallback after repeated
+    pool failures — still bit-identical to a serial run.
     """
     jobs = list(jobs)
     if workers is None:

@@ -43,6 +43,7 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.obs import instrument as _obs
+from repro.obs.events import cache_dir
 from repro.workloads.spec2k import get_profile
 
 log = logging.getLogger("repro.engine.trace_store")
@@ -68,13 +69,8 @@ ENV_ROOT = "REPRO_TRACE_STORE"
 
 
 def default_root() -> Path:
-    """Store root: ``$REPRO_TRACE_STORE`` or ``~/.cache/bcache-repro``."""
-    env = os.environ.get(ENV_ROOT)
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path("~/.cache").expanduser()
-    return base / "bcache-repro" / "traces"
+    """Store root: ``$REPRO_TRACE_STORE`` or ``~/.cache/bcache-repro/traces``."""
+    return cache_dir(ENV_ROOT, "traces")
 
 
 def _frame(payload: bytes) -> bytes:

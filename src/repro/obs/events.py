@@ -13,8 +13,8 @@ tier      behaviour
 
 The event log is a plain JSONL file (one JSON object per line, each
 line written with a single ``write`` on an ``O_APPEND`` handle, flushed
-immediately).  That makes it *crash-safe the same way the resilience
-journal is*: a crash can tear at most the final line, and the readers
+immediately).  That makes it *crash-safe*: a crash can tear at most
+the final line, and the readers
 (:func:`read_events` / :func:`tail_events`) skip a torn tail instead of
 failing — ``bcache-top`` keeps rendering through a dying run.  Multiple
 processes (the sweep supervisor and its workers) may append to the same
@@ -64,22 +64,27 @@ ENV_LOG = "REPRO_OBS_LOG"
 MODES = ("off", "events", "full")
 
 
-def default_log_path() -> Path:
-    """Event-log path: ``$REPRO_OBS_LOG`` or the run root's ``events.jsonl``.
+def cache_dir(env: str, leaf: str) -> Path:
+    """``$<env>`` if set, else ``$XDG_CACHE_HOME/bcache-repro/<leaf>``.
 
-    Mirrors the resilience journal's root resolution
-    (``$REPRO_RUN_ROOT`` → ``~/.cache/bcache-repro/runs``) without
-    importing the engine — obs must stay a leaf dependency.
+    The one resolution of every on-disk root (trace store, run root,
+    result cache); ``XDG_CACHE_HOME`` defaults to ``~/.cache``.  It
+    lives here because obs is the leaf every tier already imports.
     """
+    override = os.environ.get(env)
+    if override:
+        return Path(override)
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    base = Path(xdg) if xdg else Path("~/.cache").expanduser()
+    return base / "bcache-repro" / leaf
+
+
+def default_log_path() -> Path:
+    """Event-log path: ``$REPRO_OBS_LOG`` or the run root's ``events.jsonl``."""
     env = os.environ.get(ENV_LOG)
     if env:
         return Path(env)
-    run_root = os.environ.get("REPRO_RUN_ROOT")
-    if run_root:
-        return Path(run_root) / "events.jsonl"
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path("~/.cache").expanduser()
-    return base / "bcache-repro" / "runs" / "events.jsonl"
+    return cache_dir("REPRO_RUN_ROOT", "runs") / "events.jsonl"
 
 
 class EventLog:
@@ -240,7 +245,7 @@ def log_to(path: str | Path) -> Iterator[None]:
     """Temporarily route events to ``path`` (no-op while tier is off).
 
     The resilient sweep supervisor wraps each journaled run in this so
-    the event log lands beside ``journal.jsonl`` in the run directory.
+    the event log lands beside the run's result entries.
     """
     state = _state()
     if state.mode == "off":

@@ -9,10 +9,9 @@ Eight pieces (see ``docs/serve.md`` and ``docs/gateway.md``):
 * :mod:`repro.serve.batcher` — the micro-batching coalescer that turns
   many concurrent ``simulate`` requests into few worker round-trips,
   with cross-window singleflight on identical jobs;
-* :mod:`repro.serve.resultcache` — the content-addressed result cache
-  (canonical job keys, engine fingerprint invalidation, memory LRU over
-  a crash-safe CRC-framed disk tier) and the :class:`Singleflight`
-  request collapser;
+* :mod:`repro.serve.singleflight` — the :class:`Singleflight` request
+  collapser in front of the content-addressed result cache
+  (:mod:`repro.engine.results`);
 * :mod:`repro.serve.admission` — per-client token-bucket rate limiting
   and weighted fair queueing in front of the in-flight budget;
 * :mod:`repro.serve.server` — the ``bcache-serve`` asyncio TCP/Unix
@@ -54,15 +53,8 @@ from repro.serve.protocol import (
     read_frame,
     write_frame,
 )
-from repro.serve.resultcache import (
-    CacheKeyError,
-    ResultCache,
-    Singleflight,
-    canonical_job_key,
-    engine_fingerprint,
-    job_hash,
-)
 from repro.serve.server import ServeConfig, SimServer
+from repro.serve.singleflight import Singleflight
 from repro.serve.workers import ShardPool
 
 #: Gateway exports resolved lazily so ``python -m repro.serve.gateway``
@@ -84,7 +76,6 @@ __all__ = [
     "AdmissionOverload",
     "AsyncServeClient",
     "BatchMetrics",
-    "CacheKeyError",
     "DrainingError",
     "FrameDecoder",
     "FrameTooLarge",
@@ -97,7 +88,6 @@ __all__ = [
     "RateLimited",
     "RateLimitedError",
     "RequestDecoder",
-    "ResultCache",
     "ServeClient",
     "ServeConfig",
     "ServeError",
@@ -106,11 +96,8 @@ __all__ = [
     "SimulationError",
     "Singleflight",
     "TokenBucket",
-    "canonical_job_key",
     "decode_payload",
     "encode_frame",
-    "engine_fingerprint",
-    "job_hash",
     "parse_address",
     "read_frame",
     "write_frame",

@@ -11,10 +11,9 @@ job.  Two levels of coalescing happen:
   job (same spec, benchmark, side, n, seed, geometry, policy) attach to
   one pending entry and share a single execution; every waiter gets the
   same snapshot.  Simulations are pure functions of the job, so this is
-  semantically invisible.  Jobs are identified by the **canonical** key
-  of :func:`repro.serve.resultcache.canonical_job_key` (sorted keys,
-  fixed separators, normalised scalars) so representation drift cannot
-  split one logical job across two entries.
+  semantically invisible.  Jobs are identified by
+  :meth:`~repro.engine.runner.SweepJob.key`, the same key the result
+  cache files them under.
 * **Cross-window singleflight** — coalescing does not stop when the
   window closes: a job whose batch is already executing keeps accepting
   waiters until its result lands, so a burst of identical requests
@@ -40,7 +39,6 @@ from repro.engine.runner import SweepJob
 from repro.obs import events as obs_events
 from repro.obs import instrument as _obs
 from repro.obs.tracectx import TraceContext
-from repro.serve.resultcache import canonical_job_key
 from repro.serve.workers import ShardPool
 
 
@@ -110,7 +108,7 @@ class MicroBatcher:
         self.max_batch = max(1, max_batch)
         self.metrics = BatchMetrics()
         self._pending: dict[int, dict[str, _Entry]] = {}
-        #: canonical key -> entry whose batch is currently executing;
+        #: job key -> entry whose batch is currently executing;
         #: late identical requests attach here (cross-window singleflight).
         self._executing: dict[str, _Entry] = {}
         self._timers: dict[int, asyncio.Task] = {}
@@ -129,7 +127,7 @@ class MicroBatcher:
         for this job.
         """
         loop = asyncio.get_running_loop()
-        key = canonical_job_key(job)
+        key = job.key()
         self.metrics.requests += 1
         executing = self._executing.get(key)
         if executing is not None:

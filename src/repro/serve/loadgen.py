@@ -47,7 +47,6 @@ from typing import Any
 
 from dataclasses import asdict
 
-from repro.engine.resilience import job_key
 from repro.engine.runner import SweepJob, execute_job
 from repro.serve.client import (
     AsyncServeClient,
@@ -77,7 +76,7 @@ class _RunState:
         self.errors: list[str] = []
         self.shed = 0
         self.rate_limited = 0
-        self.served: dict[str, CacheStats] = {}  # job_key -> first result
+        self.served: dict[str, CacheStats] = {}  # job key -> first result
 
 
 def parse_mix(text: str) -> int:
@@ -241,7 +240,7 @@ async def _issue(
             state.errors.append(f"{job.spec}/{job.benchmark}: {exc}")
             return
         state.latency.record(time.perf_counter() - started)
-        state.served.setdefault(job_key(job), stats)
+        state.served.setdefault(job.key(), stats)
         return
 
 
@@ -337,7 +336,7 @@ def verify_identical(
 ) -> tuple[bool, list[str]]:
     """Replay every distinct served job locally; compare bit-for-bit."""
     mismatches = []
-    by_key = {job_key(job): job for job in mix}
+    by_key = {job.key(): job for job in mix}
     for key, remote_stats in served.items():
         job = by_key.get(key)
         if job is None:

@@ -31,7 +31,7 @@ Scale-out shape (the part that transfers to any serving stack):
   instead of unbounded queueing; oversized frames are rejected from the
   header alone.
 * **Result caching** — with ``--result-cache`` a content-addressed
-  result cache (:mod:`repro.serve.resultcache`) answers repeated jobs
+  result cache (:mod:`repro.engine.results`) answers repeated jobs
   from memory or disk without touching a worker, and a singleflight
   layer collapses concurrent identical jobs to one execution.
 * **Graceful drain** — on SIGTERM (or the ``drain`` op) the listeners
@@ -53,10 +53,11 @@ import os
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
+from repro.engine.results import ResultCache
 from repro.engine.runner import SweepJob, available_cpus
 from repro.engine.trace_store import TraceStore, default_store
 from repro.obs import events as obs_events
@@ -72,7 +73,6 @@ from repro.serve.admission import (
     RateLimited,
 )
 from repro.serve.batcher import MicroBatcher, SimulationError
-from repro.serve.resultcache import CacheKeyError, ResultCache, Singleflight
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -81,13 +81,11 @@ from repro.serve.protocol import (
     read_frame,
     write_frame,
 )
+from repro.serve.singleflight import Singleflight
 from repro.serve.workers import ShardPool
 
 #: Fields a ``simulate`` request may set on its :class:`SweepJob`.
-JOB_FIELDS = frozenset(
-    {"spec", "benchmark", "side", "n", "seed", "size", "line_size", "policy",
-     "with_kinds"}
-)
+JOB_FIELDS = frozenset(f.name for f in fields(SweepJob))
 
 #: Hard cap on one job's trace length (memory admission control).
 MAX_TRACE_N = 2_000_000
@@ -181,10 +179,10 @@ def _job_from_payload(payload: dict[str, Any]) -> SweepJob:
     if (isinstance(job.n, bool) or not isinstance(job.n, int)
             or not 0 < job.n <= MAX_TRACE_N):
         raise BadRequest(f"'n' must be an int in (0, {MAX_TRACE_N}]")
-    # Every remaining field is type-checked too: these all feed the
-    # canonical result-cache/coalescing key, which only admits exact
-    # scalars — an unchecked {"seed": 1.5} would otherwise surface as
-    # a CacheKeyError deep in the batcher instead of a bad_request.
+    # Every remaining field is type-checked too: these all feed
+    # SweepJob.key(), the result-cache/coalescing key, so only exact
+    # scalars may pass — {"seed": 1.5} and {"seed": 1} must never
+    # name two entries for what a client meant as one job.
     for name in ("seed", "size", "line_size"):
         value = getattr(job, name)
         if isinstance(value, bool) or not isinstance(value, int):
@@ -546,11 +544,7 @@ class SimServer:
                 self.request_drain()
                 return {"ok": True, "draining": True}
             raise BadRequest(f"unknown op {op!r}")
-        except (BadRequest, CacheKeyError) as exc:
-            # CacheKeyError is the canonical-key layer rejecting a job
-            # field _job_from_payload let through — still the client's
-            # fault, so answer bad_request instead of dropping the
-            # connection.
+        except BadRequest as exc:
             self.metrics.errors += 1
             return {"ok": False, "error": "bad_request", "detail": str(exc)}
 

@@ -48,7 +48,7 @@ from repro.obs.metrics import default_registry
 from repro.obs.tracectx import TraceContext
 
 if TYPE_CHECKING:  # annotation only; the pool works without a cache
-    from repro.serve.resultcache import ResultCache
+    from repro.engine.results import ResultCache
 
 #: One batch result entry: ``("ok", snapshot)`` or ``("error", message)``.
 ShardResult = tuple[str, Any]
@@ -170,7 +170,7 @@ class ShardPool:
         retry: restart backoff for dead shards; after its attempts are
             exhausted the batch runs in-process instead of failing.
         seed: seed for the (deterministic) backoff jitter.
-        cache: optional :class:`~repro.serve.resultcache.ResultCache`;
+        cache: optional :class:`~repro.engine.results.ResultCache`;
             when set, every batch consults it before the pipe round
             trip (cached jobs never reach a worker) and fresh results
             are written through.  Lookups and writes happen on the

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Callable
+import shutil
+from pathlib import Path
+from typing import Callable, Iterator
 
 import pytest
 from hypothesis import settings
@@ -63,6 +65,31 @@ def _isolated_run_root(tmp_path_factory: pytest.TempPathFactory):
         os.environ.pop("REPRO_RUN_ROOT", None)
     else:
         os.environ["REPRO_RUN_ROOT"] = previous
+
+
+@pytest.fixture
+def read_only_dir() -> Iterator[Callable[[Path], None]]:
+    """Make a directory refuse new files for the rest of the test.
+
+    Read-only mode where permissions are enforced; where they are not
+    (running as root) a regular file takes the directory's place (its
+    contents are dropped), which fails every write beneath it the same.
+    """
+    blocked: list[Path] = []
+
+    def block(path: Path) -> None:
+        path.mkdir(parents=True, exist_ok=True)
+        path.chmod(0o555)
+        blocked.append(path)
+        if os.access(path, os.W_OK):
+            path.chmod(0o755)
+            shutil.rmtree(path)
+            path.write_text("")
+
+    yield block
+    for path in blocked:
+        if path.is_dir():
+            path.chmod(0o755)
 
 
 @pytest.fixture(autouse=True)

@@ -32,11 +32,17 @@ from repro.engine.cluster import (
     run_cluster_sweep,
 )
 from repro.engine.faultinject import FaultPlan
-from repro.engine.resilience import ResultJournal, RetryPolicy
+from repro.engine.resilience import RetryPolicy
+from repro.engine.results import ResultCache
 from repro.engine.runner import SweepJob, run_sweep
 from repro.engine.trace_store import TraceStore
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def entries(run_dir: Path) -> list[Path]:
+    """The result-cache entry files a journaled run left in ``run_dir``."""
+    return sorted(run_dir.glob("fp-*/*.json"))
 
 
 @pytest.fixture
@@ -231,17 +237,25 @@ class TestLocalFallback:
 
 
 class TestJournal:
-    def test_journal_records_node_attribution(self, tmp_path, store):
+    def test_journal_is_one_entry_per_job(self, tmp_path, store):
         addresses = [f"unix:{tmp_path}/ghost.sock"]
         jobs = small_sweep()[:2]
-        run_cluster_sweep(
+        results = run_cluster_sweep(
             jobs, addresses, config=FAST, store=store,
-            run_id="attributed", run_root=tmp_path / "runs",
+            run_id="stored", run_root=tmp_path / "runs",
         )
-        journal = ResultJournal(tmp_path / "runs" / "attributed")
-        assert len(journal.completed) == len(jobs)
-        text = (tmp_path / "runs" / "attributed" / "journal.jsonl").read_text()
-        assert '"node":"local"' in text
+        run_dir = tmp_path / "runs" / "stored"
+        assert len(entries(run_dir)) == len(jobs)
+        journal = ResultCache(run_dir)
+        assert [journal.get_stats(job) for job in jobs] == results
+
+    def test_unwritable_journal_fails_the_sweep(self, tmp_path, store, read_only_dir):
+        read_only_dir(ResultCache(tmp_path / "runs" / "ro").dir)
+        with pytest.raises(OSError, match="could not persist"):
+            run_cluster_sweep(
+                small_sweep()[:1], [f"unix:{tmp_path}/ghost.sock"], config=FAST,
+                store=store, run_id="ro", run_root=tmp_path / "runs",
+            )
 
     def test_resume_replays_from_journal_without_nodes(self, tmp_path, store):
         """A fully-journaled run resumes instantly even with no fleet."""
@@ -301,16 +315,12 @@ run_cluster_sweep(
             stderr=subprocess.DEVNULL,
             start_new_session=True,
         )
-        journal_path = run_root / "killed" / "journal.jsonl"
         try:
             deadline = time.monotonic() + 120.0
-            # Wait for the header plus at least one fallback-journaled
-            # job, then SIGKILL while later jobs are still running.
+            # Wait for at least one fallback-journaled job, then
+            # SIGKILL while later jobs are still running.
             while time.monotonic() < deadline:
-                if (
-                    journal_path.is_file()
-                    and journal_path.read_text().count("\n") >= 2
-                ):
+                if entries(run_root / "killed"):
                     break
                 assert proc.poll() is None, "coordinator exited pre-kill"
                 time.sleep(0.01)
@@ -321,7 +331,7 @@ run_cluster_sweep(
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
 
-        journaled = len(ResultJournal(run_root / "killed").completed)
+        journaled = len(entries(run_root / "killed"))
         assert 1 <= journaled < len(jobs)  # genuinely killed mid-run
 
         resumed = run_cluster_sweep(
@@ -329,7 +339,7 @@ run_cluster_sweep(
             resume="killed", run_root=run_root,
         )
         assert resumed == run_sweep(jobs, workers=1, store=store)
-        assert len(ResultJournal(run_root / "killed").completed) == len(jobs)
+        assert len(entries(run_root / "killed")) == len(jobs)
 
 
 class TestCli:

@@ -109,8 +109,7 @@ class TestResilientRouting:
             small_sweep()[:2], workers=1, store=store,
             run_id="routed", run_root=tmp_path,
         )
-        assert (tmp_path / "routed" / "journal.jsonl").is_file()
-        assert (tmp_path / "routed" / "index.json").is_file()
+        assert len(list((tmp_path / "routed").glob("fp-*/*.json"))) == 2
 
     def test_run_id_resume_alias_conflict(self, store):
         with pytest.raises(ValueError, match="disagree"):

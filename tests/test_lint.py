@@ -1,12 +1,12 @@
 """The custom lint pass, driven by the seeded fixture corpus.
 
-Every rule BCL001–BCL019 has one minimal violating fixture and one
-minimal clean fixture under ``tests/fixtures/lint/``; the corpus tests
-assert each positive is reported and each negative is silent.  The
-remaining classes cover engine mechanics: noqa suppression, the
+Every rule (BCL001–BCL017 and BCL019) has one minimal violating
+fixture and one minimal clean fixture under ``tests/fixtures/lint/``;
+the corpus tests assert each positive is reported and each negative is
+silent.  The remaining classes cover engine mechanics: noqa suppression, the
 flow-aware BCL009 semantics, output formats, the result cache, CLI
 exit codes — and the acceptance criterion that the repo itself is
-clean under all nineteen rules.
+clean under all eighteen rules.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ COLD_PATH = "src/repro/experiments/example.py"
 ENGINE_PATH = "src/repro/engine/example.py"
 SERVE_PATH = "src/repro/serve/example.py"
 
-ALL_CODES = sorted(RULES)  # BCL001..BCL019
+ALL_CODES = sorted(RULES)  # BCL001..BCL017, BCL019
 
 
 def load_fixture(name: str) -> tuple[str, str]:

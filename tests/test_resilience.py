@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import signal
 import subprocess
@@ -14,15 +13,14 @@ from random import Random
 
 import pytest
 
-from repro.engine.faultinject import FaultPlan
+from repro.engine.faultinject import FaultPlan, tear_result_entry
 from repro.engine.resilience import (
     ResilienceConfig,
-    ResultJournal,
     RetryPolicy,
     SweepFailure,
     default_run_root,
-    job_key,
 )
+from repro.engine.results import ResultCache, decode_entry
 from repro.engine.runner import SweepJob, execute_job, run_sweep
 from repro.engine.trace_store import TraceStore
 
@@ -47,6 +45,11 @@ FAST = ResilienceConfig(
 )
 
 
+def entries(run_dir: Path) -> list[Path]:
+    """The result-cache entry files a journaled run left in ``run_dir``."""
+    return sorted(run_dir.glob("fp-*/*.json"))
+
+
 class TestRetryPolicy:
     def test_deterministic(self):
         policy = RetryPolicy()
@@ -69,62 +72,53 @@ class TestResultJournal:
     def test_round_trip_bit_identical(self, tmp_path, store):
         job = SweepJob(spec="dm", benchmark="gzip", n=1200)
         stats = execute_job(job, store=store)
-        journal = ResultJournal(tmp_path / "run", fsync=False)
-        journal.open_run("r1", [job])
-        journal.record(job, stats)
-        journal.close()
+        run_sweep([job], workers=1, store=store, run_id="r1",
+                  run_root=tmp_path, resilience=FAST)
 
-        reloaded = ResultJournal(tmp_path / "run")
-        assert reloaded.completed[job_key(job)] == stats
-        assert reloaded.corrupt_lines == 0
-        assert reloaded.header is not None
-        assert reloaded.header["run_id"] == "r1"
+        reloaded = ResultCache(tmp_path / "r1")
+        assert reloaded.get_stats(job) == stats
+        # The run directory is nothing but result-cache entries.
+        assert [p.name for p in (tmp_path / "r1").iterdir()] == [reloaded.dir.name]
 
     def test_torn_tail_skipped_and_healed(self, tmp_path, store):
         jobs = small_sweep(1000)[:2]
         stats = [execute_job(job, store=store) for job in jobs]
-        journal = ResultJournal(tmp_path / "run", fsync=False)
-        journal.open_run("r1", jobs)
-        journal.record(jobs[0], stats[0])
-        journal.record(jobs[1], stats[1], torn=True)  # simulated crash
-        journal.close()
+        journal = ResultCache(tmp_path / "run", fsync=False)
+        assert journal.put(jobs[0], stats[0].snapshot())
+        tear_result_entry(journal, jobs[1], stats[1].snapshot())  # simulated crash
 
-        reloaded = ResultJournal(tmp_path / "run", fsync=False)
-        assert job_key(jobs[0]) in reloaded.completed
-        assert job_key(jobs[1]) not in reloaded.completed
-        assert reloaded.corrupt_lines == 1
-        # Appending after the torn tail heals it: the new record parses.
-        reloaded.open_run("r1", jobs)
-        reloaded.record(jobs[1], stats[1])
-        reloaded.close()
-        final = ResultJournal(tmp_path / "run")
-        assert final.completed[job_key(jobs[1])] == stats[1]
+        reloaded = ResultCache(tmp_path / "run", fsync=False)
+        assert reloaded.get_stats(jobs[0]) == stats[0]
+        assert reloaded.get_stats(jobs[1]) is None
+        # Re-running the job heals it: its entry lands under the real name.
+        assert reloaded.put(jobs[1], stats[1].snapshot())
+        assert ResultCache(tmp_path / "run").get_stats(jobs[1]) == stats[1]
 
     def test_corrupt_line_skipped(self, tmp_path, store):
-        job = SweepJob(spec="dm", benchmark="gzip", n=1000)
-        stats = execute_job(job, store=store)
-        journal = ResultJournal(tmp_path / "run", fsync=False)
-        journal.open_run("r1", [job])
-        journal.record(job, stats)
-        journal.close()
-        path = tmp_path / "run" / "journal.jsonl"
-        lines = path.read_text().splitlines()
-        flipped = lines[-1][:9] + ("X" if lines[-1][9] != "X" else "Y") + lines[-1][10:]
-        path.write_text("\n".join(lines[:-1] + [flipped]) + "\n")
+        jobs = small_sweep(1000)[:2]
+        clean = run_sweep(jobs, workers=1, store=store)
+        run_sweep(jobs, workers=1, store=store, run_id="r1",
+                  run_root=tmp_path, resilience=FAST)
+        journal = ResultCache(tmp_path / "r1")
+        path = journal.entry_path(journal.key(jobs[0]))
+        line = path.read_text()
+        path.write_text(line[:9] + ("X" if line[9] != "X" else "Y") + line[10:])
 
-        reloaded = ResultJournal(tmp_path / "run")
-        assert job_key(job) not in reloaded.completed
-        assert reloaded.corrupt_lines == 1
+        resumed = run_sweep(jobs, workers=1, store=store, resume="r1",
+                            run_root=tmp_path, resilience=FAST)
+        assert resumed == clean
+        assert (tmp_path / "r1" / "quarantine" / path.name).is_file()
+        assert len(entries(tmp_path / "r1")) == len(jobs)  # re-run, re-stored
 
-    def test_index_written_atomically(self, tmp_path, store):
-        job = SweepJob(spec="dm", benchmark="gzip", n=1000)
-        journal = ResultJournal(tmp_path / "run", fsync=False)
-        journal.open_run("r1", [job])
-        journal.record(job, execute_job(job, store=store))
-        index = json.loads((tmp_path / "run" / "index.json").read_text())
-        assert index["completed"] == 1
-        assert index["total_jobs"] == 1
-        assert index["run_id"] == "r1"
+    def test_each_job_is_one_atomic_entry(self, tmp_path, store):
+        jobs = small_sweep(1000)
+        run_sweep(jobs, workers=1, store=store, run_id="r1",
+                  run_root=tmp_path, resilience=FAST)
+        stored = entries(tmp_path / "r1")
+        assert len(stored) == len(jobs)
+        assert not list((tmp_path / "r1").glob("fp-*/*.tmp.*"))
+        keys = {decode_entry(path.read_text())["key"] for path in stored}
+        assert keys == {job.key() for job in jobs}
 
     def test_default_run_root_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RUN_ROOT", str(tmp_path / "runs"))
@@ -170,6 +164,40 @@ class TestResumeSerial:
             run_sweep(
                 small_sweep()[:1], workers=1, store=store,
                 run_id="a", resume="b", run_root=tmp_path,
+            )
+
+    def test_resume_with_other_jobs_reuses_shared_entries(
+        self, tmp_path, store, monkeypatch
+    ):
+        jobs = small_sweep()[:2]
+        run_sweep(
+            jobs, workers=1, store=store, run_id="fp", run_root=tmp_path,
+            resilience=FAST,
+        )
+        other = small_sweep()[1:3]
+        import repro.engine.resilience as resilience
+
+        ran: list[SweepJob] = []
+
+        def counting(job, *args, **kwargs):
+            ran.append(job)
+            return execute_job(job, *args, **kwargs)
+
+        monkeypatch.setattr(resilience, "execute_job", counting)
+        got = run_sweep(
+            other, workers=1, store=store, resume="fp", run_root=tmp_path,
+            resilience=FAST,
+        )
+        assert got == run_sweep(other, workers=1, store=store)
+        assert ran == [other[1]]  # the shared job replayed from its entry
+
+    def test_unwritable_journal_fails_the_run(self, tmp_path, store, read_only_dir):
+        # A journaled job must never count as persisted when it is not.
+        read_only_dir(ResultCache(tmp_path / "ro").dir)
+        with pytest.raises(OSError, match="could not persist"):
+            run_sweep(
+                small_sweep()[:1], workers=1, store=store, run_id="ro",
+                run_root=tmp_path, resilience=FAST,
             )
 
     def test_sanitized_run_survives_resume(self, tmp_path, store):
@@ -230,15 +258,14 @@ class TestFaultRecovery:
             resilience=FAST, fault_plan=plan,
         )
         assert got == clean
-        journal = ResultJournal(tmp_path / "torn")
-        assert len(journal.completed) == len(jobs) - 1
-        assert journal.corrupt_lines == 1
+        assert len(entries(tmp_path / "torn")) == len(jobs) - 1
+        assert len(list((tmp_path / "torn").glob("fp-*/*.tmp.*"))) == 1
         resumed = run_sweep(
             jobs, workers=1, store=store, resume="torn", run_root=tmp_path,
             resilience=FAST,
         )
         assert resumed == clean
-        assert len(ResultJournal(tmp_path / "torn").completed) == len(jobs)
+        assert len(entries(tmp_path / "torn")) == len(jobs)
 
     def test_retry_budget_exhaustion_raises(self, store):
         jobs = small_sweep()[:1]
@@ -278,7 +305,7 @@ class TestKillResume:
         jobs = small_sweep(3000)
         run_root = tmp_path / "runs"
         # The child hangs forever on job 0 (huge timeout, no retry help),
-        # so it deterministically finishes every other job, journals
+        # so it deterministically finishes every other job, stores
         # them, and then blocks — a guaranteed mid-run SIGKILL window.
         child_code = """
 import sys
@@ -312,15 +339,11 @@ run_sweep(
             stderr=subprocess.DEVNULL,
             start_new_session=True,  # killpg must reach the hung worker too
         )
-        journal_path = run_root / "killed" / "journal.jsonl"
         try:
             deadline = time.monotonic() + 60.0
-            # Wait for header + every job except the hung one, then kill.
+            # Wait for an entry per job except the hung one, then kill.
             while time.monotonic() < deadline:
-                if (
-                    journal_path.is_file()
-                    and journal_path.read_text().count("\n") >= len(jobs)
-                ):
+                if len(entries(run_root / "killed")) >= len(jobs) - 1:
                     break
                 assert proc.poll() is None, "sweep exited before the kill"
                 time.sleep(0.02)
@@ -331,8 +354,7 @@ run_sweep(
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
 
-        journal = ResultJournal(run_root / "killed")
-        assert len(journal.completed) == len(jobs) - 1  # killed mid-run
+        assert len(entries(run_root / "killed")) == len(jobs) - 1  # killed mid-run
 
         clean = run_sweep(jobs, workers=1, store=store)
         resumed = run_sweep(
@@ -340,21 +362,4 @@ run_sweep(
             resilience=FAST,
         )
         assert resumed == clean
-        assert len(ResultJournal(run_root / "killed").completed) == len(jobs)
-
-
-class TestFingerprintWarning:
-    def test_resuming_different_sweep_warns(self, tmp_path, store, caplog):
-        jobs = small_sweep()[:2]
-        run_sweep(
-            jobs, workers=1, store=store, run_id="fp", run_root=tmp_path,
-            resilience=FAST,
-        )
-        other = small_sweep()[1:3]
-        with caplog.at_level("WARNING", logger="repro.engine.resilience"):
-            got = run_sweep(
-                other, workers=1, store=store, resume="fp", run_root=tmp_path,
-                resilience=FAST,
-            )
-        assert any("fingerprint" in r.message for r in caplog.records)
-        assert got == run_sweep(other, workers=1, store=store)
+        assert len(entries(run_root / "killed")) == len(jobs)

@@ -2,12 +2,12 @@
 
 Three contracts under test:
 
-* **Canonical keys** — ``canonical_job_key`` matches the resilience
-  journal's ``job_key`` byte for byte for a :class:`SweepJob`, and the
-  three copies of the key-field set (resultcache, ``SweepJob`` itself,
-  the BCL018 linter) can never drift apart silently.
+* **Job keys** — ``SweepJob.key()`` covers exactly the dataclass's
+  fields, and its bytes are pinned by a golden string because every
+  on-disk entry is filed under them.
 * **Two-tier store** — memory LRU in front of a CRC-framed disk tier:
-  promotion, eviction, corruption quarantine, fingerprint invalidation.
+  promotion, eviction, corruption quarantine, fingerprint invalidation,
+  and a ``put`` that reports whether the entry reached disk.
 * **Admission** — deterministic token buckets under an injected clock,
   and fair queueing that makes a flooding client pay for its own flood.
 """
@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 
 import pytest
 
-from repro.analysis.lint import RESULT_CACHE_KEY_FIELDS
 from repro.engine.resilience import job_key
+from repro.engine.results import ResultCache, job_hash
 from repro.engine.runner import SweepJob
 from repro.serve.admission import (
     AdmissionController,
@@ -28,60 +29,40 @@ from repro.serve.admission import (
     RateLimited,
     TokenBucket,
 )
-from repro.serve.resultcache import (
-    HASHED_JOB_FIELDS,
-    CacheKeyError,
-    ResultCache,
-    Singleflight,
-    canonical_job_key,
-    job_hash,
-)
+from repro.serve.singleflight import Singleflight
 
 JOB = SweepJob(spec="mf8_bas8", benchmark="gcc", n=3000, with_kinds=True)
 SNAP = {"accesses": 3000, "misses": 412, "hits": 2588}
 
 
 # ----------------------------------------------------------------------
-# Canonical keys
+# Job keys
 # ----------------------------------------------------------------------
 class TestCanonicalKey:
     def test_matches_resilience_job_key_for_sweepjob(self):
-        # Journal keys and cache keys must agree byte for byte, or a
-        # journal replay and a cache probe could disagree about whether
-        # two jobs are "the same job".
-        assert canonical_job_key(JOB) == job_key(JOB)
-
-    def test_mapping_field_order_is_irrelevant(self):
-        a = {"spec": "dm", "benchmark": "gcc", "n": 1000}
-        b = {"n": 1000, "spec": "dm", "benchmark": "gcc"}
-        assert canonical_job_key(a) == canonical_job_key(b)
-
-    def test_integral_float_normalises_to_int(self):
-        # JSON payloads routinely arrive with n=20000.0; that is the
-        # same job as n=20000 and must hash identically.
-        exact = {"spec": "dm", "benchmark": "gcc", "n": 20000}
-        floaty = {"spec": "dm", "benchmark": "gcc", "n": 20000.0}
-        assert canonical_job_key(exact) == canonical_job_key(floaty)
-
-    def test_fractional_float_is_rejected(self):
-        with pytest.raises(CacheKeyError, match="non-integral float"):
-            canonical_job_key({"spec": "dm", "benchmark": "gcc", "n": 0.5})
-
-    def test_unknown_field_is_rejected(self):
-        with pytest.raises(CacheKeyError, match="debug_level"):
-            canonical_job_key({"spec": "dm", "debug_level": 3})
+        # resilience.job_key is kept as a thin alias for callers that
+        # import it; it must stay the very same bytes.
+        assert job_key(JOB) == JOB.key()
 
     def test_hash_depends_on_fingerprint(self):
         assert job_hash(JOB, "aaaa") != job_hash(JOB, "bbbb")
         assert len(job_hash(JOB)) == 32  # 128 bits of hex
 
     def test_key_field_sets_agree_everywhere(self):
-        # Three copies of the key discipline exist on purpose (the
-        # linter must stay importable without serve, the dataclass is
-        # the ground truth).  This test is the drift alarm.
+        # The key is built from the dataclass, so it names every field
+        # and nothing else.
         sweep_fields = {f.name for f in dataclasses.fields(SweepJob)}
-        assert HASHED_JOB_FIELDS == sweep_fields
-        assert RESULT_CACHE_KEY_FIELDS == HASHED_JOB_FIELDS
+        assert set(json.loads(JOB.key())) == sweep_fields
+
+    def test_golden_key_string(self):
+        # Every stored entry (result cache and run journal) is filed
+        # under these bytes: changing them orphans every entry on disk.
+        assert JOB.key() == (
+            '{"benchmark":"gcc","line_size":32,"n":3000,"policy":"lru",'
+            '"seed":2006,"side":"data","size":16384,"spec":"mf8_bas8",'
+            '"with_kinds":true}'
+        )
+        assert job_hash(JOB) == "cc10c0f73ecd4d6d4f1c2c4649e3d30e"
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +108,7 @@ class TestResultCache:
     def test_corrupt_entry_is_quarantined_not_served(self, tmp_path):
         cache = self._cache(tmp_path)
         cache.put(JOB, SNAP)
-        path = cache._entry_path(cache.key(JOB))
+        path = cache.entry_path(cache.key(JOB))
         path.write_text(path.read_text("utf-8")[:-10] + "corrupted!\n")
         fresh = self._cache(tmp_path)
         assert fresh.get(JOB) is None  # recompute, never trust bit rot
@@ -148,6 +129,26 @@ class TestResultCache:
         a = self._cache(tmp_path, fingerprint="aaaa000000000000")
         b = self._cache(tmp_path, fingerprint="bbbb000000000000")
         assert a.key(JOB) != b.key(JOB)
+
+    def test_undecodable_snapshot_is_quarantined(self, tmp_path):
+        # The CRC holds but the stats are not a CacheStats snapshot: a
+        # run journal must re-run the job, not resurrect garbage.
+        self._cache(tmp_path).put(JOB, SNAP)
+        fresh = self._cache(tmp_path)
+        assert fresh.get_stats(JOB) is None
+        assert fresh.snapshot()["quarantined"] == 1
+        assert fresh.get(JOB) is None
+
+    def test_put_reports_a_failed_write(self, tmp_path, read_only_dir):
+        # Serving ignores the result (the memory tier still answers);
+        # the run journal raises on it (tests/test_resilience.py).
+        cache = self._cache(tmp_path)
+        assert cache.put(JOB, SNAP) is True
+        other = SweepJob(spec="dm", benchmark="gcc", n=1000)
+        read_only_dir(cache.dir)
+        assert cache.put(other, SNAP) is False
+        assert cache.snapshot()["stores"] == 1
+        assert cache.get(other) == SNAP  # memory tier
 
 
 # ----------------------------------------------------------------------

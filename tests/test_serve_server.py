@@ -11,7 +11,7 @@ import asyncio
 import pytest
 
 from repro.caches import make_cache
-from repro.engine.resilience import job_key
+from repro.engine.results import ResultCache
 from repro.engine.runner import SweepJob, execute_job
 from repro.engine.trace_store import default_store
 from repro.serve.batcher import MicroBatcher, SimulationError
@@ -46,7 +46,7 @@ class _FakePool:
         self.batches.append((shard_id, list(jobs)))
         if self.fail:
             return [("error", "injected failure") for _ in jobs]
-        return [("ok", {"key": job_key(job)}) for job in jobs]
+        return [("ok", {"key": job.key()}) for job in jobs]
 
 
 class TestMicroBatcher:
@@ -60,7 +60,7 @@ class TestMicroBatcher:
         pool, batcher, results = asyncio.run(scenario())
         assert len(pool.batches) == 1
         assert len(pool.batches[0][1]) == 1  # one distinct job travelled
-        assert all(r == {"key": job_key(JOB)} for r in results)
+        assert all(r == {"key": JOB.key()} for r in results)
         assert batcher.metrics.requests == 6
         assert batcher.metrics.coalesced == 5
         assert batcher.metrics.mean_batch_size == 6.0
@@ -99,7 +99,7 @@ class TestMicroBatcher:
             await batcher.drain()
             return await waiter
 
-        assert asyncio.run(scenario()) == {"key": job_key(JOB)}
+        assert asyncio.run(scenario()) == {"key": JOB.key()}
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +121,18 @@ class TestShardPool:
             [(status, snapshot)] = pool.run_batch_blocking(0, [job])
         assert status == "ok"
         assert snapshot == execute_job(job).snapshot()
+
+    def test_unwritable_result_cache_still_serves(self, tmp_path, read_only_dir):
+        # A serving cache that cannot persist is still a cache: the
+        # failed write-through must not fail the request.
+        job = SweepJob(spec="dm", benchmark="gzip", n=2000)
+        cache = ResultCache(tmp_path / "rc", fingerprint="testfp0000000000", fsync=False)
+        read_only_dir(cache.dir)
+        with ShardPool(1, cache=cache) as pool:
+            [(status, snapshot)] = pool.run_batch_blocking(0, [job])
+        assert status == "ok"
+        assert snapshot == execute_job(job).snapshot()
+        assert cache.snapshot()["stores"] == 0
 
     def test_bad_spec_reports_error_not_crash(self):
         job = SweepJob(spec="no_such_spec", benchmark="gzip", n=1000)
@@ -456,7 +468,7 @@ class TestJobValidation:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("seed", 1.5),     # would raise CacheKeyError in the batcher
+            ("seed", 1.5),     # a float seed is not an exact key scalar
             ("seed", "2006"),
             ("size", None),
             ("size", 0),
@@ -467,9 +479,8 @@ class TestJobValidation:
         ],
     )
     def test_bad_scalar_types_rejected_up_front(self, field, value):
-        # Every job field feeds the canonical cache key, which only
-        # admits exact scalars; a lossy value must be a bad_request at
-        # the door, not a CacheKeyError mid-pipeline.
+        # Every job field feeds SweepJob.key(), so only exact scalars
+        # may pass; a lossy value must be a bad_request at the door.
         with pytest.raises(BadRequest):
             _job_from_payload(
                 {"spec": "dm", "benchmark": "gzip", field: value}
