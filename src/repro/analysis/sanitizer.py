@@ -39,11 +39,13 @@ and accounting invariants stay enforced.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import weakref
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.analysis.reference import ReferenceSetAssociativeLRU, reference_for
-from repro.caches.base import AccessResult, Cache
+from repro.caches.base import AccessResult, Cache, NextLevelStream
 from repro.caches.direct_mapped import DirectMappedCache
 from repro.caches.fully_associative import FullyAssociativeCache
 from repro.caches.set_associative import SetAssociativeCache
@@ -450,21 +452,17 @@ class SanitizedCache:
         self,
         addresses: Sequence[int],
         kinds: Sequence[int] | None = None,
+        next_level: NextLevelStream | None = None,
     ) -> CacheStats:
         """Batch API, forwarded through the checked per-access path.
 
         The wrapped model's allocation-free batch kernels bypass the
         per-access hook by design, so a sanitized batch replay trades
-        the speedup for the invariant trail — statistics stay
-        bit-identical to the unchecked batch path either way.
+        the speedup for the invariant trail — statistics and the
+        ``next_level`` stream stay bit-identical to the unchecked batch
+        path either way.
         """
-        access = self.access
-        if kinds is None:
-            for address in addresses:
-                access(address)
-        else:
-            for address, kind in zip(addresses, kinds):
-                access(address, kind == 1)
+        _replay_checked(self.access, addresses, kinds, next_level)
         return self.cache.stats
 
     def contains(self, address: int) -> bool:
@@ -497,6 +495,23 @@ class SanitizedCache:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<sanitized {self.cache!r}>"
+
+
+def _replay_checked(
+    access: Callable[[int, bool], AccessResult],
+    addresses: Iterable[int],
+    kinds: Iterable[int] | None,
+    next_level: NextLevelStream | None,
+) -> None:
+    """A batch replayed through a checked per-access ``access``, filling
+    ``next_level`` from each checked result."""
+    if next_level is not None:
+        addresses = list(addresses)
+        access = next_level.recording(access, addresses)
+    for address, kind in zip(
+        addresses, itertools.repeat(0) if kinds is None else kinds
+    ):
+        access(address, kind == 1)
 
 
 # ----------------------------------------------------------------------
@@ -550,16 +565,14 @@ def install_global_sanitizer(check_interval: int = 256) -> None:
         self: Cache,
         addresses: Any,
         kinds: Any = None,
+        next_level: NextLevelStream | None = None,
     ) -> CacheStats:
         # Route the batch API through the checked per-access path so the
         # shadow model observes every reference (the batch kernels would
         # otherwise advance the statistics behind the checker's back).
-        if kinds is None:
-            for address in addresses:
-                checked_access(self, address)
-        else:
-            for address, kind in zip(addresses, kinds):
-                checked_access(self, address, kind == 1)
+        _replay_checked(
+            functools.partial(checked_access, self), addresses, kinds, next_level
+        )
         return self.stats
 
     Cache.access = checked_access  # type: ignore[method-assign]

@@ -10,12 +10,13 @@ block-address extraction and statistics plumbing.
 from __future__ import annotations
 
 import abc
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.obs import instrument as _obs
 from repro.stats.counters import CacheStats
-from repro.trace.access import Access
+from repro.trace.access import Access, AccessType
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -48,6 +49,63 @@ class AccessResult:
     evicted: int | None = None
     evicted_dirty: bool = False
     pd_hit: bool = True
+
+
+#: Kinds of the references a batch replay sends to the level below: a
+#: demand fill reads the block, a dirty writeback writes it.
+DEMAND = int(AccessType.READ)
+WRITEBACK = int(AccessType.WRITE)
+
+
+class NextLevelStream:
+    """The references one batch replay sends to the level below, in order.
+
+    Entry ``i`` is the reference at batch position ``positions[i]``
+    reaching the next level with byte address ``addresses[i]`` and kind
+    ``kinds[i]``: the demand address of a miss (:data:`DEMAND`) or the
+    dirty victim of an eviction, on a miss or on a relocating hit
+    (:data:`WRITEBACK`).  A miss's demand precedes its writeback, so
+    ``addresses``/``kinds`` are directly the next level's batch input.
+    """
+
+    __slots__ = ("positions", "addresses", "kinds")
+
+    def __init__(self) -> None:
+        self.positions: list[int] = []
+        self.addresses: list[int] = []
+        self.kinds: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def emit(self, position: int, address: int, kind: int) -> None:
+        """Append one next-level reference."""
+        self.positions.append(position)
+        self.addresses.append(address)
+        self.kinds.append(kind)
+
+    def recording(
+        self,
+        access: Callable[[int, bool], AccessResult],
+        addresses: Sequence[int],
+    ) -> Callable[[int, bool], AccessResult]:
+        """``access`` (per block or per address) that also appends what
+        each result sends below, for a batch over ``addresses`` driven
+        one reference at a time: call ``i`` is the reference at
+        position ``i``, with demand address ``addresses[i]``."""
+        emit = self.emit
+        positions = itertools.count()
+
+        def recorded(key: int, is_write: bool) -> AccessResult:
+            result = access(key, is_write)
+            position = next(positions)
+            if not result.hit:
+                emit(position, addresses[position], DEMAND)
+            if result.evicted is not None and result.evicted_dirty:
+                emit(position, result.evicted, WRITEBACK)
+            return result
+
+        return recorded
 
 
 class Cache(abc.ABC):
@@ -97,6 +155,7 @@ class Cache(abc.ABC):
         self,
         addresses: Sequence[int],
         kinds: Sequence[int] | None = None,
+        next_level: NextLevelStream | None = None,
     ) -> CacheStats:
         """Batch fast path: reference a whole address sequence at once.
 
@@ -112,6 +171,9 @@ class Cache(abc.ABC):
                 :class:`~repro.trace.access.AccessType` encoding
                 (``1`` = write, anything else is a non-writing access);
                 ``None`` means every reference is a read.
+            next_level: optional output; receives every reference this
+                batch sends to the level below (see
+                :class:`NextLevelStream`).
 
         Subclasses must override :meth:`_batch_trace`, never this
         dispatcher, so wrappers (e.g. the runtime sanitizer) can
@@ -129,7 +191,7 @@ class Cache(abc.ABC):
                 )
         self.last_kernel = "stdlib"
         start = _obs.kernel_clock()
-        stats = self._batch_trace(addresses, kinds)
+        stats = self._batch_trace(addresses, kinds, next_level)
         _obs.observe_kernel(self.name, len(addresses), start, self.last_kernel)
         return stats
 
@@ -159,6 +221,7 @@ class Cache(abc.ABC):
         self,
         addresses: Sequence[int],
         kinds: Sequence[int] | None,
+        next_level: NextLevelStream | None = None,
     ) -> CacheStats:
         """Generic batch kernel: drive :meth:`_access_block` directly.
 
@@ -166,10 +229,13 @@ class Cache(abc.ABC):
         the subclass), but skips the per-access wrapper and
         ``stats.record`` call.  Organisations with a hot inner loop
         override this with an allocation-free kernel; overrides must
-        update statistics exactly like :meth:`access` does.
+        update statistics exactly like :meth:`access` does, and fill
+        ``next_level`` exactly like :meth:`NextLevelStream.recording`.
         """
         stats = self.stats
         access_block = self._access_block
+        if next_level is not None:
+            access_block = next_level.recording(access_block, addresses)
         offset_bits = self.offset_bits
         set_accesses = stats.set_accesses
         set_hits = stats.set_hits

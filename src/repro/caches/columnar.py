@@ -152,13 +152,16 @@ def shifted_blocks(
     return (address_column(np, addresses) >> np.uint64(offset_bits)).tolist()
 
 
-def add_set_counts(counters: list[int], counts: Any) -> None:
-    """Accumulate a bincount ndarray into a per-set counter list."""
+def add_set_counts(counters: list[int], counts: Any) -> list[int]:
+    """Accumulate a bincount ndarray into a per-set counter list;
+    returns the indices it added to (the sets the batch touched)."""
     np = get_numpy()
     if np is None:  # pragma: no cover - callers hold a counts array
-        return
-    for index in np.flatnonzero(counts).tolist():
+        return []
+    touched = np.flatnonzero(counts).tolist()
+    for index in touched:
         counters[index] += int(counts[index])
+    return touched
 
 
 def dm_batch(

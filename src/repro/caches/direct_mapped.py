@@ -10,7 +10,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.caches import columnar
-from repro.caches.base import AccessResult, Cache, log2_exact
+from repro.caches.base import (
+    DEMAND,
+    WRITEBACK,
+    AccessResult,
+    Cache,
+    NextLevelStream,
+    log2_exact,
+)
 from repro.stats.counters import CacheStats
 
 
@@ -48,13 +55,18 @@ class DirectMappedCache(Cache):
         self,
         addresses: Sequence[int],
         kinds: Sequence[int] | None,
+        next_level: NextLevelStream | None = None,
     ) -> CacheStats:
-        """Allocation-free batch kernel (see :meth:`Cache.access_trace`)."""
+        """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
+
+        A ``next_level`` stream always takes the stdlib loop, which
+        emits on its miss path; the vectorised kernel has no output.
+        """
         if type(self)._access_block is not DirectMappedCache._access_block:
             # A subclass customises per-access behaviour; let the generic
             # kernel drive its _access_block override instead of this one.
-            return super()._batch_trace(addresses, kinds)
-        if columnar.dm_batch(self, addresses, kinds):
+            return super()._batch_trace(addresses, kinds, next_level)
+        if next_level is None and columnar.dm_batch(self, addresses, kinds):
             self.last_kernel = "numpy"
             return self.stats
         stats = self.stats
@@ -75,7 +87,9 @@ class DirectMappedCache(Cache):
         if kinds is None:
             kinds = bytes(n)  # all reads
         misses = writes = evictions = writebacks = 0
-        for address, kind in zip(addresses, kinds):
+        index_bits = self.index_bits
+        emit = None if next_level is None else next_level.emit
+        for position, address, kind in zip(range(n), addresses, kinds):
             index = (address >> offset_bits) & index_mask
             tag = address >> tag_shift
             set_accesses[index] += 1
@@ -87,10 +101,18 @@ class DirectMappedCache(Cache):
             else:
                 misses += 1
                 set_misses[index] += 1
+                if emit is not None:
+                    emit(position, address, DEMAND)
                 if resident >= 0:
                     evictions += 1
                     if dirty[index]:
                         writebacks += 1
+                        if emit is not None:
+                            emit(
+                                position,
+                                ((resident << index_bits) | index) << offset_bits,
+                                WRITEBACK,
+                            )
                 tags[index] = tag
                 if kind == 1:
                     writes += 1

@@ -9,10 +9,17 @@ baseline and chooses a victim among N blocks per set.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.caches import columnar
-from repro.caches.base import AccessResult, Cache, log2_exact
+from repro.caches.base import (
+    DEMAND,
+    WRITEBACK,
+    AccessResult,
+    Cache,
+    NextLevelStream,
+    log2_exact,
+)
 from repro.replacement import ReplacementPolicy, make_policy
 from repro.replacement.lru import LRUPolicy
 from repro.stats.counters import CacheStats
@@ -78,13 +85,22 @@ class SetAssociativeCache(Cache):
         self,
         addresses: Sequence[int],
         kinds: Sequence[int] | None,
+        next_level: NextLevelStream | None = None,
     ) -> CacheStats:
-        """Allocation-free batch kernel (see :meth:`Cache.access_trace`)."""
+        """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
+
+        The exact-LRU loops fill a ``next_level`` stream on their miss
+        path, where the recency stamp already equals the position.
+        """
         if type(self)._access_block is not SetAssociativeCache._access_block:
             # A subclass customises per-access behaviour (way-prediction
             # bookkeeping, partial-tag probes, ...); the generic kernel
             # drives its _access_block override instead of this one.
-            return super()._batch_trace(addresses, kinds)
+            return super()._batch_trace(addresses, kinds, next_level)
+        lru_fast = all(type(p) is LRUPolicy for p in self._policies)
+        if next_level is not None and not lru_fast:
+            # Only the exact-LRU loops carry a position stamp to emit.
+            return super()._batch_trace(addresses, kinds, next_level)
         stats = self.stats
         tags_by_set = self._tags
         dirty_by_set = self._dirty
@@ -112,13 +128,19 @@ class SetAssociativeCache(Cache):
         columns = columnar.block_columns(
             addresses, offset_bits, index_mask, num_sets
         )
-        lru_fast = all(type(p) is LRUPolicy for p in policies)
+        emit = next_level.emit if next_level is not None else None
         hit_way_counts: list[int] | None = None
+        # The sets this batch references: only their state is flattened
+        # and written back, which keeps a short batch on a large cache
+        # (an L2 replay) from paying for every set.
+        sets: Iterable[int] = range(num_sets)
         if columns is not None:
             block_column, counts = columns
-            columnar.add_set_counts(set_accesses, counts)
+            sets = columnar.add_set_counts(set_accesses, counts)
         else:
             block_column = [a >> offset_bits for a in addresses]
+            if n < num_blocks:
+                sets = {block & index_mask for block in block_column}
             if lru_fast:
                 # The LRU loop below counts hits per way slot; together
                 # with the per-set miss counts that recovers per-set
@@ -136,7 +158,7 @@ class SetAssociativeCache(Cache):
         lookup: dict[int, int] = {}
         resident_blocks = [-1] * num_blocks
         dirty_flat = [False] * num_blocks
-        for index in range(num_sets):
+        for index in sets:
             base = index * ways
             row_tags = tags_by_set[index]
             row_dirty = dirty_by_set[index]
@@ -155,9 +177,9 @@ class SetAssociativeCache(Cache):
         ts_flat: list[int] | None = None
         if lru_fast:
             ts_flat = [0] * num_blocks
-            for index, policy in enumerate(policies):
+            for index in sets:
                 base = index * ways
-                for position, way in enumerate(policy._order):
+                for position, way in enumerate(policies[index]._order):
                     ts_flat[base + way] = -position
         stamp = 0
         misses = writes = evictions = writebacks = 0
@@ -183,11 +205,15 @@ class SetAssociativeCache(Cache):
                     way = base + segment.index(min(segment))
                     stamp += 1
                     ts_flat[way] = stamp
+                    if emit is not None:
+                        emit(stamp - 1, addresses[stamp - 1], DEMAND)
                     resident = resident_blocks[way]
                     if resident >= 0:
                         evictions += 1
                         if dirty_flat[way]:
                             writebacks += 1
+                            if emit is not None:
+                                emit(stamp - 1, resident << offset_bits, WRITEBACK)
                         del lookup[resident]
                     lookup[block] = way
                     resident_blocks[way] = block
@@ -213,11 +239,15 @@ class SetAssociativeCache(Cache):
                     way = base + segment.index(min(segment))
                     stamp += 1
                     ts_flat[way] = stamp
+                    if emit is not None:
+                        emit(stamp - 1, addresses[stamp - 1], DEMAND)
                     resident = resident_blocks[way]
                     if resident >= 0:
                         evictions += 1
                         if dirty_flat[way]:
                             writebacks += 1
+                            if emit is not None:
+                                emit(stamp - 1, resident << offset_bits, WRITEBACK)
                         del lookup[resident]
                     lookup[block] = way
                     resident_blocks[way] = block
@@ -254,7 +284,7 @@ class SetAssociativeCache(Cache):
                         writes += 1
                     dirty_flat[way] = is_write
         # Write the flattened state back into the per-set structures.
-        for index in range(num_sets):
+        for index in sets:
             base = index * ways
             row_tags = tags_by_set[index]
             row_dirty = dirty_by_set[index]
@@ -263,27 +293,22 @@ class SetAssociativeCache(Cache):
                 row_tags[way] = resident >> index_bits if resident >= 0 else -1
                 row_dirty[way] = dirty_flat[base + way]
         if ts_flat is not None:
-            for index, policy in enumerate(policies):
+            for index in sets:
                 base = index * ways
                 segment = ts_flat[base:base + ways]
-                policy._order.sort(key=segment.__getitem__, reverse=True)
-        if hit_way_counts is not None:
-            # accesses = hits (counted per way slot) + misses (counted
-            # per set); folding both in here keeps the set_hits
-            # reconstruction below oblivious to how counting happened.
-            for slot, count in enumerate(hit_way_counts):
-                if count:
-                    set_accesses[slot // ways] += count
-            for set_index, before in enumerate(misses_before):
-                miss_delta = set_misses[set_index] - before
-                if miss_delta:
-                    set_accesses[set_index] += miss_delta
-        for set_index, before in enumerate(accesses_before):
-            delta = set_accesses[set_index] - before
+                policies[index]._order.sort(key=segment.__getitem__, reverse=True)
+        for index in sets:
+            miss_delta = set_misses[index] - misses_before[index]
+            if hit_way_counts is not None:
+                # accesses = hits (counted per way slot) + misses
+                # (counted per set); folding both in here keeps the
+                # set_hits reconstruction oblivious to how counting
+                # happened.
+                base = index * ways
+                set_accesses[index] += sum(hit_way_counts[base:base + ways]) + miss_delta
+            delta = set_accesses[index] - accesses_before[index]
             if delta:
-                set_hits[set_index] += delta - (
-                    set_misses[set_index] - misses_before[set_index]
-                )
+                set_hits[index] += delta - miss_delta
         hits = n - misses
         stats.accesses += n
         stats.reads += n - writes

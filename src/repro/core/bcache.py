@@ -25,7 +25,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.caches import columnar
-from repro.caches.base import AccessResult, Cache
+from repro.caches.base import (
+    DEMAND,
+    WRITEBACK,
+    AccessResult,
+    Cache,
+    NextLevelStream,
+)
 from repro.core.config import BCacheGeometry
 from repro.core.decoder import ProgrammableDecoderBank
 from repro.replacement import ReplacementPolicy, make_policy
@@ -149,6 +155,7 @@ class BCache(Cache):
         self,
         addresses: Sequence[int],
         kinds: Sequence[int] | None,
+        next_level: NextLevelStream | None = None,
     ) -> CacheStats:
         """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
 
@@ -156,19 +163,25 @@ class BCache(Cache):
         inlined — no ``PDMatch``, no ``AccessResult``, no tuple from
         ``decompose_block``.  The three miss scenarios of Section 2.3
         reuse :meth:`_evicted_address` / :meth:`_fill` so their decoder
-        bookkeeping stays byte-for-byte the per-access path's.
+        bookkeeping stays byte-for-byte the per-access path's.  Under
+        exact LRU the miss path fills a ``next_level`` stream, the
+        recency stamp giving the position.
         """
         if type(self)._access_block is not BCache._access_block:
             # A subclass customises per-access behaviour; let the generic
             # kernel drive its _access_block override instead of this one.
-            return super()._batch_trace(addresses, kinds)
+            return super()._batch_trace(addresses, kinds, next_level)
+        policies = self._policies
+        lru_fast = all(type(p) is LRUPolicy for p in policies)
+        if next_level is not None and not lru_fast:
+            # Only the exact-LRU loop carries a position stamp to emit.
+            return super()._batch_trace(addresses, kinds, next_level)
         geometry = self.geometry
         stats = self.stats
         decoder = self.decoder
         lookup = decoder._lookup  # per-row CAM reverse maps
         tags = self._tags
         dirty = self._dirty
-        policies = self._policies
         num_rows = geometry.num_rows
         num_sets = geometry.num_sets
         row_mask = num_rows - 1
@@ -207,7 +220,6 @@ class BCache(Cache):
         # recency maintenance with no RNG, so it runs on a flat
         # timestamp column indexed by set (the recency lists are
         # rebuilt bit-identically from the stamps after the loop).
-        lru_fast = all(type(p) is LRUPolicy for p in policies)
         ts_flat: list[int] | None = None
         if lru_fast:
             ts_flat = [0] * num_sets
@@ -219,6 +231,7 @@ class BCache(Cache):
         # afterwards (final statistics stay bit-identical).
         accesses_before = set_accesses.copy()
         misses_before = set_misses.copy()
+        emit = next_level.emit if next_level is not None else None
         stamp = 0
         misses = writes = 0
         pd_hit = pd_miss = evictions = writebacks = 0
@@ -274,11 +287,15 @@ class BCache(Cache):
                 is_write = kind == 1
                 if is_write:
                     writes += 1
+                if emit is not None:
+                    emit(stamp, addresses[stamp], DEMAND)
                 resident = resident_blocks[set_index]
                 if resident >= 0:
                     evictions += 1
                     if dirty[set_index]:
                         writebacks += 1
+                        if emit is not None:
+                            emit(stamp, resident << offset_bits, WRITEBACK)
                     del hit_map[resident]
                 self._fill(row, cluster, pi, tag, is_write)
                 if ts_flat is not None:

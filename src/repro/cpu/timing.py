@@ -17,21 +17,23 @@ between L1 behaviour and IPC analytically:
   miss; with a 16-entry window a load miss overlaps ~40 % of its
   latency with useful work (0.6).
 
-Stall cycles come from the trace-driven :class:`MemoryHierarchy`, so
-L2 hits vs. memory accesses, dirty writebacks, the victim buffer's
+Stall cycles come from the trace-driven :class:`MemoryHierarchy`'s
+batched replay, which sums each side's latency from per-level counts,
+so L2 hits vs. memory accesses, dirty writebacks, the victim buffer's
 extra-cycle hits and the column-associative cache's second probes are
-all charged exactly where they occur.  This is the IPC coupling the
-paper's results depend on: the B-Cache gains IPC purely by removing
-L1 conflict misses while keeping one-cycle hits (Section 6.1).
+all charged exactly as a per-access replay would charge them.  This is
+the IPC coupling the paper's results depend on: the B-Cache gains IPC
+purely by removing L1 conflict misses while keeping one-cycle hits
+(Section 6.1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence, cast
 
 from repro.hierarchy.memory_system import MemoryHierarchy
-from repro.trace.access import Access
+from repro.trace.access import Access, access_columns
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,9 @@ class ExecutionResult:
     l2_accesses: int
     l2_misses: int
     memory_accesses: int
+    #: The hierarchy the run went through, for callers needing raw
+    #: counters (energy activity, slow hits).
+    hierarchy: MemoryHierarchy | None = field(default=None, compare=False, repr=False)
 
     @property
     def ipc(self) -> float:
@@ -86,22 +91,27 @@ class OoOProcessorModel:
         self.hierarchy = hierarchy
         self.config = config or ProcessorConfig()
 
-    def run(self, trace: Iterable[Access]) -> ExecutionResult:
-        """Execute a combined trace (each ifetch is one instruction)."""
+    def run(
+        self,
+        trace: Sequence[int] | Iterable[Access],
+        kinds: Sequence[int] | None = None,
+    ) -> ExecutionResult:
+        """Execute a combined trace (each ifetch is one instruction).
+
+        ``trace`` is the address column of a combined stream and
+        ``kinds`` its :class:`~repro.trace.access.AccessType` column;
+        without ``kinds``, ``trace`` is an iterable of :class:`Access`.
+        """
+        if kinds is None:
+            addresses, kinds = access_columns(cast(Iterable[Access], trace))
+        else:
+            addresses = cast(Sequence[int], trace)
         hierarchy = self.hierarchy
         hit_latency = hierarchy.l1i.hit_latency
-        ifetch_stalls = 0.0
-        data_stalls = 0.0
-        instructions = 0
-        for access in trace:
-            if access.is_instruction:
-                instructions += 1
-                latency = hierarchy.fetch_instruction(access.address)
-                ifetch_stalls += latency - hit_latency
-            else:
-                latency = hierarchy.access_data(access.address, access.is_write)
-                data_stalls += latency - hit_latency
-        hierarchy._sync_miss_counts()
+        latency = hierarchy.replay(addresses, kinds)
+        instructions = latency.ifetches
+        ifetch_stalls = float(latency.ifetch_cycles - hit_latency * instructions)
+        data_stalls = float(latency.data_cycles - hit_latency * latency.data_accesses)
         config = self.config
         cycles = (
             instructions * config.base_cpi
@@ -119,4 +129,5 @@ class OoOProcessorModel:
             l2_accesses=stats.l2_accesses,
             l2_misses=stats.l2_misses,
             memory_accesses=stats.memory_accesses,
+            hierarchy=hierarchy,
         )

@@ -44,6 +44,7 @@ from pathlib import Path
 
 from repro.obs import instrument as _obs
 from repro.obs.events import cache_dir
+from repro.trace.access import access_columns
 from repro.workloads.spec2k import get_profile
 
 log = logging.getLogger("repro.engine.trace_store")
@@ -442,13 +443,7 @@ class TraceStore:
             stream = profile.instruction_trace(n, seed)
         else:
             stream = profile.combined_trace(n, seed)
-        addresses = array("Q")
-        kinds = array("B")
-        append_address = addresses.append
-        append_kind = kinds.append
-        for access in stream:
-            append_address(access.address)
-            append_kind(access.kind)
+        addresses, kinds = access_columns(stream)
         self._write(
             self.address_path(benchmark, side, n, seed, kinds=True),
             addresses.tobytes(),

@@ -6,7 +6,9 @@ wrappers here only pin the hot handful of decoded columnar blobs (as
 read-only ``uint64`` views) so repeated sweeps stay allocation-free.  All replay goes through
 :func:`repro.engine.runner.execute_job`, the same code path the
 process-pool runner uses — which is what makes ``jobs > 1`` sweeps
-bit-identical to serial ones.
+bit-identical to serial ones.  :func:`run_system` reads the stored
+combined ``(addresses, kinds)`` columns and replays them through the
+hierarchy's batched path.
 
 Scale presets control trace lengths: the paper simulates 500 M
 instructions per benchmark; synthetic workloads reach stable miss
@@ -28,7 +30,6 @@ from repro.engine.runner import SweepJob, execute_job, run_sweep
 from repro.engine.trace_store import default_store
 from repro.hierarchy.memory_system import MemoryHierarchy
 from repro.stats.counters import CacheStats
-from repro.workloads.spec2k import get_profile
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,6 @@ def data_addresses(benchmark: str, n: int, seed: int) -> memoryview:
 def instr_addresses(benchmark: str, n: int, seed: int) -> memoryview:
     """Memoised instruction-address column (read-only ``uint64`` view)."""
     return default_store().addresses(benchmark, "instr", n, seed)
-
-
-@lru_cache(maxsize=8)
-def combined_trace(benchmark: str, instructions: int, seed: int) -> tuple:
-    """Memoised combined (ifetch + data) trace for the system model."""
-    return tuple(get_profile(benchmark).combined_trace(instructions, seed))
 
 
 def run_side(
@@ -191,16 +186,14 @@ def run_system(
     config: ProcessorConfig | None = None,
 ) -> ExecutionResult:
     """Run the full processor + hierarchy model with ``spec`` L1 caches."""
-    trace = combined_trace(benchmark, scale.instructions, scale.seed)
+    addresses, kinds = default_store().accesses(
+        benchmark, "combined", scale.instructions, scale.seed
+    )
     hierarchy = MemoryHierarchy(
         l1i=make_cache(spec, size=size),
         l1d=make_cache(spec, size=size),
     )
-    model = OoOProcessorModel(hierarchy, config)
-    result = model.run(trace)
-    # Keep the hierarchy reachable for callers needing raw counters.
-    result.hierarchy = hierarchy  # type: ignore[attr-defined]
-    return result
+    return OoOProcessorModel(hierarchy, config).run(addresses, kinds)
 
 
 def clear_trace_caches() -> None:
@@ -210,5 +203,4 @@ def clear_trace_caches() -> None:
     """
     data_addresses.cache_clear()
     instr_addresses.cache_clear()
-    combined_trace.cache_clear()
     default_store().clear_memory()

@@ -32,7 +32,8 @@ from repro.workloads.spec2k import ALL_BENCHMARKS
 
 def _activity(result: ExecutionResult, spec: str) -> RunActivity:
     """Extract the Figure 10 counters from one run."""
-    hierarchy = result.hierarchy  # type: ignore[attr-defined]
+    hierarchy = result.hierarchy
+    assert hierarchy is not None
     stats = hierarchy.stats
     l1i = hierarchy.l1i.cache.stats
     l1d = hierarchy.l1d.cache.stats

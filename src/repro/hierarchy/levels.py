@@ -9,8 +9,9 @@ multi-cycle hits the paper penalises prior art for (Section 2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.caches.base import AccessResult, Cache
+from repro.caches.base import AccessResult, Cache, NextLevelStream
 from repro.caches.column_associative import ColumnAssociativeCache
 from repro.caches.victim import VictimBufferCache
 from repro.stats.counters import CacheStats
@@ -45,15 +46,19 @@ class CacheLevel:
         self.slow_hit_extra = slow_hit_extra
         self.slow_hits = 0
 
-    def _is_slow_hit(self, before: tuple[int, ...], result: AccessResult) -> bool:
-        if not result.hit:
-            return False
+    @property
+    def has_slow_path(self) -> bool:
+        """Whether some hits here take the extra cycle."""
+        return isinstance(self.cache, (VictimBufferCache, ColumnAssociativeCache))
+
+    def _slow_count(self) -> int:
+        """The cache's running count of slow-path hits."""
         cache = self.cache
         if isinstance(cache, VictimBufferCache):
-            return cache.victim_hits > before[0]
+            return cache.victim_hits
         if isinstance(cache, ColumnAssociativeCache):
-            return cache.second_probe_hits > before[1]
-        return False
+            return cache.second_probe_hits
+        return 0
 
     def access(self, address: int, is_write: bool = False) -> TimedAccess:
         """Access the level, returning the outcome and cycles spent here.
@@ -61,17 +66,27 @@ class CacheLevel:
         A miss costs the full hit latency too (the probe that discovers
         the miss); the next level's latency is added by the hierarchy.
         """
-        cache = self.cache
-        before = (
-            getattr(cache, "victim_hits", 0),
-            getattr(cache, "second_probe_hits", 0),
-        )
-        result = cache.access(address, is_write)
+        before = self._slow_count()
+        result = self.cache.access(address, is_write)
         latency = self.hit_latency
-        if self._is_slow_hit(before, result):
+        if result.hit and self._slow_count() > before:
             latency += self.slow_hit_extra
             self.slow_hits += 1
         return TimedAccess(result=result, latency=latency)
+
+    def replay(
+        self,
+        addresses: Sequence[int],
+        kinds: Sequence[int] | None,
+        next_level: NextLevelStream,
+    ) -> int:
+        """Batch-replay ``addresses`` into ``next_level``; returns how many
+        of them were slow hits (the slow-path counter's delta)."""
+        before = self._slow_count()
+        self.cache.access_trace(addresses, kinds, next_level)
+        slow = self._slow_count() - before
+        self.slow_hits += slow
+        return slow
 
     @property
     def stats(self) -> CacheStats:

@@ -9,17 +9,36 @@ The hierarchy is trace-driven: each L1 miss probes the L2; each L2
 miss pays the memory latency.  Dirty evictions are written back to the
 next level (writebacks update L2/memory state but are not charged to
 the access latency, modelling buffered write-backs).
+
+:meth:`MemoryHierarchy.replay` runs a combined ``(addresses, kinds)``
+column as batches: L1I and L1D each replay their side with a
+:class:`~repro.caches.base.NextLevelStream` output, the two outputs
+merge by trace position (a demand before its writeback) into one L2
+batch, and latency comes from counts — it adds up per level, and slow
+hits are the slow-path counters' deltas.  The per-access
+:meth:`~MemoryHierarchy.fetch_instruction` /
+:meth:`~MemoryHierarchy.access_data` API drives the same model one
+reference at a time; the event-driven core uses it, and it is the
+oracle the batched replay is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate, compress, groupby
+from typing import Iterable, NamedTuple, Sequence
 
-from repro.caches.base import Cache
+from repro.caches.base import DEMAND, Cache, NextLevelStream
 from repro.caches.set_associative import SetAssociativeCache
 from repro.hierarchy.levels import CacheLevel
-from repro.trace.access import Access
+from repro.trace.access import Access, AccessType, access_columns
+
+_IFETCH = int(AccessType.IFETCH)
+#: ``bytes.translate`` tables: 1 where a kind byte is (is not) an ifetch.
+_FETCH_MASK = bytes(int(kind == _IFETCH) for kind in range(256))
+_DATA_MASK = bytes(int(kind != _IFETCH) for kind in range(256))
+#: Where an L2 reference comes from; only demand misses are charged.
+_FETCH_MISS, _DATA_MISS, _WRITEBACK = range(3)
 
 
 @dataclass(slots=True)
@@ -50,6 +69,15 @@ class HierarchyStats:
     def l2_miss_rate(self) -> float:
         """L2 misses per L2 access (demand plus writeback traffic)."""
         return self.l2_misses / self.l2_accesses if self.l2_accesses else 0.0
+
+
+class ReplayLatency(NamedTuple):
+    """Per-side reference counts and summed latencies of one replay."""
+
+    ifetches: int
+    ifetch_cycles: int
+    data_accesses: int
+    data_cycles: int
 
 
 class MemoryHierarchy:
@@ -125,13 +153,108 @@ class MemoryHierarchy:
 
     def run(self, trace: Iterable[Access]) -> HierarchyStats:
         """Run a combined trace (ifetches + data references)."""
-        for access in trace:
-            if access.is_instruction:
-                self.fetch_instruction(access.address)
-            else:
-                self.access_data(access.address, access.is_write)
-        self._sync_miss_counts()
+        self.replay(*access_columns(trace))
         return self.stats
+
+    def replay(self, addresses: Sequence[int], kinds: Sequence[int]) -> ReplayLatency:
+        """Run a combined column as batches (see the module docstring).
+
+        ``kinds`` uses the :class:`~repro.trace.access.AccessType`
+        encoding.  Statistics, slow hits and latencies are bit-identical
+        to :meth:`fetch_instruction`/:meth:`access_data` per reference.
+        """
+        l1i, l1d, l2 = self.l1i, self.l1d, self.l2
+        if l1i.cache is l1d.cache:
+            raise ValueError("a batched replay needs distinct L1I and L1D caches")
+        kind_bytes = bytes(kinds)
+        if len(kind_bytes) != len(addresses):
+            raise ValueError(
+                f"kinds length {len(kind_bytes)} does not match "
+                f"addresses length {len(addresses)}"
+            )
+        fetch_mask = kind_bytes.translate(_FETCH_MASK)
+        data_mask = kind_bytes.translate(_DATA_MASK)
+        positions = range(len(addresses))
+        fetch_positions = list(compress(positions, fetch_mask))
+        data_positions = list(compress(positions, data_mask))
+        fetch_out = NextLevelStream()
+        data_out = NextLevelStream()
+        fetch_slow = l1i.replay(list(compress(addresses, fetch_mask)), None, fetch_out)
+        data_slow = l1d.replay(
+            list(compress(addresses, data_mask)),
+            bytes(compress(kind_bytes, data_mask)),
+            data_out,
+        )
+
+        # One L2 stream in trace order: a demand precedes its writeback.
+        merged = sorted(
+            (2 * side[position] + kind, address, kind,
+             source if kind == DEMAND else _WRITEBACK)
+            for side, out, source in (
+                (fetch_positions, fetch_out, _FETCH_MISS),
+                (data_positions, data_out, _DATA_MISS),
+            )
+            for position, address, kind in zip(out.positions, out.addresses, out.kinds)
+        )
+        l2_addresses = [event[1] for event in merged]
+        l2_kinds = [event[2] for event in merged]
+        sources = [event[3] for event in merged]
+        l2_misses = [0, 0, 0]
+        l2_slow = [0, 0, 0]
+        memory_accesses = 0
+        for start, end in self._l2_batches(sources):
+            memory_out = NextLevelStream()
+            l2_slow[sources[start]] += l2.replay(
+                l2_addresses[start:end], l2_kinds[start:end], memory_out
+            )
+            memory_accesses += len(memory_out)
+            for position, kind in zip(memory_out.positions, memory_out.kinds):
+                if kind == DEMAND:
+                    l2_misses[sources[start + position]] += 1
+
+        def cycles(level: CacheLevel, refs: int, slow: int,
+                   out: NextLevelStream, source: int) -> int:
+            return (
+                refs * level.hit_latency
+                + slow * level.slow_hit_extra
+                + out.kinds.count(DEMAND) * l2.hit_latency
+                + l2_slow[source] * l2.slow_hit_extra
+                + l2_misses[source] * self.memory_latency
+            )
+
+        latency = ReplayLatency(
+            ifetches=len(fetch_positions),
+            ifetch_cycles=cycles(
+                l1i, len(fetch_positions), fetch_slow, fetch_out, _FETCH_MISS
+            ),
+            data_accesses=len(data_positions),
+            data_cycles=cycles(
+                l1d, len(data_positions), data_slow, data_out, _DATA_MISS
+            ),
+        )
+        stats = self.stats
+        stats.instructions += latency.ifetches
+        stats.ifetches += latency.ifetches
+        stats.data_accesses += latency.data_accesses
+        stats.l2_accesses += len(merged)
+        stats.l2_misses += sum(l2_misses)
+        stats.memory_accesses += memory_accesses
+        stats.total_latency += latency.ifetch_cycles + latency.data_cycles
+        self._sync_miss_counts()
+        return latency
+
+    def _l2_batches(self, sources: list[int]) -> list[tuple[int, int]]:
+        """Spans of the L2 stream to replay as one batch each.
+
+        The whole stream, unless L2 has a slow path: only demand
+        references are charged its extra cycle, so each run of
+        references from one source is its own batch and the slow-hit
+        delta of a batch belongs to that source.
+        """
+        if not self.l2.has_slow_path:
+            return [(0, len(sources))] if sources else []
+        bounds = list(accumulate((len(list(run)) for _, run in groupby(sources)), initial=0))
+        return list(zip(bounds, bounds[1:]))
 
     def _sync_miss_counts(self) -> None:
         self.stats.l1i_misses = self.l1i.cache.stats.misses

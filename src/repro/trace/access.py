@@ -9,7 +9,9 @@ address space, matching the paper's experimental setup (Section 3.2:
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
+from typing import Iterable
 
 ADDRESS_BITS = 32
 ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
@@ -76,3 +78,22 @@ def write_access(address: int) -> Access:
 def ifetch_access(address: int) -> Access:
     """Convenience constructor for an instruction fetch."""
     return Access(address, AccessType.IFETCH)
+
+
+def access_columns(trace: Iterable[Access]) -> tuple[array, array]:
+    """An :class:`Access` stream as ``(uint64 addresses, uint8 kinds)``
+    columns, the layout the trace store persists and the batch kernels
+    consume."""
+    addresses = array("Q")
+    kinds = array("B")
+    append_address = addresses.append
+    append_kind = kinds.append
+    try:
+        for access in trace:
+            append_address(access.address)
+            append_kind(access.kind)
+    except AttributeError as exc:
+        raise TypeError(
+            "expected Access records (an address column needs its kinds column)"
+        ) from exc
+    return addresses, kinds
