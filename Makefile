@@ -25,7 +25,7 @@ typecheck:
 		|| echo "mypy not installed; skipping (pip install mypy)"
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-engine:
 	PYTHONPATH=src $(PYTHON) -m repro.engine.bench --check BENCH_engine.json
@@ -70,17 +70,17 @@ cluster:
 	PYTHONPATH=src $(PYTHON) scripts/cluster_smoke.py
 
 experiments:
-	$(PYTHON) -m repro.cli all --scale default
+	PYTHONPATH=src $(PYTHON) -m repro.cli all --scale default
 
 experiments-full:
-	$(PYTHON) -m repro.cli all --scale full
+	PYTHONPATH=src $(PYTHON) -m repro.cli all --scale full
 
 examples:
-	$(PYTHON) examples/quickstart.py 50000
-	$(PYTHON) examples/custom_workload.py 30000
-	$(PYTHON) examples/design_space_exploration.py crafty 30000
-	$(PYTHON) examples/performance_energy_tradeoff.py equake 20000
-	$(PYTHON) examples/pipeline_models.py equake 15000
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py 50000
+	PYTHONPATH=src $(PYTHON) examples/custom_workload.py 30000
+	PYTHONPATH=src $(PYTHON) examples/design_space_exploration.py crafty 30000
+	PYTHONPATH=src $(PYTHON) examples/performance_energy_tradeoff.py equake 20000
+	PYTHONPATH=src $(PYTHON) examples/pipeline_models.py equake 15000
 
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks

@@ -351,6 +351,8 @@ CACHESTATS_FIELDS = frozenset(
         "writebacks",
         "pd_hit_misses",
         "pd_miss_misses",
+        "slow_hits",
+        "slow_hit_cycles",
         "set_accesses",
         "set_hits",
         "set_misses",

@@ -12,6 +12,9 @@ and, after every access, verifies:
   that was resident, the ``evicted_dirty`` flag matches the shadow
   dirty bit, and the :class:`~repro.stats.counters.CacheStats`
   counters agree with the observed access stream.
+* **Slow-hit accounting** — only a hit takes extra cycles; ``slow_hits``
+  advances once per such hit, ``slow_hit_cycles`` by exactly its
+  ``extra_cycles``, and never falls below ``slow_hits``.
 * **Dirty discipline** — structurally, a dirty bit is never set on an
   invalid line; no set holds duplicate (tag, set) residents.
 * **B-Cache PD invariants** (Section 3.1 / Figure 1) — programmed
@@ -118,7 +121,10 @@ def strict_capable(cache: Cache) -> bool:
 class _StatsBaseline:
     """Snapshot of the aggregate counters at shadow-attach time."""
 
-    __slots__ = ("accesses", "hits", "misses", "evictions", "writebacks", "pd")
+    __slots__ = (
+        "accesses", "hits", "misses", "evictions", "writebacks",
+        "slow_hits", "slow_hit_cycles", "pd",
+    )
 
     def __init__(self, stats: CacheStats) -> None:
         self.accesses = stats.accesses
@@ -126,6 +132,8 @@ class _StatsBaseline:
         self.misses = stats.misses
         self.evictions = stats.evictions
         self.writebacks = stats.writebacks
+        self.slow_hits = stats.slow_hits
+        self.slow_hit_cycles = stats.slow_hit_cycles
         self.pd = stats.pd_hit_misses + stats.pd_miss_misses
 
 
@@ -168,6 +176,8 @@ class ShadowChecker:
         self.observed_misses = 0
         self.observed_evictions = 0
         self.observed_writebacks = 0
+        self.observed_slow_hits = 0
+        self.observed_slow_hit_cycles = 0
         if self.reference is not None:
             self.reference.flush()
 
@@ -193,6 +203,16 @@ class ShadowChecker:
                     f"differential divergence at {address:#x}: model says "
                     f"hit={result.hit}, reference says hit={reference_hit}"
                 )
+
+        extra = result.extra_cycles
+        if extra:
+            if extra < 0 or not result.hit:
+                self._fail(
+                    f"extra_cycles={extra} on a {'hit' if result.hit else 'miss'} "
+                    f"at {address:#x}: only a hit may take extra cycles"
+                )
+            self.observed_slow_hits += 1
+            self.observed_slow_hit_cycles += extra
 
         if result.hit:
             self.observed_hits += 1
@@ -269,12 +289,19 @@ class ShadowChecker:
         """CacheStats counters must agree with the observed stream."""
         stats = self.cache.stats
         base = self._base
+        if stats.slow_hit_cycles < stats.slow_hits:
+            self._fail(
+                f"slow_hit_cycles {stats.slow_hit_cycles} fell below "
+                f"slow_hits {stats.slow_hits}"
+            )
         deltas = (
             stats.accesses - base.accesses,
             stats.hits - base.hits,
             stats.misses - base.misses,
             stats.evictions - base.evictions,
             stats.writebacks - base.writebacks,
+            stats.slow_hits - base.slow_hits,
+            stats.slow_hit_cycles - base.slow_hit_cycles,
         )
         if min(deltas) < 0:
             # Counters went backwards: stats were reset behind our back.
@@ -288,15 +315,20 @@ class ShadowChecker:
             self.observed_misses,
             self.observed_evictions,
             self.observed_writebacks,
+            self.observed_slow_hits,
+            self.observed_slow_hit_cycles,
         )
-        labels = ("accesses", "hits", "misses", "evictions", "writebacks")
+        labels = (
+            "accesses", "hits", "misses", "evictions", "writebacks",
+            "slow_hits", "slow_hit_cycles",
+        )
         for label, got, want in zip(labels, deltas, expected):
             # Relocating organisations (e.g. the AGAC's directory
             # overflow) may legitimately account extra evictions /
             # writebacks out of band — AccessResult carries at most one
             # eviction per access — so those two counters are checked
             # exactly only for the stable write-back classes.
-            exact = self.stable_sets or label in ("accesses", "hits", "misses")
+            exact = self.stable_sets or label not in ("evictions", "writebacks")
             if got != want if exact else got < want:
                 self._fail(
                     f"stats.{label} advanced by {got} but the stream "
@@ -489,8 +521,8 @@ class SanitizedCache:
         return self.cache.name
 
     def __getattr__(self, attr: str) -> Any:
-        # Organisation-specific observables (pd_hit_rate_during_miss,
-        # victim_hits, ...) pass straight through to the wrapped model.
+        # Organisation-specific attributes (geometry, policy_name,
+        # has_slow_hits, ...) pass straight through to the wrapped model.
         return getattr(self.cache, attr)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

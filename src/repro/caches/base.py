@@ -42,6 +42,9 @@ class AccessResult:
         pd_hit: for the B-Cache, whether the programmable decoder
             matched (always True for conventional caches — their fixed
             decoder always selects a set).
+        extra_cycles: cycles a hit took beyond the one-cycle fast path
+            (a victim-buffer swap-in, a second probe, ...); 0 for fast
+            hits and for misses.
     """
 
     hit: bool
@@ -49,6 +52,7 @@ class AccessResult:
     evicted: int | None = None
     evicted_dirty: bool = False
     pd_hit: bool = True
+    extra_cycles: int = 0
 
 
 #: Kinds of the references a batch replay sends to the level below: a
@@ -111,6 +115,11 @@ class NextLevelStream:
 class Cache(abc.ABC):
     """Abstract trace-driven cache model."""
 
+    #: Whether some hits take extra cycles (``AccessResult.extra_cycles``).
+    #: Organisations with a slow path set it next to the code that
+    #: charges the cycles; the hierarchy keys its L2 batching on it.
+    has_slow_hits = False
+
     def __init__(self, size: int, line_size: int, num_sets: int, name: str = "") -> None:
         self.size = size
         self.line_size = line_size
@@ -142,6 +151,9 @@ class Cache(abc.ABC):
                 self.stats.pd_hit_misses += 1
             else:
                 self.stats.pd_miss_misses += 1
+        elif result.extra_cycles:
+            self.stats.slow_hits += 1
+            self.stats.slow_hit_cycles += result.extra_cycles
         return result
 
     def run(self, trace: Iterable[Access]) -> CacheStats:
@@ -245,6 +257,7 @@ class Cache(abc.ABC):
             kinds = bytes(n)  # all reads
         hits = misses = writes = 0
         evictions = writebacks = pd_hit = pd_miss = 0
+        slow_hits = slow_hit_cycles = 0
         for address, kind in zip(addresses, kinds):
             is_write = kind == 1
             result = access_block(address >> offset_bits, is_write)
@@ -255,6 +268,9 @@ class Cache(abc.ABC):
             if result.hit:
                 hits += 1
                 set_hits[set_index] += 1
+                if result.extra_cycles:
+                    slow_hits += 1
+                    slow_hit_cycles += result.extra_cycles
             else:
                 misses += 1
                 set_misses[set_index] += 1
@@ -275,6 +291,8 @@ class Cache(abc.ABC):
         stats.writebacks += writebacks
         stats.pd_hit_misses += pd_hit
         stats.pd_miss_misses += pd_miss
+        stats.slow_hits += slow_hits
+        stats.slow_hit_cycles += slow_hit_cycles
         return stats
 
     @abc.abstractmethod

@@ -20,6 +20,9 @@ from repro.caches.base import AccessResult, Cache, log2_exact
 class ColumnAssociativeCache(Cache):
     """Direct-mapped cache with rehash bits and an alternate index."""
 
+    #: A second-probe hit takes one extra cycle.
+    has_slow_hits = True
+
     def __init__(self, size: int, line_size: int = 32, name: str = "") -> None:
         num_sets = size // line_size
         super().__init__(size, line_size, num_sets, name or f"CA-{size // 1024}kB")
@@ -31,8 +34,6 @@ class ColumnAssociativeCache(Cache):
         self._blocks = [-1] * num_sets
         self._dirty = [False] * num_sets
         self._rehash = [False] * num_sets
-        self.first_probe_hits = 0
-        self.second_probe_hits = 0
 
     def _primary_index(self, block: int) -> int:
         return block & self._index_mask
@@ -51,7 +52,6 @@ class ColumnAssociativeCache(Cache):
         second = self._secondary_index(block)
 
         if self._blocks[first] == block:
-            self.first_probe_hits += 1
             if is_write:
                 self._dirty[first] = True
             return AccessResult(hit=True, set_index=first)
@@ -71,7 +71,6 @@ class ColumnAssociativeCache(Cache):
 
         if self._blocks[second] == block:
             # Second-probe hit: swap so the block is first-choice next time.
-            self.second_probe_hits += 1
             if is_write:
                 self._dirty[second] = True
             self._blocks[first], self._blocks[second] = (
@@ -84,7 +83,7 @@ class ColumnAssociativeCache(Cache):
             )
             self._rehash[first] = False
             self._rehash[second] = self._blocks[second] >= 0
-            return AccessResult(hit=True, set_index=first)
+            return AccessResult(hit=True, set_index=first, extra_cycles=1)
 
         # Full miss: new block settles at its first-choice slot, the
         # displaced first-choice block is rehashed into the alternate
@@ -112,13 +111,3 @@ class ColumnAssociativeCache(Cache):
         self._blocks = [-1] * self.num_sets
         self._dirty = [False] * self.num_sets
         self._rehash = [False] * self.num_sets
-        self.first_probe_hits = 0
-        self.second_probe_hits = 0
-
-    @property
-    def slow_hit_fraction(self) -> float:
-        """Fraction of hits that needed the second (extra-cycle) probe."""
-        total = self.first_probe_hits + self.second_probe_hits
-        if not total:
-            return 0.0
-        return self.second_probe_hits / total

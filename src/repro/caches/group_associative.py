@@ -33,6 +33,9 @@ from repro.caches.base import AccessResult, Cache, log2_exact
 class GroupAssociativeCache(Cache):
     """Adaptive group-associative cache (direct-mapped + hole reuse)."""
 
+    #: A relocated hit takes three cycles: two extra.
+    has_slow_hits = True
+
     def __init__(
         self,
         size: int,
@@ -58,8 +61,6 @@ class GroupAssociativeCache(Cache):
         self._sht: OrderedDict[int, None] = OrderedDict()
         # OPD: block address -> frame currently holding it.
         self._opd: OrderedDict[int, int] = OrderedDict()
-        self.direct_hits = 0
-        self.relocated_hits = 0
 
     # ------------------------------------------------------------------
     def _touch_sht(self, index: int) -> None:
@@ -118,7 +119,6 @@ class GroupAssociativeCache(Cache):
         self._touch_sht(home)
 
         if self._blocks[home] == block:
-            self.direct_hits += 1
             if is_write:
                 self._dirty[home] = True
             return AccessResult(hit=True, set_index=home)
@@ -126,7 +126,6 @@ class GroupAssociativeCache(Cache):
         frame = self._opd.get(block)
         if frame is not None and self._blocks[frame] == block:
             # Relocated (multi-cycle) hit: promote back to the home set.
-            self.relocated_hits += 1
             del self._opd[block]
             promoted_dirty = self._dirty[frame] or is_write
             displaced = self._blocks[home]
@@ -142,7 +141,8 @@ class GroupAssociativeCache(Cache):
             if evicted == block << self.offset_bits:
                 evicted, evicted_dirty = None, False
             return AccessResult(
-                hit=True, set_index=home, evicted=evicted, evicted_dirty=evicted_dirty
+                hit=True, set_index=home, evicted=evicted,
+                evicted_dirty=evicted_dirty, extra_cycles=2,
             )
 
         # Full miss: fill the home set; relocate the displaced block.
@@ -170,15 +170,3 @@ class GroupAssociativeCache(Cache):
         self._dirty = [False] * self.num_sets
         self._sht.clear()
         self._opd.clear()
-        self.direct_hits = 0
-        self.relocated_hits = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def relocated_hit_fraction(self) -> float:
-        """Fraction of hits served out of position (the 3-cycle hits the
-        paper charges against the AGAC; 5.24% in its evaluation)."""
-        total = self.direct_hits + self.relocated_hits
-        if not total:
-            return 0.0
-        return self.relocated_hits / total

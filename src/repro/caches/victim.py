@@ -19,6 +19,9 @@ from repro.caches.base import AccessResult, Cache, log2_exact
 class VictimBufferCache(Cache):
     """Direct-mapped main cache backed by a small fully associative buffer."""
 
+    #: A buffer hit swaps the block in: one extra cycle.
+    has_slow_hits = True
+
     def __init__(
         self,
         size: int,
@@ -40,8 +43,6 @@ class VictimBufferCache(Cache):
         # Victim buffer: block -> dirty flag, insertion-ordered (LRU via
         # move-to-end on hit).
         self._buffer: OrderedDict[int, bool] = OrderedDict()
-        self.victim_hits = 0
-        self.main_hits = 0
 
     # ------------------------------------------------------------------
     def _buffer_insert(self, block: int, dirty: bool) -> tuple[int | None, bool]:
@@ -62,7 +63,6 @@ class VictimBufferCache(Cache):
         index = block & self._index_mask
         tag = block >> self.index_bits
         if self._tags[index] == tag:
-            self.main_hits += 1
             if is_write:
                 self._dirty[index] = True
             return AccessResult(hit=True, set_index=index)
@@ -75,14 +75,13 @@ class VictimBufferCache(Cache):
 
         if block in self._buffer:
             # Victim-buffer hit: swap the block into the main cache.
-            self.victim_hits += 1
             buffered_dirty = self._buffer.pop(block)
             self._tags[index] = tag
             self._dirty[index] = buffered_dirty or is_write
             if displaced_block is not None:
                 self._buffer_insert(displaced_block, displaced_dirty)
             # Swaps never write anything back to the next level.
-            return AccessResult(hit=True, set_index=index)
+            return AccessResult(hit=True, set_index=index, extra_cycles=1)
 
         # Full miss: refill the main cache, displaced block enters the
         # buffer, and the buffer's LRU block (if any) leaves the system.
@@ -109,13 +108,3 @@ class VictimBufferCache(Cache):
         self._tags = [-1] * self.num_sets
         self._dirty = [False] * self.num_sets
         self._buffer.clear()
-        self.victim_hits = 0
-        self.main_hits = 0
-
-    @property
-    def victim_hit_fraction(self) -> float:
-        """Fraction of all hits served by the buffer (extra-cycle hits)."""
-        total = self.stats.hits
-        if not total:
-            return 0.0
-        return self.victim_hits / total

@@ -14,8 +14,8 @@ paper contrasts with the B-Cache:
 Both reach a set-associative miss rate but with *variable hit
 latency*, which "disrupts the datapath pipeline" (Section 2.1) — the
 property the B-Cache's constant one-cycle hit avoids.  The models here
-track first-probe and slow hits so the latency comparison experiment
-can quantify that argument.
+charge each slow hit its extra cycles (``AccessResult.extra_cycles``)
+so the latency comparison experiment can quantify that argument.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ class PartialAddressMatchingCache(SetAssociativeCache):
     the access completes in one cycle.  Multiple PAD matches or a
     mispredicted way cost a second cycle.
     """
+
+    #: A multiple or wrong PAD match costs one extra cycle.
+    has_slow_hits = True
 
     def __init__(
         self,
@@ -52,8 +55,6 @@ class PartialAddressMatchingCache(SetAssociativeCache):
             raise ValueError("pad_bits must be >= 1")
         self.pad_bits = pad_bits
         self._pad_mask = (1 << pad_bits) - 1
-        self.fast_hits = 0
-        self.slow_hits = 0
 
     def _access_block(self, block: int, is_write: bool) -> AccessResult:
         index = block & self._index_mask
@@ -66,34 +67,21 @@ class PartialAddressMatchingCache(SetAssociativeCache):
             if tags[way] >= 0 and (tags[way] & self._pad_mask) == partial
         ]
         result = super()._access_block(block, is_write)
-        if result.hit:
-            # Unique PAD match that is also the right way: fast hit.
-            if len(pad_matches) == 1 and tags[pad_matches[0]] == tag:
-                self.fast_hits += 1
-            else:
-                self.slow_hits += 1
+        # Unique PAD match that is also the right way: fast hit.
+        if result.hit and not (len(pad_matches) == 1 and tags[pad_matches[0]] == tag):
+            return AccessResult(hit=True, set_index=result.set_index, extra_cycles=1)
         return result
-
-    @property
-    def slow_hit_fraction(self) -> float:
-        total = self.fast_hits + self.slow_hits
-        if not total:
-            return 0.0
-        return self.slow_hits / total
-
-    def _flush_state(self) -> None:
-        super()._flush_state()
-        self.fast_hits = 0
-        self.slow_hits = 0
 
 
 class PredictiveSequentialCache(SetAssociativeCache):
     """MRU way prediction with sequential fallback probes.
 
     Tracks, per set, the most recently used way; a hit there is fast,
-    a hit anywhere else charges one extra probe per way tried (the
-    model reports the average via ``extra_probe_count``).
+    a hit anywhere else charges one extra cycle per extra way probed.
     """
+
+    #: A hit outside the predicted way costs its extra probes.
+    has_slow_hits = True
 
     def __init__(
         self,
@@ -109,9 +97,6 @@ class PredictiveSequentialCache(SetAssociativeCache):
             name=name or f"PSA-{size // 1024}kB-{ways}way",
         )
         self._mru = [0] * self.num_sets
-        self.fast_hits = 0
-        self.slow_hits = 0
-        self.extra_probe_count = 0
 
     def _access_block(self, block: int, is_write: bool) -> AccessResult:
         index = block & self._index_mask
@@ -126,15 +111,14 @@ class PredictiveSequentialCache(SetAssociativeCache):
         result = super()._access_block(block, is_write)
         if result.hit:
             assert hit_way is not None
-            if hit_way == predicted:
-                self.fast_hits += 1
-            else:
-                self.slow_hits += 1
-                # Probe order: predicted way first, then the others in
-                # way order — count the extra probes needed.
-                order = [predicted] + [w for w in range(self.ways) if w != predicted]
-                self.extra_probe_count += order.index(hit_way)
             self._mru[index] = hit_way
+            if hit_way != predicted:
+                # Probe order: predicted way first, then the others in
+                # way order — each probe before the hit way is a cycle.
+                order = [predicted] + [w for w in range(self.ways) if w != predicted]
+                return AccessResult(
+                    hit=True, set_index=index, extra_cycles=order.index(hit_way)
+                )
         else:
             # Refill goes to whichever way the base class chose; it is
             # now the MRU way.
@@ -144,16 +128,6 @@ class PredictiveSequentialCache(SetAssociativeCache):
                     break
         return result
 
-    @property
-    def slow_hit_fraction(self) -> float:
-        total = self.fast_hits + self.slow_hits
-        if not total:
-            return 0.0
-        return self.slow_hits / total
-
     def _flush_state(self) -> None:
         super()._flush_state()
         self._mru = [0] * self.num_sets
-        self.fast_hits = 0
-        self.slow_hits = 0
-        self.extra_probe_count = 0

@@ -122,10 +122,11 @@ def _render_replacement(scale: ExperimentScale, opts: "RunOptions") -> str:
 
 
 def _render_sensitivity(scale: ExperimentScale, opts: "RunOptions") -> str:
+    run_id = opts.sub_id("sensitivity")
     return (
-        sensitivity.run_line_size(scale).render()
+        sensitivity.run_line_size(scale, jobs=opts.jobs, run_id=run_id).render()
         + "\n\n"
-        + sensitivity.run_cache_size(scale).render()
+        + sensitivity.run_cache_size(scale, jobs=opts.jobs, run_id=run_id).render()
     )
 
 
@@ -134,7 +135,9 @@ def _render_3c(scale: ExperimentScale, opts: "RunOptions") -> str:
 
 
 def _render_latency(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return latency_study.run(scale).render()
+    return latency_study.run(
+        scale, jobs=opts.jobs, run_id=opts.sub_id("latency")
+    ).render()
 
 
 def _render_addressing(scale: ExperimentScale, opts: "RunOptions") -> str:

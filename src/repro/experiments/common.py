@@ -1,10 +1,10 @@
 """Shared infrastructure for the per-figure/per-table experiments.
 
 Traces are deterministic (seeded) and materialised once per machine by
-the on-disk :mod:`repro.engine.trace_store`; the thin ``lru_cache``
-wrappers here only pin the hot handful of decoded columnar blobs (as
-read-only ``uint64`` views) so repeated sweeps stay allocation-free.  All replay goes through
-:func:`repro.engine.runner.execute_job`, the same code path the
+the on-disk :mod:`repro.engine.trace_store`, whose in-memory LRU keeps
+the hot handful of decoded columnar blobs (as read-only ``uint64``
+views) so repeated sweeps stay allocation-free.  All cache replay goes
+through :func:`repro.engine.runner.execute_job`, the same code path the
 process-pool runner uses — which is what makes ``jobs > 1`` sweeps
 bit-identical to serial ones.  :func:`run_system` reads the stored
 combined ``(addresses, kinds)`` columns and replays them through the
@@ -18,13 +18,10 @@ is the scale used for EXPERIMENTS.md, ``FULL`` for final runs.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from repro.caches import make_cache
-from repro.caches.base import Cache
 from repro.cpu.timing import ExecutionResult, OoOProcessorModel, ProcessorConfig
 from repro.engine.runner import SweepJob, execute_job, run_sweep
 from repro.engine.trace_store import default_store
@@ -61,24 +58,6 @@ class ExperimentScale:
 SMOKE = ExperimentScale(data_n=20_000, instr_n=30_000, instructions=15_000)
 DEFAULT = ExperimentScale()
 FULL = ExperimentScale(data_n=1_000_000, instr_n=1_000_000, instructions=500_000)
-
-# The disk store is authoritative; these wrappers only pin decoded
-# blobs for the current sweep, so they can stay small (a FULL-scale
-# entry is ~8 MB — 32 entries bound the memo at ~256 MB worst case
-# instead of the unbounded gigabytes the old maxsize=256 tuple memos
-# could reach).
-
-
-@lru_cache(maxsize=32)
-def data_addresses(benchmark: str, n: int, seed: int) -> memoryview:
-    """Memoised data-address column (read-only ``uint64`` view)."""
-    return default_store().addresses(benchmark, "data", n, seed)
-
-
-@lru_cache(maxsize=32)
-def instr_addresses(benchmark: str, n: int, seed: int) -> memoryview:
-    """Memoised instruction-address column (read-only ``uint64`` view)."""
-    return default_store().addresses(benchmark, "instr", n, seed)
 
 
 def run_side(
@@ -150,23 +129,6 @@ def sweep_stats(
     }
 
 
-def run_side_cache(
-    spec: str,
-    benchmark: str,
-    side: str,
-    scale: ExperimentScale,
-    size: int = 16 * 1024,
-    policy: str = "lru",
-) -> Cache:
-    """Like :func:`run_side` but returns the cache (for balance stats)."""
-    addresses = default_store().addresses(
-        benchmark, side, scale.side_n(side), scale.seed
-    )
-    cache = make_cache(spec, size=size, policy=policy)
-    cache.access_trace(addresses)
-    return cache
-
-
 def miss_rate(
     spec: str,
     benchmark: str,
@@ -197,10 +159,9 @@ def run_system(
 
 
 def clear_trace_caches() -> None:
-    """Drop memoised traces (frees memory between large sweeps).
+    """Drop the trace store's in-memory traces (frees memory between
+    large sweeps).
 
     Disk blobs are untouched — the next request decodes them again.
     """
-    data_addresses.cache_clear()
-    instr_addresses.cache_clear()
     default_store().clear_memory()

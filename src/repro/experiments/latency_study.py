@@ -21,21 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.caches.base import Cache
-from repro.caches.column_associative import ColumnAssociativeCache
-from repro.caches.group_associative import GroupAssociativeCache
-from repro.caches.victim import VictimBufferCache
-from repro.caches.way_predicting import (
-    PartialAddressMatchingCache,
-    PredictiveSequentialCache,
-)
-from repro.experiments.common import DEFAULT, ExperimentScale, run_side_cache
+from repro.experiments.common import DEFAULT, ExperimentScale, sweep_stats
 from repro.experiments.reporting import format_table
 from repro.stats.summary import average_reduction, miss_rate_reduction
 from repro.workloads.spec2k import ALL_BENCHMARKS
 
-#: Organisations compared; the latency behaviour of each is intrinsic
-#: to the class, extracted by :func:`slow_hit_profile`.
+#: Organisations compared; each records its own slow hits and their
+#: extra cycles in ``CacheStats.slow_hits``/``slow_hit_cycles``.
 LATENCY_SPECS = (
     "dm",
     "victim16",
@@ -49,28 +41,6 @@ LATENCY_SPECS = (
 
 #: L1 miss penalty used for AMAT (L2 hit, Table 4).
 MISS_PENALTY = 6.0
-
-
-def slow_hit_profile(cache: Cache) -> tuple[float, float]:
-    """(fraction of slow hits, extra cycles per slow hit) for a run."""
-    if isinstance(cache, VictimBufferCache):
-        return cache.victim_hit_fraction, 1.0
-    if isinstance(cache, ColumnAssociativeCache):
-        return cache.slow_hit_fraction, 1.0
-    if isinstance(cache, GroupAssociativeCache):
-        # Relocated hits cost three cycles in the paper: +2 extra.
-        return cache.relocated_hit_fraction, 2.0
-    if isinstance(cache, PredictiveSequentialCache):
-        if cache.slow_hits:
-            average_probes = cache.extra_probe_count / cache.slow_hits
-        else:
-            average_probes = 0.0
-        return cache.slow_hit_fraction, max(1.0, average_probes)
-    if isinstance(cache, PartialAddressMatchingCache):
-        return cache.slow_hit_fraction, 1.0
-    # Direct-mapped, set-associative, B-Cache, page colouring: all hits
-    # take one cycle.
-    return 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -117,13 +87,14 @@ def run(
     scale: ExperimentScale = DEFAULT,
     benchmarks: tuple[str, ...] = ALL_BENCHMARKS,
     specs: tuple[str, ...] = LATENCY_SPECS,
+    jobs: int | None = None,
+    run_id: str | None = None,
 ) -> LatencyStudy:
     """Measure reduction, slow-hit fraction and AMAT per organisation."""
-    baselines = {}
-    for benchmark in benchmarks:
-        baselines[benchmark] = run_side_cache(
-            "dm", benchmark, "data", scale
-        ).stats.miss_rate
+    results = sweep_stats(
+        tuple(dict.fromkeys(("dm",) + specs)), benchmarks, "data", scale,
+        jobs=jobs, run_id=run_id,
+    )
     rows = []
     for spec in specs:
         reductions = []
@@ -131,10 +102,15 @@ def run(
         eff_latencies = []
         amats = []
         for benchmark in benchmarks:
-            cache = run_side_cache(spec, benchmark, "data", scale)
-            miss = cache.stats.miss_rate
-            reductions.append(miss_rate_reduction(baselines[benchmark], miss))
-            slow_fraction, extra = slow_hit_profile(cache)
+            stats = results[(spec, benchmark)]
+            miss = stats.miss_rate
+            reductions.append(
+                miss_rate_reduction(results[("dm", benchmark)].miss_rate, miss)
+            )
+            slow_fraction = stats.slow_hits / stats.hits if stats.hits else 0.0
+            extra = (
+                stats.slow_hit_cycles / stats.slow_hits if stats.slow_hits else 0.0
+            )
             slow_fractions.append(slow_fraction)
             effective = 1.0 + slow_fraction * extra
             eff_latencies.append(effective)

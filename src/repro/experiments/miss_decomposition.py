@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.caches import make_cache
-from repro.experiments.common import DEFAULT, ExperimentScale, data_addresses
+from repro.engine.trace_store import default_store
+from repro.experiments.common import DEFAULT, ExperimentScale
 from repro.experiments.reporting import format_table
 from repro.stats.three_c import MissBreakdown, classify_misses
 from repro.workloads.spec2k import ALL_BENCHMARKS
@@ -66,10 +67,12 @@ def run(
 ) -> DecompositionResult:
     breakdowns: dict[str, dict[str, MissBreakdown]] = {spec: {} for spec in specs}
     for benchmark in benchmarks:
-        addresses = data_addresses(benchmark, scale.data_n, scale.seed)
-        for spec in specs:
-            cache = make_cache(spec)
-            breakdowns[spec][benchmark] = classify_misses(cache, addresses)
+        addresses = default_store().addresses(
+            benchmark, "data", scale.data_n, scale.seed
+        )
+        caches = [make_cache(spec) for spec in specs]
+        for spec, breakdown in zip(specs, classify_misses(caches, addresses)):
+            breakdowns[spec][benchmark] = breakdown
     return DecompositionResult(
         benchmarks=tuple(benchmarks), specs=tuple(specs), breakdowns=breakdowns
     )

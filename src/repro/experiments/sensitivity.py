@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.caches import make_cache
-from repro.experiments.common import DEFAULT, ExperimentScale, data_addresses
+from repro.experiments.common import DEFAULT, ExperimentScale, sweep_stats
 from repro.experiments.reporting import format_table
 from repro.stats.summary import average_reduction, miss_rate_reduction
 
@@ -60,21 +59,21 @@ def _measure_point(
     line_size: int,
     scale: ExperimentScale,
     benchmarks: tuple[str, ...],
+    jobs: int | None,
+    run_id: str | None,
 ) -> SweepPoint:
+    results = sweep_stats(
+        ("dm",) + SWEEP_SPECS, benchmarks, "data", scale,
+        size=size, line_size=line_size, jobs=jobs, run_id=run_id,
+    )
     baselines = []
     reductions: dict[str, list[float]] = {spec: [] for spec in SWEEP_SPECS}
     for benchmark in benchmarks:
-        addresses = data_addresses(benchmark, scale.data_n, scale.seed)
-        dm = make_cache("dm", size=size, line_size=line_size)
-        for address in addresses:
-            dm.access(address)
-        baselines.append(dm.miss_rate)
+        dm_miss_rate = results[("dm", benchmark)].miss_rate
+        baselines.append(dm_miss_rate)
         for spec in SWEEP_SPECS:
-            cache = make_cache(spec, size=size, line_size=line_size)
-            for address in addresses:
-                cache.access(address)
             reductions[spec].append(
-                miss_rate_reduction(dm.miss_rate, cache.miss_rate)
+                miss_rate_reduction(dm_miss_rate, results[(spec, benchmark)].miss_rate)
             )
     return SweepPoint(
         label=label,
@@ -90,10 +89,12 @@ def run_line_size(
     line_sizes: tuple[int, ...] = (16, 32, 64),
     size: int = 16 * 1024,
     benchmarks: tuple[str, ...] = SWEEP_BENCHMARKS,
+    jobs: int | None = None,
+    run_id: str | None = None,
 ) -> SensitivityResult:
     """Sweep the line size at fixed capacity."""
     points = tuple(
-        _measure_point(f"{line}B", size, line, scale, benchmarks)
+        _measure_point(f"{line}B", size, line, scale, benchmarks, jobs, run_id)
         for line in line_sizes
     )
     return SensitivityResult(axis="line size", points=points)
@@ -104,10 +105,12 @@ def run_cache_size(
     sizes: tuple[int, ...] = (4, 8, 16, 32, 64),
     line_size: int = 32,
     benchmarks: tuple[str, ...] = SWEEP_BENCHMARKS,
+    jobs: int | None = None,
+    run_id: str | None = None,
 ) -> SensitivityResult:
     """Sweep the capacity (sizes in kB) at fixed line size."""
     points = tuple(
-        _measure_point(f"{kb}kB", kb * 1024, line_size, scale, benchmarks)
+        _measure_point(f"{kb}kB", kb * 1024, line_size, scale, benchmarks, jobs, run_id)
         for kb in sizes
     )
     return SensitivityResult(axis="cache size", points=points)

@@ -15,8 +15,8 @@ column as batches: L1I and L1D each replay their side with a
 :class:`~repro.caches.base.NextLevelStream` output, the two outputs
 merge by trace position (a demand before its writeback) into one L2
 batch, and latency comes from counts — it adds up per level, and slow
-hits are the slow-path counters' deltas.  The per-access
-:meth:`~MemoryHierarchy.fetch_instruction` /
+hits cost the deltas of each cache's ``slow_hit_cycles`` counter.  The
+per-access :meth:`~MemoryHierarchy.fetch_instruction` /
 :meth:`~MemoryHierarchy.access_data` API drives the same model one
 reference at a time; the event-driven core uses it, and it is the
 oracle the batched replay is tested against.
@@ -91,14 +91,13 @@ class MemoryHierarchy:
         l1_hit_latency: int = 1,
         l2_hit_latency: int = 6,
         memory_latency: int = 100,
-        slow_hit_extra: int = 1,
     ) -> None:
         if l2 is None:
             l2 = SetAssociativeCache(
                 256 * 1024, line_size=128, ways=4, policy="lru", name="L2-256kB-4way"
             )
-        self.l1i = CacheLevel(l1i, l1_hit_latency, slow_hit_extra)
-        self.l1d = CacheLevel(l1d, l1_hit_latency, slow_hit_extra)
+        self.l1i = CacheLevel(l1i, l1_hit_latency)
+        self.l1d = CacheLevel(l1d, l1_hit_latency)
         self.l2 = CacheLevel(l2, l2_hit_latency)
         self.memory_latency = memory_latency
         self.stats = HierarchyStats()
@@ -179,8 +178,10 @@ class MemoryHierarchy:
         data_positions = list(compress(positions, data_mask))
         fetch_out = NextLevelStream()
         data_out = NextLevelStream()
-        fetch_slow = l1i.replay(list(compress(addresses, fetch_mask)), None, fetch_out)
-        data_slow = l1d.replay(
+        fetch_slow_cycles = l1i.replay(
+            list(compress(addresses, fetch_mask)), None, fetch_out
+        )
+        data_slow_cycles = l1d.replay(
             list(compress(addresses, data_mask)),
             bytes(compress(kind_bytes, data_mask)),
             data_out,
@@ -200,11 +201,11 @@ class MemoryHierarchy:
         l2_kinds = [event[2] for event in merged]
         sources = [event[3] for event in merged]
         l2_misses = [0, 0, 0]
-        l2_slow = [0, 0, 0]
+        l2_slow_cycles = [0, 0, 0]
         memory_accesses = 0
         for start, end in self._l2_batches(sources):
             memory_out = NextLevelStream()
-            l2_slow[sources[start]] += l2.replay(
+            l2_slow_cycles[sources[start]] += l2.replay(
                 l2_addresses[start:end], l2_kinds[start:end], memory_out
             )
             memory_accesses += len(memory_out)
@@ -212,24 +213,24 @@ class MemoryHierarchy:
                 if kind == DEMAND:
                     l2_misses[sources[start + position]] += 1
 
-        def cycles(level: CacheLevel, refs: int, slow: int,
+        def cycles(level: CacheLevel, refs: int, slow_cycles: int,
                    out: NextLevelStream, source: int) -> int:
             return (
                 refs * level.hit_latency
-                + slow * level.slow_hit_extra
+                + slow_cycles
                 + out.kinds.count(DEMAND) * l2.hit_latency
-                + l2_slow[source] * l2.slow_hit_extra
+                + l2_slow_cycles[source]
                 + l2_misses[source] * self.memory_latency
             )
 
         latency = ReplayLatency(
             ifetches=len(fetch_positions),
             ifetch_cycles=cycles(
-                l1i, len(fetch_positions), fetch_slow, fetch_out, _FETCH_MISS
+                l1i, len(fetch_positions), fetch_slow_cycles, fetch_out, _FETCH_MISS
             ),
             data_accesses=len(data_positions),
             data_cycles=cycles(
-                l1d, len(data_positions), data_slow, data_out, _DATA_MISS
+                l1d, len(data_positions), data_slow_cycles, data_out, _DATA_MISS
             ),
         )
         stats = self.stats
@@ -247,11 +248,11 @@ class MemoryHierarchy:
         """Spans of the L2 stream to replay as one batch each.
 
         The whole stream, unless L2 has a slow path: only demand
-        references are charged its extra cycle, so each run of
+        references are charged its extra cycles, so each run of
         references from one source is its own batch and the slow-hit
-        delta of a batch belongs to that source.
+        cycles of a batch belong to that source.
         """
-        if not self.l2.has_slow_path:
+        if not self.l2.cache.has_slow_hits:
             return [(0, len(sources))] if sources else []
         bounds = list(accumulate((len(list(run)) for _, run in groupby(sources)), initial=0))
         return list(zip(bounds, bounds[1:]))

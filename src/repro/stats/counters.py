@@ -25,6 +25,10 @@ class CacheStats:
     # B-Cache specific: programmable-decoder outcome during *misses*.
     pd_hit_misses: int = 0
     pd_miss_misses: int = 0
+    # Hits that took a slow path (victim swap-in, second probe, ...) and
+    # the cycles they cost beyond a normal hit.
+    slow_hits: int = 0
+    slow_hit_cycles: int = 0
     set_accesses: list[int] = field(default_factory=list)
     set_hits: list[int] = field(default_factory=list)
     set_misses: list[int] = field(default_factory=list)
@@ -92,6 +96,8 @@ class CacheStats:
             "pd_hit_misses": self.pd_hit_misses,
             "pd_miss_misses": self.pd_miss_misses,
             "pd_hit_rate_during_miss": self.pd_hit_rate_during_miss,
+            "slow_hits": self.slow_hits,
+            "slow_hit_cycles": self.slow_hit_cycles,
         }
 
     def snapshot(self) -> dict:
@@ -112,6 +118,8 @@ class CacheStats:
             "writebacks": self.writebacks,
             "pd_hit_misses": self.pd_hit_misses,
             "pd_miss_misses": self.pd_miss_misses,
+            "slow_hits": self.slow_hits,
+            "slow_hit_cycles": self.slow_hit_cycles,
             "set_accesses": list(self.set_accesses),
             "set_hits": list(self.set_hits),
             "set_misses": list(self.set_misses),
@@ -121,9 +129,12 @@ class CacheStats:
     def from_snapshot(cls, state: dict) -> "CacheStats":
         """Rebuild a stats object from :meth:`snapshot` output.
 
-        Raises ``ValueError`` on malformed state (wrong per-set lengths
-        or non-integral counters) so journal readers can treat a bad
-        record as corrupt instead of resurrecting garbage.
+        Raises ``ValueError`` on malformed state (a missing counter,
+        wrong per-set lengths or non-integral counters) so journal
+        readers can treat a bad record as corrupt instead of
+        resurrecting garbage.  A snapshot written before a counter
+        existed lacks it and is rejected the same way, so a result
+        store recomputes it rather than reviving it with a zero.
         """
         try:
             stats = cls(
@@ -137,6 +148,8 @@ class CacheStats:
                 writebacks=int(state["writebacks"]),
                 pd_hit_misses=int(state["pd_hit_misses"]),
                 pd_miss_misses=int(state["pd_miss_misses"]),
+                slow_hits=int(state["slow_hits"]),
+                slow_hit_cycles=int(state["slow_hit_cycles"]),
                 set_accesses=[int(v) for v in state["set_accesses"]],
                 set_hits=[int(v) for v in state["set_hits"]],
                 set_misses=[int(v) for v in state["set_misses"]],
@@ -169,6 +182,8 @@ class CacheStats:
         self.writebacks += other.writebacks
         self.pd_hit_misses += other.pd_hit_misses
         self.pd_miss_misses += other.pd_miss_misses
+        self.slow_hits += other.slow_hits
+        self.slow_hit_cycles += other.slow_hit_cycles
         for i in range(self.num_sets):
             self.set_accesses[i] += other.set_accesses[i]
             self.set_hits[i] += other.set_hits[i]

@@ -10,18 +10,20 @@ capacity would not take (Hill's classic 3C model):
 * **conflict**  — everything else: an artefact of restricted placement,
   the target of the B-Cache, victim buffers, skewing et al.
 
-:func:`classify_misses` runs the cache-under-test in lockstep with a
-same-capacity fully associative LRU reference and buckets every miss.
-The decomposition experiment shows the B-Cache removing most of the
+:func:`classify_misses` replays the stream as one batch per cache under
+test and once through a same-capacity fully associative LRU reference,
+then buckets every miss by its position in the stream.  The
+decomposition experiment shows the B-Cache removing most of the
 baseline's conflict bucket while leaving compulsory/capacity intact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import compress
+from typing import Sequence
 
-from repro.caches.base import Cache
+from repro.caches.base import DEMAND, Cache, NextLevelStream
 from repro.caches.fully_associative import FullyAssociativeCache
 
 
@@ -55,44 +57,43 @@ class MissBreakdown:
 
 
 def classify_misses(
-    cache: Cache,
-    addresses: Iterable[int],
-    reference: FullyAssociativeCache | None = None,
-) -> MissBreakdown:
-    """Run ``addresses`` through ``cache``, classifying every miss.
+    caches: Sequence[Cache], addresses: Sequence[int]
+) -> list[MissBreakdown]:
+    """Run ``addresses`` through each of ``caches``, classifying every miss.
 
-    The fully associative LRU reference has the same capacity and line
-    size as the cache under test (supply ``reference`` to reuse one
-    across calls — it must be freshly flushed).
+    The caches (at least one) must share one capacity and line size;
+    the fully associative LRU reference of that geometry is replayed
+    once for all of them.  Returns one breakdown per cache, in order.
     """
-    if reference is None:
-        reference = FullyAssociativeCache(
-            cache.size, cache.line_size, policy="lru"
+    geometries = {(cache.size, cache.line_size) for cache in caches}
+    if len(geometries) != 1:
+        raise ValueError("classify_misses needs caches of one capacity and line size")
+    ((size, line_size),) = geometries
+    reference = FullyAssociativeCache(size, line_size, policy="lru")
+    reference_misses = _miss_positions(reference, addresses)
+    first_positions: dict[int, int] = {}
+    offset_bits = reference.offset_bits
+    for position, address in enumerate(addresses):
+        first_positions.setdefault(address >> offset_bits, position)
+    first_references = set(first_positions.values())
+    breakdowns = []
+    for cache in caches:
+        misses = _miss_positions(cache, addresses)
+        compulsory = len(misses & first_references)
+        capacity = len((misses & reference_misses) - first_references)
+        breakdowns.append(
+            MissBreakdown(
+                accesses=len(addresses),
+                compulsory=compulsory,
+                capacity=capacity,
+                conflict=len(misses) - compulsory - capacity,
+            )
         )
-    if reference.size != cache.size or reference.line_size != cache.line_size:
-        raise ValueError("reference capacity must match the cache under test")
-    seen: set[int] = set()
-    compulsory = 0
-    capacity = 0
-    conflict = 0
-    accesses = 0
-    offset_bits = cache.offset_bits
-    for address in addresses:
-        accesses += 1
-        block = address >> offset_bits
-        result = cache.access(address)
-        reference_result = reference.access(address)
-        if not result.hit:
-            if block not in seen:
-                compulsory += 1
-            elif not reference_result.hit:
-                capacity += 1
-            else:
-                conflict += 1
-        seen.add(block)
-    return MissBreakdown(
-        accesses=accesses,
-        compulsory=compulsory,
-        capacity=capacity,
-        conflict=conflict,
-    )
+    return breakdowns
+
+
+def _miss_positions(cache: Cache, addresses: Sequence[int]) -> set[int]:
+    """Stream positions at which one batch replay of ``addresses`` missed."""
+    out = NextLevelStream()
+    cache.access_trace(addresses, None, out)
+    return set(compress(out.positions, (kind == DEMAND for kind in out.kinds)))

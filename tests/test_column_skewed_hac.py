@@ -25,16 +25,18 @@ class TestColumnAssociative:
         cache.access(0x0)
         cache.access(0x200)  # 0x0 pushed to secondary slot? no: 0x200 misses both, settles primary
         cache.access(0x0)
-        before = cache.second_probe_hits
-        cache.access(0x0)  # after swap, first-probe hit
-        assert cache.second_probe_hits == before
-        assert cache.first_probe_hits >= 1
+        before = cache.stats.slow_hits
+        assert cache.access(0x0).extra_cycles == 0  # after swap, first-probe hit
+        assert cache.stats.slow_hits == before
+        assert cache.stats.hits > cache.stats.slow_hits
 
     def test_slow_hit_fraction_tracks_second_probes(self):
         cache = ColumnAssociativeCache(512, 32)
         for address in (0x0, 0x200, 0x0, 0x200):
             cache.access(address)
-        assert 0.0 < cache.slow_hit_fraction <= 1.0
+        stats = cache.stats
+        assert 0 < stats.slow_hits <= stats.hits
+        assert stats.slow_hit_cycles == stats.slow_hits  # one extra probe each
 
     def test_beats_direct_mapped_on_pairs(self):
         rng = random.Random(3)
@@ -59,7 +61,7 @@ class TestColumnAssociative:
         assert cache.contains(0xAA0)
         cache.flush()
         assert not cache.contains(0xAA0)
-        assert cache.first_probe_hits == 0
+        assert cache.stats.hits == cache.stats.slow_hits == 0
 
 
 class TestSkewedAssociative:

@@ -2,19 +2,22 @@
 
 import pytest
 
+from repro.caches import make_cache
+from repro.engine.trace_store import default_store
 from repro.experiments.common import (
     DEFAULT,
     FULL,
     SMOKE,
     ExperimentScale,
     clear_trace_caches,
-    data_addresses,
-    instr_addresses,
     miss_rate,
     run_side,
-    run_side_cache,
     run_system,
 )
+
+
+def data_addresses(benchmark: str, n: int, seed: int) -> memoryview:
+    return default_store().addresses(benchmark, "data", n, seed)
 
 
 class TestScales:
@@ -33,23 +36,26 @@ class TestScales:
 
 
 class TestMemoisation:
+    """The trace store's in-memory LRU hands out read-only views of one
+    decoded column per trace until :func:`clear_trace_caches`."""
+
     def test_same_key_returns_same_object(self):
         a = data_addresses("gzip", 500, 1)
         b = data_addresses("gzip", 500, 1)
-        assert a is b
+        assert a.obj is b.obj
 
     def test_different_seed_differs(self):
         assert data_addresses("gzip", 500, 1) != data_addresses("gzip", 500, 2)
 
     def test_instr_cache(self):
-        a = instr_addresses("gcc", 500, 1)
-        assert a is instr_addresses("gcc", 500, 1)
+        a = default_store().addresses("gcc", "instr", 500, 1)
+        assert a.obj is default_store().addresses("gcc", "instr", 500, 1).obj
 
     def test_clear(self):
         a = data_addresses("gzip", 500, 1)
         clear_trace_caches()
         b = data_addresses("gzip", 500, 1)
-        assert a == b and a is not b
+        assert a == b and a.obj is not b.obj
 
 
 class TestRunners:
@@ -67,10 +73,6 @@ class TestRunners:
         with pytest.raises(ValueError, match="side"):
             run_side("dm", "gzip", "icache", self.SCALE)
 
-    def test_run_side_cache_returns_cache(self):
-        cache = run_side_cache("victim16", "gzip", "data", self.SCALE)
-        assert hasattr(cache, "victim_hits")
-
     def test_miss_rate_between_zero_and_one(self):
         rate = miss_rate("dm", "gzip", "data", self.SCALE)
         assert 0.0 < rate < 1.0
@@ -81,10 +83,11 @@ class TestRunners:
         assert hasattr(result, "hierarchy")
 
     def test_policy_forwarded(self):
-        cache = run_side_cache(
-            "mf8_bas8", "equake", "data", self.SCALE, policy="random"
-        )
-        assert cache.policy_name == "random"
+        stats = run_side("mf8_bas8", "equake", "data", self.SCALE, policy="random")
+        cache = make_cache("mf8_bas8", policy="random")
+        cache.access_trace(data_addresses("equake", self.SCALE.data_n, self.SCALE.seed))
+        assert stats == cache.stats
+        assert stats != run_side("mf8_bas8", "equake", "data", self.SCALE)
 
     def test_size_forwarded(self):
         small = run_side("dm", "equake", "data", self.SCALE, size=8 * 1024)

@@ -4,11 +4,7 @@ import pytest
 
 from repro.caches import make_cache
 from repro.experiments.common import ExperimentScale
-from repro.experiments.latency_study import (
-    LATENCY_SPECS,
-    run,
-    slow_hit_profile,
-)
+from repro.experiments.latency_study import LATENCY_SPECS, run
 
 TINY = ExperimentScale(data_n=10_000, instr_n=10_000, instructions=5_000, seed=2006)
 
@@ -20,32 +16,31 @@ class TestSlowHitProfiles:
             cache = make_cache(spec)
             cache.access(0x40)
             cache.access(0x40)
-            fraction, extra = slow_hit_profile(cache)
-            assert fraction == 0.0 and extra == 0.0
+            assert cache.stats.hits == 1
+            assert cache.stats.slow_hits == cache.stats.slow_hit_cycles == 0
 
     def test_victim_buffer_profile(self):
         cache = make_cache("victim16")
         cache.access(0x0)
         cache.access(0x4000)
         cache.access(0x0)  # buffer swap hit
-        fraction, extra = slow_hit_profile(cache)
-        assert fraction > 0.0 and extra == 1.0
+        assert cache.stats.slow_hits == cache.stats.slow_hit_cycles == 1
 
     def test_agac_charges_two_extra_cycles(self):
         cache = make_cache("agac")
         cache.access(0x0)
         cache.access(0x4000)
         cache.access(0x0)  # relocated hit
-        fraction, extra = slow_hit_profile(cache)
-        assert fraction > 0.0 and extra == 2.0
+        assert cache.stats.slow_hits == 1
+        assert cache.stats.slow_hit_cycles == 2
 
     def test_psa_extra_probes(self):
         cache = make_cache("psa2")
         for _ in range(10):
             cache.access(0x0)
             cache.access(0x4000)
-        fraction, extra = slow_hit_profile(cache)
-        assert fraction > 0.0 and extra >= 1.0
+        assert cache.stats.slow_hits > 0
+        assert cache.stats.slow_hit_cycles >= cache.stats.slow_hits
 
 
 class TestStudy:

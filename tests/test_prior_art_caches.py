@@ -36,8 +36,9 @@ class TestGroupAssociative:
         agac = GroupAssociativeCache(16 * 1024, 32)
         for address in conflict_trace(3, 2000):
             agac.access(address)
-        assert agac.relocated_hits > 0
-        assert 0.0 < agac.relocated_hit_fraction < 1.0
+        stats = agac.stats
+        assert 0 < stats.slow_hits < stats.hits
+        assert stats.slow_hit_cycles == 2 * stats.slow_hits  # 3-cycle hits
 
     def test_promotion_moves_block_home(self):
         agac = GroupAssociativeCache(512, 32, sht_fraction=0.5)
@@ -71,7 +72,7 @@ class TestGroupAssociative:
         agac.access(0x0)
         agac.flush()
         assert not agac.contains(0x0)
-        assert agac.relocated_hits == 0
+        assert agac.stats.slow_hits == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -151,8 +152,8 @@ class TestPartialAddressMatching:
         for _ in range(50):
             pam.access(0x0)
             pam.access(0x4000)  # tag differs in bit 0 -> PAD separates
-        assert pam.fast_hits > 0
-        assert pam.slow_hit_fraction < 0.2
+        assert pam.stats.hits > 0
+        assert pam.stats.slow_hits / pam.stats.hits < 0.2
 
     def test_aliased_partial_tags_cause_slow_hits(self):
         pam = PartialAddressMatchingCache(16 * 1024, 32, ways=2, pad_bits=2)
@@ -161,7 +162,8 @@ class TestPartialAddressMatching:
         for _ in range(50):
             pam.access(0x0)
             pam.access(stride)
-        assert pam.slow_hits > 0
+        assert pam.stats.slow_hits > 0
+        assert pam.stats.slow_hit_cycles == pam.stats.slow_hits
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -172,7 +174,7 @@ class TestPartialAddressMatching:
         pam.access(0x0)
         pam.access(0x0)
         pam.flush()
-        assert pam.fast_hits == 0 and pam.slow_hits == 0
+        assert pam.stats.hits == 0 and pam.stats.slow_hits == 0
 
 
 class TestPredictiveSequential:
@@ -189,28 +191,28 @@ class TestPredictiveSequential:
         psa.access(0x0)
         psa.access(0x0)
         psa.access(0x0)
-        assert psa.fast_hits == 2
-        assert psa.slow_hits == 0
+        assert psa.stats.hits == 2
+        assert psa.stats.slow_hits == 0
 
     def test_alternation_causes_slow_hits(self):
         psa = PredictiveSequentialCache(16 * 1024, 32, ways=2)
         for _ in range(20):
             psa.access(0x0)
             psa.access(0x4000)  # same set, other way: misprediction
-        assert psa.slow_hits > 10
-        assert psa.extra_probe_count >= psa.slow_hits
+        assert psa.stats.slow_hits > 10
+        assert psa.stats.slow_hit_cycles >= psa.stats.slow_hits
 
     def test_mru_update_after_fill(self):
         psa = PredictiveSequentialCache(512, 32, ways=2)
         psa.access(0x0)
         result = psa.access(0x0)
-        assert result.hit and psa.fast_hits == 1
+        assert result.hit and result.extra_cycles == 0
 
     def test_flush(self):
         psa = PredictiveSequentialCache(512, 32, ways=2)
         psa.access(0x0)
         psa.flush()
-        assert psa.fast_hits == 0 and psa.extra_probe_count == 0
+        assert psa.stats.hits == 0 and psa.stats.slow_hit_cycles == 0
 
 
 class TestFactoryIntegration:

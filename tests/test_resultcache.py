@@ -30,6 +30,7 @@ from repro.serve.admission import (
     TokenBucket,
 )
 from repro.serve.singleflight import Singleflight
+from repro.stats.counters import CacheStats
 
 JOB = SweepJob(spec="mf8_bas8", benchmark="gcc", n=3000, with_kinds=True)
 SNAP = {"accesses": 3000, "misses": 412, "hits": 2588}
@@ -138,6 +139,22 @@ class TestResultCache:
         assert fresh.get_stats(JOB) is None
         assert fresh.snapshot()["quarantined"] == 1
         assert fresh.get(JOB) is None
+
+    def test_snapshot_without_slow_hit_counters_is_recomputed(self, tmp_path):
+        # An entry stored before CacheStats counted slow hits must not
+        # come back with zero slow hits: it is quarantined and re-run.
+        stats = CacheStats(num_sets=4, accesses=3, hits=2, misses=1, reads=3,
+                           slow_hits=1, slow_hit_cycles=2,
+                           set_accesses=[3, 0, 0, 0], set_hits=[2, 0, 0, 0],
+                           set_misses=[1, 0, 0, 0])
+        self._cache(tmp_path).put(JOB, stats.snapshot())
+        assert self._cache(tmp_path).get_stats(JOB) == stats
+        old = stats.snapshot()
+        del old["slow_hits"], old["slow_hit_cycles"]
+        self._cache(tmp_path).put(JOB, old)
+        fresh = self._cache(tmp_path)
+        assert fresh.get_stats(JOB) is None
+        assert fresh.snapshot()["quarantined"] == 1
 
     def test_put_reports_a_failed_write(self, tmp_path, read_only_dir):
         # Serving ignores the result (the memory tier still answers);

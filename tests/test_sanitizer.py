@@ -135,6 +135,29 @@ class MiscountingCache(DirectMappedCache):
         return result
 
 
+class DoubleCountingVictimCache(VictimBufferCache):
+    """Counts every victim-buffer swap-in as a slow hit twice."""
+
+    def _access_block(self, block: int, is_write: bool) -> AccessResult:
+        result = super()._access_block(block, is_write)
+        if result.extra_cycles:
+            self.stats.slow_hits += 1
+        return result
+
+
+class MissWithExtraCyclesCache(DirectMappedCache):
+    """Charges extra cycles to misses, which have no slow path."""
+
+    def _access_block(self, block: int, is_write: bool) -> AccessResult:
+        result = super()._access_block(block, is_write)
+        if result.hit:
+            return result
+        return AccessResult(
+            hit=False, set_index=result.set_index, evicted=result.evicted,
+            evicted_dirty=result.evicted_dirty, extra_cycles=1,
+        )
+
+
 class TestDetection:
     LINE = 32
 
@@ -169,6 +192,31 @@ class TestDetection:
         wrapped = SanitizedCache(MiscountingCache(1024, self.LINE), check_interval=1)
         with pytest.raises(SanitizerError, match="stats.misses"):
             wrapped.access(0x40)
+
+    def test_slow_hit_double_count_detected(self):
+        wrapped = SanitizedCache(
+            DoubleCountingVictimCache(1024, self.LINE, victim_entries=4),
+            strict=False, check_interval=10_000,
+        )
+        for address in (0x0, 0x400, 0x0):  # the last is a buffer swap-in
+            wrapped.access(address)
+        assert wrapped.stats.slow_hits == 2
+        with pytest.raises(SanitizerError, match="slow_hits"):
+            wrapped.finalize()
+
+    def test_extra_cycles_on_a_miss_detected(self):
+        wrapped = SanitizedCache(MissWithExtraCyclesCache(1024, self.LINE))
+        with pytest.raises(SanitizerError, match="only a hit may take extra"):
+            wrapped.access(0x40)
+
+    def test_slow_hit_cycles_below_slow_hits_detected(self):
+        cache = VictimBufferCache(1024, self.LINE, victim_entries=4)
+        wrapped = SanitizedCache(cache, strict=False, check_interval=10_000)
+        for address in (0x0, 0x400, 0x0):
+            wrapped.access(address)
+        cache.stats.slow_hit_cycles -= 1
+        with pytest.raises(SanitizerError, match="fell below slow_hits"):
+            wrapped.finalize()
 
     def test_duplicate_set_residents_detected(self):
         cache = SetAssociativeCache(1024, 32, ways=2)

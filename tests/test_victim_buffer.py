@@ -15,16 +15,16 @@ class TestSwapSemantics:
         cache.access(0x0)
         cache.access(0x200)  # evicts 0x0 into the buffer
         result = cache.access(0x0)  # buffer hit: swap back
-        assert result.hit
-        assert cache.victim_hits == 1
+        assert result.hit and result.extra_cycles == 1
+        assert cache.stats.slow_hits == 1
 
     def test_swap_restores_one_cycle_hits(self, cache):
         cache.access(0x0)
         cache.access(0x200)
         cache.access(0x0)  # swap
-        cache.access(0x0)  # now a main-cache hit
-        assert cache.main_hits == 1
-        assert cache.victim_hits == 1
+        assert cache.access(0x0).extra_cycles == 0  # now a main-cache hit
+        assert cache.stats.hits == 2
+        assert cache.stats.slow_hits == cache.stats.slow_hit_cycles == 1
 
     def test_displaced_block_enters_buffer_on_swap(self, cache):
         cache.access(0x0)
@@ -64,7 +64,7 @@ class TestBufferCapacity:
         cache.access(0x0)
         cache.access(0x200)
         cache.access(0x0)
-        assert cache.victim_hit_fraction == pytest.approx(1.0)
+        assert cache.stats.slow_hits / cache.stats.hits == pytest.approx(1.0)
 
     def test_entries_bound(self):
         with pytest.raises(ValueError):
@@ -94,4 +94,4 @@ class TestAccounting:
         cache.access(0x200)
         cache.flush()
         assert not cache.contains(0x0)
-        assert cache.victim_hits == 0
+        assert cache.stats.slow_hits == 0
