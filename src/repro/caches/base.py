@@ -226,6 +226,50 @@ class Cache(abc.ABC):
             f"sets={self.num_sets} miss_rate={self.stats.miss_rate:.4f}>"
         )
 
+    def _commit_batch(
+        self,
+        n: int,
+        accesses_before: list[int],
+        misses_before: list[int],
+        misses: int,
+        writes: int,
+        evictions: int,
+        writebacks: int,
+        pd_miss: int = 0,
+        slow_hits: int = 0,
+        slow_hit_cycles: int = 0,
+    ) -> CacheStats:
+        """Flush a batch kernel's local counters into :attr:`stats`.
+
+        For kernels whose loop bumps only the per-set access and miss
+        counters (hits dominate): ``accesses_before``/``misses_before``
+        are copies taken before the loop, and a set's hits are its
+        access delta minus its miss delta.  Misses not counted in
+        ``pd_miss`` are PD hits, as a fixed decoder always selects a
+        set.
+        """
+        stats = self.stats
+        set_hits = stats.set_hits
+        set_misses = stats.set_misses
+        for set_index, accesses in enumerate(stats.set_accesses):
+            delta = accesses - accesses_before[set_index]
+            if delta:
+                set_hits[set_index] += delta - (
+                    set_misses[set_index] - misses_before[set_index]
+                )
+        stats.accesses += n
+        stats.reads += n - writes
+        stats.writes += writes
+        stats.hits += n - misses
+        stats.misses += misses
+        stats.evictions += evictions
+        stats.writebacks += writebacks
+        stats.pd_hit_misses += misses - pd_miss
+        stats.pd_miss_misses += pd_miss
+        stats.slow_hits += slow_hits
+        stats.slow_hit_cycles += slow_hit_cycles
+        return stats
+
     # ------------------------------------------------------------------
     # Subclass responsibilities
     # ------------------------------------------------------------------
@@ -250,13 +294,13 @@ class Cache(abc.ABC):
             access_block = next_level.recording(access_block, addresses)
         offset_bits = self.offset_bits
         set_accesses = stats.set_accesses
-        set_hits = stats.set_hits
         set_misses = stats.set_misses
+        accesses_before = set_accesses.copy()
+        misses_before = set_misses.copy()
         n = len(addresses)
         if kinds is None:
             kinds = bytes(n)  # all reads
-        hits = misses = writes = 0
-        evictions = writebacks = pd_hit = pd_miss = 0
+        misses = writes = evictions = writebacks = pd_miss = 0
         slow_hits = slow_hit_cycles = 0
         for address, kind in zip(addresses, kinds):
             is_write = kind == 1
@@ -266,34 +310,30 @@ class Cache(abc.ABC):
             if is_write:
                 writes += 1
             if result.hit:
-                hits += 1
-                set_hits[set_index] += 1
                 if result.extra_cycles:
                     slow_hits += 1
                     slow_hit_cycles += result.extra_cycles
             else:
                 misses += 1
                 set_misses[set_index] += 1
-                if result.pd_hit:
-                    pd_hit += 1
-                else:
+                if not result.pd_hit:
                     pd_miss += 1
             if result.evicted is not None:
                 evictions += 1
                 if result.evicted_dirty:
                     writebacks += 1
-        stats.accesses += n
-        stats.reads += n - writes
-        stats.writes += writes
-        stats.hits += hits
-        stats.misses += misses
-        stats.evictions += evictions
-        stats.writebacks += writebacks
-        stats.pd_hit_misses += pd_hit
-        stats.pd_miss_misses += pd_miss
-        stats.slow_hits += slow_hits
-        stats.slow_hit_cycles += slow_hit_cycles
-        return stats
+        return self._commit_batch(
+            n,
+            accesses_before,
+            misses_before,
+            misses,
+            writes,
+            evictions,
+            writebacks,
+            pd_miss=pd_miss,
+            slow_hits=slow_hits,
+            slow_hit_cycles=slow_hit_cycles,
+        )
 
     @abc.abstractmethod
     def _access_block(self, block: int, is_write: bool) -> AccessResult:

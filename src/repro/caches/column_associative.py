@@ -14,7 +14,17 @@ keeping all hits at one cycle.
 
 from __future__ import annotations
 
-from repro.caches.base import AccessResult, Cache, log2_exact
+from typing import Sequence
+
+from repro.caches.base import (
+    DEMAND,
+    WRITEBACK,
+    AccessResult,
+    Cache,
+    NextLevelStream,
+    log2_exact,
+)
+from repro.stats.counters import CacheStats
 
 
 class ColumnAssociativeCache(Cache):
@@ -99,6 +109,105 @@ class ColumnAssociativeCache(Cache):
         self._rehash[second] = displaced >= 0
         return AccessResult(
             hit=False, set_index=first, evicted=evicted, evicted_dirty=evicted_dirty
+        )
+
+    def _batch_trace(
+        self,
+        addresses: Sequence[int],
+        kinds: Sequence[int] | None,
+        next_level: NextLevelStream | None = None,
+    ) -> CacheStats:
+        """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
+
+        The four outcomes of :meth:`_access_block` are inlined: a
+        first-probe hit, a rehash-bit replacement, a second-probe swap
+        (a slow hit) and a full miss that rehashes the displaced block
+        into the alternate slot.  Every outcome resolves at the
+        first-choice set.
+        """
+        if type(self)._access_block is not ColumnAssociativeCache._access_block:
+            # A subclass customises per-access behaviour; let the generic
+            # kernel drive its _access_block override instead of this one.
+            return super()._batch_trace(addresses, kinds, next_level)
+        stats = self.stats
+        blocks = self._blocks
+        dirty = self._dirty
+        rehash = self._rehash
+        index_mask = self._index_mask
+        flip = self._flip
+        offset_bits = self.offset_bits
+        set_accesses = stats.set_accesses
+        set_misses = stats.set_misses
+        accesses_before = set_accesses.copy()
+        misses_before = set_misses.copy()
+        n = len(addresses)
+        if kinds is None:
+            kinds = bytes(n)  # all reads
+        misses = writes = evictions = writebacks = slow_hits = 0
+        emit = None if next_level is None else next_level.emit
+        for position, address, kind in zip(range(n), addresses, kinds):
+            block = address >> offset_bits
+            first = block & index_mask
+            set_accesses[first] += 1
+            is_write = kind == 1
+            if is_write:
+                writes += 1
+            if blocks[first] == block:
+                if is_write:
+                    dirty[first] = True
+                continue
+            if rehash[first]:
+                # Rehash-bit replacement: the first-choice slot holds a
+                # rehashed block, which leaves the cache.
+                out_slot = first
+            else:
+                second = first ^ flip
+                if blocks[second] == block:
+                    # Second-probe hit: swap into the first-choice slot
+                    # (whose rehash bit is already clear on this path).
+                    slow_hits += 1
+                    displaced = blocks[first]
+                    blocks[first] = block
+                    blocks[second] = displaced
+                    dirty[first], dirty[second] = (
+                        is_write or dirty[second],
+                        dirty[first],
+                    )
+                    rehash[second] = displaced >= 0
+                    continue
+                # Full miss: the alternate slot's occupant leaves, the
+                # displaced first-choice block is rehashed into it.
+                out_slot = second
+            misses += 1
+            set_misses[first] += 1
+            if emit is not None:
+                emit(position, address, DEMAND)
+            out_block = blocks[out_slot]
+            if out_block >= 0:
+                evictions += 1
+                if dirty[out_slot]:
+                    writebacks += 1
+                    if emit is not None:
+                        emit(position, out_block << offset_bits, WRITEBACK)
+            if out_slot != first:
+                displaced = blocks[first]
+                blocks[out_slot] = displaced
+                dirty[out_slot] = dirty[first]
+                rehash[out_slot] = displaced >= 0
+            blocks[first] = block
+            dirty[first] = is_write
+            rehash[first] = False
+        # Each slow hit costs one extra cycle.
+        return self._commit_batch(
+            n,
+            accesses_before,
+            misses_before,
+            misses,
+            writes,
+            evictions,
+            writebacks,
+            slow_hits=slow_hits,
+            slow_hit_cycles=slow_hits,
         )
 
     def _probe_block(self, block: int) -> bool:

@@ -76,11 +76,9 @@ class DirectMappedCache(Cache):
         offset_bits = self.offset_bits
         tag_shift = offset_bits + self.index_bits
         set_accesses = stats.set_accesses
-        set_hits = stats.set_hits
         set_misses = stats.set_misses
         # Hits dominate, so the hot loop only bumps the per-set access
-        # and miss counters; per-set hits are reconstructed afterwards
-        # from the deltas (final statistics stay bit-identical).
+        # and miss counters; _commit_batch reconstructs per-set hits.
         accesses_before = set_accesses.copy()
         misses_before = set_misses.copy()
         n = len(addresses)
@@ -119,23 +117,9 @@ class DirectMappedCache(Cache):
                     dirty[index] = True
                 else:
                     dirty[index] = False
-        for set_index, before in enumerate(accesses_before):
-            delta = set_accesses[set_index] - before
-            if delta:
-                set_hits[set_index] += delta - (
-                    set_misses[set_index] - misses_before[set_index]
-                )
-        hits = n - misses
-        stats.accesses += n
-        stats.reads += n - writes
-        stats.writes += writes
-        stats.hits += hits
-        stats.misses += misses
-        stats.evictions += evictions
-        stats.writebacks += writebacks
-        # A fixed decoder always selects a set: every miss is a PD hit.
-        stats.pd_hit_misses += misses
-        return stats
+        return self._commit_batch(
+            n, accesses_before, misses_before, misses, writes, evictions, writebacks
+        )
 
     def _probe_block(self, block: int) -> bool:
         index = block & self._index_mask

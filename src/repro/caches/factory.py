@@ -107,9 +107,7 @@ def make_cache(
         return BCache(geometry, policy=policy, seed=seed)
     match = _SKEW_RE.match(spec)
     if match:
-        return SkewedAssociativeCache(
-            size, line_size, ways=int(match.group(1)), seed=seed
-        )
+        return SkewedAssociativeCache(size, line_size, ways=int(match.group(1)))
     raise UnknownCacheSpecError(f"unrecognised cache spec {spec!r}")
 
 

@@ -12,8 +12,17 @@ are not invertible from (way, set, tag) alone in a uniform way.
 
 from __future__ import annotations
 
-from repro.caches.base import AccessResult, Cache, log2_exact
-from repro.replacement import make_policy
+from typing import Sequence
+
+from repro.caches.base import (
+    DEMAND,
+    WRITEBACK,
+    AccessResult,
+    Cache,
+    NextLevelStream,
+    log2_exact,
+)
+from repro.stats.counters import CacheStats
 
 
 def _rotate_left(value: int, amount: int, width: int) -> int:
@@ -30,8 +39,6 @@ class SkewedAssociativeCache(Cache):
         size: int,
         line_size: int = 32,
         ways: int = 2,
-        policy: str = "random",
-        seed: int = 0,
         name: str = "",
     ) -> None:
         num_blocks = size // line_size
@@ -45,13 +52,11 @@ class SkewedAssociativeCache(Cache):
         self.sets_per_way = sets_per_way
         self.index_bits = log2_exact(sets_per_way, "sets per way")
         self._mask = sets_per_way - 1
-        self.policy_name = policy
-        self._seed = seed
         self._blocks = [[-1] * sets_per_way for _ in range(ways)]
         self._dirty = [[False] * sets_per_way for _ in range(ways)]
-        # Per (way, set) pseudo-time of last touch, for an NRU-flavoured
-        # choice between candidate frames; random policy breaks ties.
-        self._policy = make_policy(policy, ways, seed=seed)
+        # Per (way, set) pseudo-time of last touch: a miss evicts the
+        # least recently touched candidate frame, ties going to the
+        # lowest way.
         self._last_touch = [[-1] * sets_per_way for _ in range(ways)]
         self._clock = 0
 
@@ -96,6 +101,112 @@ class SkewedAssociativeCache(Cache):
         self._last_touch[way][index] = self._clock
         return AccessResult(
             hit=False, set_index=index, evicted=evicted, evicted_dirty=evicted_dirty
+        )
+
+    def _batch_trace(
+        self,
+        addresses: Sequence[int],
+        kinds: Sequence[int] | None,
+        next_level: NextLevelStream | None = None,
+    ) -> CacheStats:
+        """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
+
+        One loop for any number of ways: way 0 is probed first, then
+        each further way at its :meth:`skew_index`, while the same scan
+        picks the victim :meth:`_access_block` would (the first empty
+        frame, otherwise the least recently touched, lowest way first).
+        """
+        if type(self)._access_block is not SkewedAssociativeCache._access_block:
+            # A subclass customises per-access behaviour; let the generic
+            # kernel drive its _access_block override instead of this one.
+            return super()._batch_trace(addresses, kinds, next_level)
+        stats = self.stats
+        blocks = self._blocks
+        dirty = self._dirty
+        last_touch = self._last_touch
+        blocks0 = blocks[0]
+        dirty0 = dirty[0]
+        touch0 = last_touch[0]
+        mask = self._mask
+        index_bits = self.index_bits
+        offset_bits = self.offset_bits
+        # Way w > 0 XORs the index with the tag slice rotated left by
+        # (w - 1) bits, as in skew_index.
+        skewed_ways = []
+        for way in range(1, self.ways):
+            rotate = (way - 1) % index_bits
+            skewed_ways.append(
+                (way, blocks[way], last_touch[way], rotate, index_bits - rotate)
+            )
+        set_accesses = stats.set_accesses
+        set_misses = stats.set_misses
+        accesses_before = set_accesses.copy()
+        misses_before = set_misses.copy()
+        n = len(addresses)
+        if kinds is None:
+            kinds = bytes(n)  # all reads
+        clock = self._clock
+        misses = writes = evictions = writebacks = 0
+        emit = None if next_level is None else next_level.emit
+        for position, address, kind in zip(range(n), addresses, kinds):
+            block = address >> offset_bits
+            clock += 1
+            is_write = kind == 1
+            if is_write:
+                writes += 1
+            index = block & mask
+            if blocks0[index] == block:
+                set_accesses[index] += 1
+                touch0[index] = clock
+                if is_write:
+                    dirty0[index] = True
+                continue
+            slice_bits = (block >> index_bits) & mask
+            victim = 0
+            victim_index = index
+            empty = blocks0[index] < 0
+            oldest = touch0[index]
+            for way, way_blocks, way_touch, left, right in skewed_ways:
+                way_index = index ^ (
+                    ((slice_bits << left) | (slice_bits >> right)) & mask
+                )
+                resident = way_blocks[way_index]
+                if resident == block:
+                    set_accesses[way_index] += 1
+                    way_touch[way_index] = clock
+                    if is_write:
+                        dirty[way][way_index] = True
+                    break
+                if not empty:
+                    if resident < 0:
+                        empty = True
+                        victim = way
+                        victim_index = way_index
+                    elif way_touch[way_index] < oldest:
+                        oldest = way_touch[way_index]
+                        victim = way
+                        victim_index = way_index
+            else:
+                misses += 1
+                set_accesses[victim_index] += 1
+                set_misses[victim_index] += 1
+                if emit is not None:
+                    emit(position, address, DEMAND)
+                victim_blocks = blocks[victim]
+                victim_dirty = dirty[victim]
+                resident = victim_blocks[victim_index]
+                if resident >= 0:
+                    evictions += 1
+                    if victim_dirty[victim_index]:
+                        writebacks += 1
+                        if emit is not None:
+                            emit(position, resident << offset_bits, WRITEBACK)
+                victim_blocks[victim_index] = block
+                victim_dirty[victim_index] = is_write
+                last_touch[victim][victim_index] = clock
+        self._clock = clock
+        return self._commit_batch(
+            n, accesses_before, misses_before, misses, writes, evictions, writebacks
         )
 
     def _probe_block(self, block: int) -> bool:

@@ -12,8 +12,17 @@ The evaluated configuration is 16 entries with 32-byte lines.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Sequence
 
-from repro.caches.base import AccessResult, Cache, log2_exact
+from repro.caches.base import (
+    DEMAND,
+    WRITEBACK,
+    AccessResult,
+    Cache,
+    NextLevelStream,
+    log2_exact,
+)
+from repro.stats.counters import CacheStats
 
 
 class VictimBufferCache(Cache):
@@ -96,6 +105,93 @@ class VictimBufferCache(Cache):
                 evicted_dirty = out_dirty
         return AccessResult(
             hit=False, set_index=index, evicted=evicted, evicted_dirty=evicted_dirty
+        )
+
+    def _batch_trace(
+        self,
+        addresses: Sequence[int],
+        kinds: Sequence[int] | None,
+        next_level: NextLevelStream | None = None,
+    ) -> CacheStats:
+        """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
+
+        The direct-mapped hit path is inlined; a main-cache miss works
+        on the buffer directly: a swap-in is a slow hit, a buffer
+        overflow is the eviction (and writeback) a full miss causes.
+        """
+        if type(self)._access_block is not VictimBufferCache._access_block:
+            # A subclass customises per-access behaviour; let the generic
+            # kernel drive its _access_block override instead of this one.
+            return super()._batch_trace(addresses, kinds, next_level)
+        stats = self.stats
+        tags = self._tags
+        dirty = self._dirty
+        buffer = self._buffer
+        victim_entries = self.victim_entries
+        index_mask = self._index_mask
+        index_bits = self.index_bits
+        offset_bits = self.offset_bits
+        tag_shift = offset_bits + index_bits
+        set_accesses = stats.set_accesses
+        set_misses = stats.set_misses
+        accesses_before = set_accesses.copy()
+        misses_before = set_misses.copy()
+        n = len(addresses)
+        if kinds is None:
+            kinds = bytes(n)  # all reads
+        misses = writes = evictions = writebacks = slow_hits = 0
+        emit = None if next_level is None else next_level.emit
+        for position, address, kind in zip(range(n), addresses, kinds):
+            index = (address >> offset_bits) & index_mask
+            tag = address >> tag_shift
+            set_accesses[index] += 1
+            resident = tags[index]
+            is_write = kind == 1
+            if is_write:
+                writes += 1
+            if resident == tag:
+                if is_write:
+                    dirty[index] = True
+                continue
+            block = address >> offset_bits
+            if block in buffer:
+                # Swap-in: the buffer always has room for the displaced
+                # block once this one leaves it, so nothing is evicted.
+                slow_hits += 1
+                buffered_dirty = buffer.pop(block)
+                if resident >= 0:
+                    buffer[(resident << index_bits) | index] = dirty[index]
+                tags[index] = tag
+                dirty[index] = buffered_dirty or is_write
+                continue
+            misses += 1
+            set_misses[index] += 1
+            if emit is not None:
+                emit(position, address, DEMAND)
+            if resident >= 0:
+                # A block lives in the main cache or in the buffer, never
+                # both, so the displaced block is a new buffer entry.
+                if len(buffer) >= victim_entries:
+                    out_block, out_dirty = buffer.popitem(last=False)
+                    evictions += 1
+                    if out_dirty:
+                        writebacks += 1
+                        if emit is not None:
+                            emit(position, out_block << offset_bits, WRITEBACK)
+                buffer[(resident << index_bits) | index] = dirty[index]
+            tags[index] = tag
+            dirty[index] = is_write
+        # Each slow hit costs one extra cycle.
+        return self._commit_batch(
+            n,
+            accesses_before,
+            misses_before,
+            misses,
+            writes,
+            evictions,
+            writebacks,
+            slow_hits=slow_hits,
+            slow_hit_cycles=slow_hits,
         )
 
     def _probe_block(self, block: int) -> bool:

@@ -161,11 +161,13 @@ class BCache(Cache):
 
         The one-cycle-hit path (Scenario: PD hit + tag match) is fully
         inlined — no ``PDMatch``, no ``AccessResult``, no tuple from
-        ``decompose_block``.  The three miss scenarios of Section 2.3
-        reuse :meth:`_evicted_address` / :meth:`_fill` so their decoder
-        bookkeeping stays byte-for-byte the per-access path's.  Under
-        exact LRU the miss path fills a ``next_level`` stream, the
-        recency stamp giving the position.
+        ``decompose_block``.  Under exact LRU the three miss scenarios
+        of Section 2.3 are inlined too: the victim comes from the
+        recency stamps, the tag and dirty bit are written in place and
+        only a reprogramming goes through ``decoder.program`` (which
+        keeps its range and uniqueness checks); the miss path fills a
+        ``next_level`` stream, the recency stamp giving the position.
+        Other policies reuse :meth:`_fill` and the policy objects.
         """
         if type(self)._access_block is not BCache._access_block:
             # A subclass customises per-access behaviour; let the generic
@@ -180,10 +182,12 @@ class BCache(Cache):
         stats = self.stats
         decoder = self.decoder
         lookup = decoder._lookup  # per-row CAM reverse maps
+        values = decoder._values  # per-row CAM entries, -1 = invalid
         tags = self._tags
         dirty = self._dirty
         num_rows = geometry.num_rows
         num_sets = geometry.num_sets
+        num_clusters = geometry.num_clusters
         row_mask = num_rows - 1
         row_bits = num_rows.bit_length() - 1
         npi_bits = geometry.npi_bits
@@ -191,7 +195,6 @@ class BCache(Cache):
         tag_shift = npi_bits + geometry.pi_bits
         offset_bits = self.offset_bits
         set_accesses = stats.set_accesses
-        set_hits = stats.set_hits
         set_misses = stats.set_misses
         n = len(addresses)
         if kinds is None:
@@ -227,17 +230,17 @@ class BCache(Cache):
                 for position, cluster in enumerate(policy._order):
                     ts_flat[cluster * num_rows + row] = -position
         # Hits dominate: the hot loop only bumps per-set accesses and
-        # misses; per-set hits are reconstructed from the deltas
-        # afterwards (final statistics stay bit-identical).
+        # misses; _commit_batch reconstructs per-set hits.
         accesses_before = set_accesses.copy()
         misses_before = set_misses.copy()
         emit = next_level.emit if next_level is not None else None
         stamp = 0
         misses = writes = 0
-        pd_hit = pd_miss = evictions = writebacks = 0
+        pd_miss = evictions = writebacks = 0
+        hit_set = hit_map.get
         for block, kind in zip(block_column, kinds):
-            try:
-                set_index = hit_map[block]
+            set_index = hit_set(block, -1)
+            if set_index >= 0:
                 # One-cycle hit: exactly one word line fired.
                 set_accesses[set_index] += 1
                 if ts_flat is not None:
@@ -248,38 +251,41 @@ class BCache(Cache):
                 if kind == 1:
                     writes += 1
                     dirty[set_index] = True
-            except KeyError:
+            else:
                 row = block & row_mask
                 pi = (block >> npi_bits) & pi_mask
                 tag = block >> tag_shift
+                # Scenario 2: PD hit, tag mismatch — the matching set is
+                # the forced victim.
                 cluster = lookup[row].get(pi)
-                if cluster is not None:
-                    # Scenario 2: PD hit, tag mismatch — forced victim.
-                    pd_hit += 1
-                else:
+                if cluster is None:
                     # Scenario 1/3: PD miss — victim from all BAS
                     # clusters (invalid PD entries first, then LRU).
                     pd_miss += 1
-                    invalid = decoder.invalid_clusters(row)
                     if ts_flat is None:
+                        invalid = decoder.invalid_clusters(row)
                         policy = policies[row]
                         cluster = (
                             policy.victim_among(invalid)
                             if invalid
                             else policy.victim()
                         )
-                    elif invalid:
-                        cluster = invalid[0]
-                        best = ts_flat[cluster * num_rows + row]
-                        for position in range(1, len(invalid)):
-                            candidate = invalid[position]
-                            candidate_ts = ts_flat[candidate * num_rows + row]
-                            if candidate_ts < best:
-                                best = candidate_ts
-                                cluster = candidate
                     else:
                         segment = ts_flat[row::num_rows]
-                        cluster = segment.index(min(segment))
+                        row_values = values[row]
+                        if -1 in row_values:
+                            # Cold start: the least recent invalid entry.
+                            cluster = row_values.index(-1)
+                            oldest = segment[cluster]
+                            for candidate in range(cluster + 1, num_clusters):
+                                if (
+                                    row_values[candidate] < 0
+                                    and segment[candidate] < oldest
+                                ):
+                                    oldest = segment[candidate]
+                                    cluster = candidate
+                        else:
+                            cluster = segment.index(min(segment))
                 set_index = cluster * num_rows + row
                 misses += 1
                 set_accesses[set_index] += 1
@@ -297,8 +303,15 @@ class BCache(Cache):
                         if emit is not None:
                             emit(stamp, resident << offset_bits, WRITEBACK)
                     del hit_map[resident]
-                self._fill(row, cluster, pi, tag, is_write)
-                if ts_flat is not None:
+                if ts_flat is None:
+                    self._fill(row, cluster, pi, tag, is_write)
+                else:
+                    # _fill without the recency touch: the stamp is the
+                    # recency, and _order is rebuilt from it below.
+                    tags[set_index] = tag
+                    dirty[set_index] = is_write
+                    if values[row][cluster] != pi:
+                        decoder.program(row, cluster, pi)
                     stamp += 1
                     ts_flat[set_index] = stamp
                 hit_map[block] = set_index
@@ -307,25 +320,18 @@ class BCache(Cache):
             for row, policy in enumerate(policies):
                 segment = ts_flat[row::num_rows]
                 policy._order.sort(key=segment.__getitem__, reverse=True)
-        for set_index, before in enumerate(accesses_before):
-            delta = set_accesses[set_index] - before
-            if delta:
-                set_hits[set_index] += delta - (
-                    set_misses[set_index] - misses_before[set_index]
-                )
-        hits = n - misses
         # The per-access path performs one CAM search per reference.
         decoder.searches += n
-        stats.accesses += n
-        stats.reads += n - writes
-        stats.writes += writes
-        stats.hits += hits
-        stats.misses += misses
-        stats.evictions += evictions
-        stats.writebacks += writebacks
-        stats.pd_hit_misses += pd_hit
-        stats.pd_miss_misses += pd_miss
-        return stats
+        return self._commit_batch(
+            n,
+            accesses_before,
+            misses_before,
+            misses,
+            writes,
+            evictions,
+            writebacks,
+            pd_miss=pd_miss,
+        )
 
     # ------------------------------------------------------------------
     def _probe_block(self, block: int) -> bool:

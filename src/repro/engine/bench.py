@@ -41,9 +41,10 @@ from repro.obs import instrument as _obs
 
 SCHEMA = "bcache-bench/1"
 
-#: Hot-loop specs: the baseline, a classic set-associative design and
-#: the paper's headline B-Cache point.
-HOT_SPECS = ("dm", "8way", "mf8_bas8")
+#: Hot-loop specs: the baseline, a classic set-associative design, the
+#: paper's headline B-Cache point and the three prior-art organisations
+#: with their own kernels.
+HOT_SPECS = ("dm", "8way", "mf8_bas8", "victim16", "column", "skew2")
 
 #: Sweep grid for the scaling measurement.
 SWEEP_SPECS = ("dm", "2way", "4way", "8way", "mf8_bas8", "victim16")

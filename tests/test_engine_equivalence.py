@@ -25,6 +25,7 @@ from repro.analysis.sanitizer import (
     uninstall_global_sanitizer,
 )
 from repro.caches import make_cache
+from repro.caches.base import WRITEBACK, NextLevelStream
 
 #: Every spec family the factory understands (see make_cache's docs).
 ALL_SPECS = (
@@ -45,6 +46,17 @@ ALL_SPECS = (
     "skew2",
     "pam2",
     "psa2",
+)
+
+#: Organisations with their own allocation-free kernel beyond dm/Nway,
+#: with the policy each runs under.
+KERNEL_CASES = (
+    ("victim16", "lru"),
+    ("column", "lru"),
+    ("skew2", "lru"),
+    ("skew4", "lru"),
+    ("mf8_bas8", "lru"),
+    ("mf8_bas8", "random"),
 )
 
 
@@ -74,6 +86,43 @@ def mixed_trace(n: int, seed: int) -> tuple[list[int], list[int]]:
         addresses.append(address)
         kinds.append(1 if rng.random() < 0.3 else 0)
     return addresses, kinds
+
+
+def model_state(cache) -> dict:
+    """Everything a batch kernel may mutate besides the statistics."""
+    if hasattr(cache, "decoder"):
+        policies = []
+        for policy in cache._policies:
+            state = dict(vars(policy))
+            if "_rng" in state:
+                state["_rng"] = state["_rng"].getstate()
+            policies.append(state)
+        return {
+            "tags": cache._tags,
+            "dirty": cache._dirty,
+            "pd_values": cache.decoder._values,
+            "programs": cache.decoder.programs,
+            "searches": cache.decoder.searches,
+            "policies": policies,
+        }
+    if hasattr(cache, "_buffer"):
+        return {
+            "tags": cache._tags,
+            "dirty": cache._dirty,
+            "buffer": list(cache._buffer.items()),
+        }
+    if hasattr(cache, "_rehash"):
+        return {
+            "blocks": cache._blocks,
+            "dirty": cache._dirty,
+            "rehash": cache._rehash,
+        }
+    return {
+        "blocks": cache._blocks,
+        "dirty": cache._dirty,
+        "last_touch": cache._last_touch,
+        "clock": cache._clock,
+    }
 
 
 def scalar_stats(spec: str, addresses, kinds, **kwargs):
@@ -151,7 +200,39 @@ class TestBatchEquivalence:
         assert batch.stats == scalar.stats
         assert batch.stats.slow_hits == scalar.stats.slow_hits > 0
 
-    @pytest.mark.parametrize("spec", ("dm", "4way", "mf8_bas8"))
+    @pytest.mark.parametrize(("spec", "policy"), KERNEL_CASES)
+    def test_final_state_matches(self, spec, policy, real_kernels):
+        """The kernels leave the model exactly as per-access replay does."""
+        addresses, kinds = mixed_trace(4000, seed=19)
+        scalar = make_cache(spec, policy=policy, seed=4)
+        for address, kind in zip(addresses, kinds):
+            scalar.access(address, kind == 1)
+        batch = make_cache(spec, policy=policy, seed=4)
+        batch.access_trace(addresses, kinds)
+        assert batch.stats == scalar.stats
+        assert model_state(batch) == model_state(scalar)
+
+    @pytest.mark.parametrize(("spec", "policy"), KERNEL_CASES)
+    def test_next_level_stream_matches(self, spec, policy, real_kernels):
+        """A kernel's next-level output is the per-access recording."""
+        addresses, kinds = mixed_trace(4000, seed=29)
+        scalar = make_cache(spec, policy=policy, seed=6)
+        expected = NextLevelStream()
+        access = expected.recording(scalar.access, addresses)
+        for address, kind in zip(addresses, kinds):
+            access(address, kind == 1)
+        batch = make_cache(spec, policy=policy, seed=6)
+        out = NextLevelStream()
+        batch.access_trace(addresses, kinds, out)
+        assert WRITEBACK in expected.kinds
+        assert out.positions == expected.positions
+        assert out.addresses == expected.addresses
+        assert out.kinds == expected.kinds
+        assert batch.stats == scalar.stats
+
+    @pytest.mark.parametrize(
+        "spec", ("dm", "4way", "victim16", "column", "skew2", "mf8_bas8")
+    )
     def test_resumable_between_batches(self, spec, real_kernels):
         """Two batch calls == one; the kernel keeps state, not a copy."""
         addresses, kinds = mixed_trace(2000, seed=31)
@@ -178,7 +259,19 @@ class TestBatchEquivalence:
             st.tuples(st.integers(0, 1 << 22), st.integers(0, 2)),
             max_size=300,
         ),
-        spec=st.sampled_from(("dm", "2way", "8way", "fa", "mf8_bas8", "victim4")),
+        spec=st.sampled_from(
+            (
+                "dm",
+                "2way",
+                "8way",
+                "fa",
+                "mf8_bas8",
+                "victim4",
+                "column",
+                "skew2",
+                "skew4",
+            )
+        ),
     )
     def test_property_equivalence(self, data, spec):
         """Batch == scalar for arbitrary streams, any factory spec."""
