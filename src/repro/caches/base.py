@@ -229,8 +229,8 @@ class Cache(abc.ABC):
     def _commit_batch(
         self,
         n: int,
-        accesses_before: list[int],
-        misses_before: list[int],
+        accesses_before: list[int] | None,
+        misses_before: list[int] | None,
         misses: int,
         writes: int,
         evictions: int,
@@ -244,19 +244,23 @@ class Cache(abc.ABC):
         For kernels whose loop bumps only the per-set access and miss
         counters (hits dominate): ``accesses_before``/``misses_before``
         are copies taken before the loop, and a set's hits are its
-        access delta minus its miss delta.  Misses not counted in
-        ``pd_miss`` are PD hits, as a fixed decoder always selects a
-        set.
+        access delta minus its miss delta.  That costs O(sets) per
+        call, so kernels that may run as many short batches (an L2
+        with slow hits replays one batch per same-source run) bump
+        ``set_hits`` themselves and pass ``None``.  Misses not counted
+        in ``pd_miss`` are PD hits, as a fixed decoder always selects
+        a set.
         """
         stats = self.stats
-        set_hits = stats.set_hits
-        set_misses = stats.set_misses
-        for set_index, accesses in enumerate(stats.set_accesses):
-            delta = accesses - accesses_before[set_index]
-            if delta:
-                set_hits[set_index] += delta - (
-                    set_misses[set_index] - misses_before[set_index]
-                )
+        if accesses_before is not None and misses_before is not None:
+            set_hits = stats.set_hits
+            set_misses = stats.set_misses
+            for set_index, accesses in enumerate(stats.set_accesses):
+                delta = accesses - accesses_before[set_index]
+                if delta:
+                    set_hits[set_index] += delta - (
+                        set_misses[set_index] - misses_before[set_index]
+                    )
         stats.accesses += n
         stats.reads += n - writes
         stats.writes += writes
@@ -294,9 +298,8 @@ class Cache(abc.ABC):
             access_block = next_level.recording(access_block, addresses)
         offset_bits = self.offset_bits
         set_accesses = stats.set_accesses
+        set_hits = stats.set_hits
         set_misses = stats.set_misses
-        accesses_before = set_accesses.copy()
-        misses_before = set_misses.copy()
         n = len(addresses)
         if kinds is None:
             kinds = bytes(n)  # all reads
@@ -310,6 +313,7 @@ class Cache(abc.ABC):
             if is_write:
                 writes += 1
             if result.hit:
+                set_hits[set_index] += 1
                 if result.extra_cycles:
                     slow_hits += 1
                     slow_hit_cycles += result.extra_cycles
@@ -324,8 +328,8 @@ class Cache(abc.ABC):
                     writebacks += 1
         return self._commit_batch(
             n,
-            accesses_before,
-            misses_before,
+            None,
+            None,
             misses,
             writes,
             evictions,

@@ -137,9 +137,8 @@ class ColumnAssociativeCache(Cache):
         flip = self._flip
         offset_bits = self.offset_bits
         set_accesses = stats.set_accesses
+        set_hits = stats.set_hits
         set_misses = stats.set_misses
-        accesses_before = set_accesses.copy()
-        misses_before = set_misses.copy()
         n = len(addresses)
         if kinds is None:
             kinds = bytes(n)  # all reads
@@ -153,6 +152,7 @@ class ColumnAssociativeCache(Cache):
             if is_write:
                 writes += 1
             if blocks[first] == block:
+                set_hits[first] += 1
                 if is_write:
                     dirty[first] = True
                 continue
@@ -165,6 +165,7 @@ class ColumnAssociativeCache(Cache):
                 if blocks[second] == block:
                     # Second-probe hit: swap into the first-choice slot
                     # (whose rehash bit is already clear on this path).
+                    set_hits[first] += 1
                     slow_hits += 1
                     displaced = blocks[first]
                     blocks[first] = block
@@ -200,8 +201,8 @@ class ColumnAssociativeCache(Cache):
         # Each slow hit costs one extra cycle.
         return self._commit_batch(
             n,
-            accesses_before,
-            misses_before,
+            None,
+            None,
             misses,
             writes,
             evictions,

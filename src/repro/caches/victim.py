@@ -133,9 +133,8 @@ class VictimBufferCache(Cache):
         offset_bits = self.offset_bits
         tag_shift = offset_bits + index_bits
         set_accesses = stats.set_accesses
+        set_hits = stats.set_hits
         set_misses = stats.set_misses
-        accesses_before = set_accesses.copy()
-        misses_before = set_misses.copy()
         n = len(addresses)
         if kinds is None:
             kinds = bytes(n)  # all reads
@@ -150,6 +149,7 @@ class VictimBufferCache(Cache):
             if is_write:
                 writes += 1
             if resident == tag:
+                set_hits[index] += 1
                 if is_write:
                     dirty[index] = True
                 continue
@@ -157,6 +157,7 @@ class VictimBufferCache(Cache):
             if block in buffer:
                 # Swap-in: the buffer always has room for the displaced
                 # block once this one leaves it, so nothing is evicted.
+                set_hits[index] += 1
                 slow_hits += 1
                 buffered_dirty = buffer.pop(block)
                 if resident >= 0:
@@ -184,8 +185,8 @@ class VictimBufferCache(Cache):
         # Each slow hit costs one extra cycle.
         return self._commit_batch(
             n,
-            accesses_before,
-            misses_before,
+            None,
+            None,
             misses,
             writes,
             evictions,
