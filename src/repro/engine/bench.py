@@ -5,8 +5,9 @@ Measures two things and writes them to ``BENCH_engine.json``:
 * **Hot-loop speedup** — wall time of the per-access ``Cache.access``
   replay vs the batch :meth:`Cache.access_trace` kernel, per spec, on
   one seeded mixed (read/write) reference stream.  Each measurement is
-  the *minimum* of several repeats of a fresh-cache replay (minimum is
-  the standard robust estimator for timing noise) and the two paths'
+  the *minimum* of several repeats of a fresh-cache replay, the paths
+  taking turns (minimum is the standard robust estimator for timing
+  noise), and the two paths'
   :class:`~repro.stats.counters.CacheStats` are asserted bit-identical
   before any number is reported.
 * **Sweep scaling** — wall time (minimum of three runs) of a
@@ -100,24 +101,28 @@ def bench_hot_loop(
     """
     addresses, kinds = default_store().accesses(benchmark, "data", n, seed)
     results = {}
+    numpy_path = columnar.numpy_enabled()
     for spec in HOT_SPECS:
         scalar_cache = make_cache(spec)
-        scalar_time = min(
-            _timed_iteration(_replay_scalar, spec, "scalar", i, addresses, kinds)
-            for i in range(repeats)
-        )
-        with _numpy_disabled():
-            stdlib_time = min(
-                _timed_iteration(_replay_batch, spec, "stdlib", i, addresses, kinds)
-                for i in range(repeats)
+        scalar_times, stdlib_times, batch_times = [], [], []
+        # The flavours take turns, so a slow spell of the host lands on
+        # both sides of a speedup ratio instead of on all the repeats
+        # of one side.
+        for i in range(repeats):
+            scalar_times.append(
+                _timed_iteration(_replay_scalar, spec, "scalar", i, addresses, kinds)
             )
-        if columnar.numpy_enabled():
-            batch_time = min(
-                _timed_iteration(_replay_batch, spec, "batch", i, addresses, kinds)
-                for i in range(repeats)
-            )
-        else:
-            batch_time = stdlib_time
+            with _numpy_disabled():
+                stdlib_times.append(
+                    _timed_iteration(_replay_batch, spec, "stdlib", i, addresses, kinds)
+                )
+            if numpy_path:
+                batch_times.append(
+                    _timed_iteration(_replay_batch, spec, "batch", i, addresses, kinds)
+                )
+        scalar_time = min(scalar_times)
+        stdlib_time = min(stdlib_times)
+        batch_time = min(batch_times) if numpy_path else stdlib_time
         # Correctness gate: one final replay of each flavour, compared
         # field-for-field (including the per-set counters).
         _replay_scalar(scalar_cache, addresses, kinds)
