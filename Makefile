@@ -2,7 +2,6 @@
 
 PYTHON ?= python
 LINT_FORMAT ?= text
-LINT_JOBS ?= 0
 
 .PHONY: install dev test lint typecheck bench bench-engine chaos serve gateway gateway-smoke trace loadgen top cluster experiments experiments-full examples clean
 
@@ -16,8 +15,7 @@ test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.lint src/ \
-		--format $(LINT_FORMAT) --jobs $(LINT_JOBS)
+	PYTHONPATH=src $(PYTHON) -m repro.analysis.lint src/ --format $(LINT_FORMAT)
 
 typecheck:
 	@$(PYTHON) -c "import mypy" 2>/dev/null \

@@ -24,14 +24,10 @@ BCL006    no float arithmetic in index/tag computation
           (``/``, ``float()``, ``math.*`` inside the address-math
           functions)
 BCL007    no mutable default arguments
-BCL008    cache-interface methods must carry full type annotations so
-          this pass (and mypy) can reason about subclass signatures
 BCL009    batch kernels (``access_trace`` / ``_batch_trace``) must stay
-          allocation-free: no ``AccessResult(...)`` construction on a
-          CFG cycle (accumulate locals, bulk-update the stats once) —
-          decided on the function's real control-flow graph, so
-          straight-line code under a lexical loop that returns on its
-          first iteration is not flagged
+          allocation-free: no ``AccessResult(...)`` call inside a
+          ``for``/``while`` loop or comprehension of the kernel (nested
+          defs included) — accumulate locals, bulk-update the stats once
 BCL010    engine code (``repro.engine``) must not swallow failures or
           spin-retry: no bare ``except:``, no ``except Exception:
           pass``, and retry loops (``while``/``for range(...)`` with an
@@ -47,20 +43,14 @@ BCL012    telemetry contract: ``span(...)`` must be used as a context
           ``__enter__``, which loses the crash-safe exit event), and
           metric names passed to ``counter``/``gauge``/``histogram``
           must match ``^repro_[a-z0-9_]+$``
-BCL013    determinism audit (flow): values tainted by wall-clock,
-          process identity, unseeded randomness or unordered iteration
-          must not flow into result-bearing sinks — ``CacheStats``
-          fields, journal ``record``/``put`` calls, ``merge_deltas`` and
-          serve response payloads
-BCL014    fork-safety (flow): process-boundary entry points must not
-          mutate module-level mutable state, ship unpicklable objects
-          (locks, file handles, event loops) across ``Process``/
-          ``submit`` boundaries, or (serve) drop ``create_task``
-          references (task leak)
-BCL015    bit-width proof (flow): address-derived indices in
-          ``_access_block``-family methods are abstract-interpreted
-          over intervals seeded from the constructor; an index mask
-          provably wider than its table is flagged
+BCL014    fork-safety: a function that runs in a worker process (a
+          known entry point, a ``Process(target=)``, the callable handed
+          to ``submit``/``apply_async`` or to a pool's ``map``/``imap``/
+          ``imap_unordered``/``starmap``, or an ``initializer=``) must
+          not mutate module-level mutable state, directly or through
+          same-module callees two calls deep; and (serve) no
+          ``create_task``/``ensure_future`` whose reference is dropped
+          (task leak)
 BCL016    columnar/shm discipline: no ``Access`` object construction
           inside a batch-kernel loop (kernels consume address/kind
           columns directly), and no ``SharedMemory`` use without a
@@ -81,9 +71,8 @@ BCL019    trace propagation discipline: spans opened inside serve or
           replay
 ========  =============================================================
 
-Rules BCL013–BCL015 run on the :mod:`repro.analysis.flow`
-abstract-interpretation engine (see ``docs/analysis.md``); the
-remaining rules are single-pass syntactic checks.
+Every rule is a syntactic check made in one walk over the module's
+AST (see ``docs/analysis.md``).
 
 A violation on a line containing ``# noqa: BCLxxx`` (or a bare
 ``# noqa``) is suppressed; the repo itself is expected to stay clean
@@ -94,14 +83,13 @@ from __future__ import annotations
 
 import argparse
 import ast
-import hashlib
 import json
 import os
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 #: One-line summary per rule (``bcache-lint --list-rules``).
 RULES: dict[str, str] = {
@@ -114,19 +102,14 @@ RULES: dict[str, str] = {
     "BCL005": "unseeded random usage (module-level random.* / Random())",
     "BCL006": "float arithmetic in index/tag computation",
     "BCL007": "mutable default argument",
-    "BCL008": "cache-interface method missing type annotations",
     "BCL009": "AccessResult allocation inside a batch-kernel loop",
     "BCL010": "engine code swallows exceptions or retries without backoff",
     "BCL011": "blocking call (time.sleep / sync file I/O / Future.result) "
     "inside a serve or cluster coroutine",
     "BCL012": "span() not used as a context manager, or metric name not "
     "matching ^repro_[a-z0-9_]+$",
-    "BCL013": "nondeterministic value (wall-clock/pid/random/unordered) "
-    "flows into a result-bearing sink",
     "BCL014": "fork-safety hazard: worker-reachable module state mutation, "
-    "unpicklable across the process boundary, or dropped create_task",
-    "BCL015": "address-derived index mask provably wider than its table "
-    "(interval/bit-width proof of address math)",
+    "or dropped create_task",
     "BCL016": "Access object built in a batch-kernel loop, or SharedMemory "
     "without a paired close()/unlink() owner",
     "BCL017": "await on a node socket without a deadline in a cluster "
@@ -135,9 +118,6 @@ RULES: dict[str, str] = {
     "cluster coroutine without trace=, or a trace id minted from "
     "clock/randomness",
 }
-
-#: Rules that need the flow engine rather than the syntactic visitor.
-FLOW_RULES = frozenset({"BCL013", "BCL014", "BCL015"})
 
 #: Sub-packages of ``repro`` whose code runs once per simulated access.
 HOT_PACKAGES = frozenset(
@@ -233,6 +213,45 @@ INDEX_FUNCS = frozenset(
 #: The batch fast path: these bodies are the per-reference hot loop and
 #: must not allocate one result object per access (BCL009).
 BATCH_FUNCS = frozenset({"access_trace", "_batch_trace"})
+
+#: Known process-boundary entry points (engine/serve workers) — BCL014.
+ENTRY_POINT_NAMES = frozenset(
+    {"execute_job", "_shard_entry", "_worker_entry", "_init_worker"}
+)
+
+#: Calls whose first argument runs in a worker process (BCL014):
+#: executor/pool submission, and a pool's ``map`` family (as a method;
+#: the builtin ``map`` runs in-process).
+SUBMIT_CALLS = frozenset({"submit", "apply_async"})
+POOL_MAP_METHODS = frozenset({"map", "imap", "imap_unordered", "starmap"})
+
+#: Module-level containers BCL014 treats as shared mutable state.
+MUTABLE_DISPLAYS = (
+    ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp
+)
+MUTABLE_CTORS = frozenset(
+    {"list", "dict", "set", "OrderedDict", "defaultdict", "deque", "Counter"}
+)
+
+#: Method calls that mutate a container in place (BCL014).
+MUTATOR_METHODS = frozenset(
+    {
+        "append",
+        "add",
+        "insert",
+        "extend",
+        "remove",
+        "discard",
+        "pop",
+        "popitem",
+        "clear",
+        "update",
+        "setdefault",
+        "sort",
+        "reverse",
+        "move_to_end",
+    }
+)
 
 #: ``random.<fn>()`` calls that use the shared, unseeded global state.
 RANDOM_MODULE_FUNCS = frozenset(
@@ -333,6 +352,116 @@ def _is_mutable_literal(node: ast.expr) -> bool:
     return False
 
 
+# -- BCL014 helpers: module state reachable from a worker --------------
+def _module_functions(
+    tree: ast.Module,
+) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """Every module-level def and every method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield sub
+
+
+def _module_mutables(tree: ast.Module) -> set[str]:
+    """Module-level names bound to mutable containers."""
+    mutables: set[str] = set()
+    for node in tree.body:
+        targets: list[ast.expr] = []
+        value: ast.expr | None = None
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        if value is None:
+            continue
+        if isinstance(value, MUTABLE_DISPLAYS) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in MUTABLE_CTORS
+        ):
+            mutables.update(t.id for t in targets if isinstance(t, ast.Name))
+    return mutables
+
+
+def _entry_points(tree: ast.Module) -> dict[str, str]:
+    """Function name -> why it runs in a worker process."""
+    entries = {
+        fn.name: "worker entry point"
+        for fn in _module_functions(tree)
+        if fn.name in ENTRY_POINT_NAMES
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = _call_name(node)
+        for kw in node.keywords:
+            if isinstance(kw.value, ast.Name):
+                if kw.arg == "target" and callee == "Process":
+                    entries.setdefault(kw.value.id, "Process target")
+                elif kw.arg == "initializer":
+                    entries.setdefault(kw.value.id, "pool initializer")
+        first = node.args[0] if node.args else None
+        if not isinstance(first, ast.Name):
+            continue
+        if callee in SUBMIT_CALLS or (
+            callee in POOL_MAP_METHODS and isinstance(node.func, ast.Attribute)
+        ):
+            entries.setdefault(first.id, f"{callee}() callable")
+    return entries
+
+
+def _root_name(node: ast.expr) -> str | None:
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _mutations_of(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef, mutables: set[str]
+) -> Iterator[tuple[int, str]]:
+    """(line, name) for each mutation of a module-level container.
+
+    A name the function binds locally shadows the module's, unless the
+    function declares it ``global``.
+    """
+    args = fn.args
+    bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    bound.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    declared_global: set[str] = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Global):
+            declared_global.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    visible = mutables - (bound - declared_global)
+    if not visible:
+        return
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, (ast.Subscript, ast.Attribute)):
+                    root = _root_name(target)
+                    if root in visible:
+                        yield node.lineno, root
+                elif isinstance(target, ast.Name) and target.id in (
+                    declared_global & mutables
+                ):
+                    yield node.lineno, target.id
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATOR_METHODS
+        ):
+            root = _root_name(node.func.value)
+            if root in visible:
+                yield node.lineno, root
+
+
 class _Linter(ast.NodeVisitor):
     """Single-pass visitor collecting all rule violations for one file."""
 
@@ -344,9 +473,8 @@ class _Linter(ast.NodeVisitor):
         self.cluster_module = _is_cluster_module(segments)
         # The cluster coordinator runs on an event loop exactly like the
         # serve package; it inherits the no-blocking-call rule (BCL011).
-        self.serve_module = (
-            bool(segments) and segments[0] in SERVE_PACKAGES
-        ) or self.cluster_module
+        self.serve_package = bool(segments) and segments[0] in SERVE_PACKAGES
+        self.serve_module = self.serve_package or self.cluster_module
         self.violations: list[Violation] = []
         self._func_stack: list[str] = []
         self._async_stack: list[bool] = []  # "is coroutine" per frame
@@ -458,33 +586,6 @@ class _Linter(ast.NodeVisitor):
                     f"mutable default argument in {node.name}()",
                 )
 
-        # BCL009 on real control flow: an allocation counts as per-access
-        # only when its basic block sits on a CFG cycle (or inside a
-        # comprehension).  Nested defs get their own CFGs.
-        if node.name in BATCH_FUNCS and not self._in_batch_func:
-            self._check_batch_allocations(node)
-
-        if node.name in CACHE_INTERFACE:
-            positional = args.posonlyargs + args.args
-            unannotated = [
-                a.arg
-                for a in positional[1:] + args.kwonlyargs  # skip self
-                if a.annotation is None
-            ]
-            if unannotated:
-                self._add(
-                    node,
-                    "BCL008",
-                    f"{node.name}() is missing annotations for "
-                    f"{', '.join(unannotated)}",
-                )
-            if node.returns is None:
-                self._add(
-                    node,
-                    "BCL008",
-                    f"{node.name}() is missing a return annotation",
-                )
-
         self._func_stack.append(node.name)
         self._async_stack.append(isinstance(node, ast.AsyncFunctionDef))
         enclosing_loops = self._loop_depth
@@ -494,43 +595,79 @@ class _Linter(ast.NodeVisitor):
         self._async_stack.pop()
         self._func_stack.pop()
 
-    def _check_batch_allocations(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        from .rules_flow import batch_allocation_lines
-
-        nested = [
-            sub
-            for sub in ast.walk(node)
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and sub is not node
-        ]
-        nested_spans = [
-            (sub.lineno, sub.end_lineno or sub.lineno) for sub in nested
-        ]
-        lines = {
-            line
-            for line in batch_allocation_lines(node)
-            if not any(lo <= line <= hi for lo, hi in nested_spans)
-        }
-        for sub in nested:
-            lines.update(batch_allocation_lines(sub))
-        for line in sorted(lines):
-            self.violations.append(
-                Violation(
-                    self.path,
-                    line,
-                    "BCL009",
-                    "AccessResult allocated per access inside a batch "
-                    "kernel loop; accumulate local counters instead",
-                )
-            )
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_function(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_function(node)
+
+    # -- module-wide (BCL014) ------------------------------------------
+    def visit_Module(self, node: ast.Module) -> None:
+        self.generic_visit(node)
+        self._check_worker_state(node)
+
+    def _check_worker_state(self, tree: ast.Module) -> None:
+        """BCL014: a module-level container mutated by a function that
+        runs in a worker — the entry point itself, or a same-module
+        callee at most two calls below it.  Each worker mutates its own
+        copy, so the parent never sees the write and workers diverge."""
+        mutables = _module_mutables(tree)
+        entries = _entry_points(tree)
+        if not (mutables and entries):
+            return
+        functions = {fn.name: fn for fn in _module_functions(tree)}
+        seen: set[tuple[int, str]] = set()
+        for entry_name, reason in entries.items():
+            entry_fn = functions.get(entry_name)
+            if entry_fn is None:
+                continue
+            reachable = [entry_fn]
+            frontier = [entry_fn]
+            for _ in range(2):
+                next_frontier = []
+                for fn in frontier:
+                    for sub in ast.walk(fn):
+                        if (
+                            isinstance(sub, ast.Call)
+                            and isinstance(sub.func, ast.Name)
+                            and sub.func.id in functions
+                        ):
+                            callee = functions[sub.func.id]
+                            if callee not in reachable:
+                                reachable.append(callee)
+                                next_frontier.append(callee)
+                frontier = next_frontier
+            for fn in reachable:
+                for line, name in _mutations_of(fn, mutables):
+                    message = (
+                        f"module-level mutable {name!r} is mutated on a "
+                        f"path reachable from process {reason} "
+                        f"{entry_name!r}; state diverges across workers"
+                    )
+                    if (line, message) not in seen:
+                        seen.add((line, message))
+                        self.violations.append(
+                            Violation(self.path, line, "BCL014", message)
+                        )
+
+    def visit_Expr(self, node: ast.Expr) -> None:
+        # BCL014 (serve): a task whose reference is dropped can be
+        # garbage-collected mid-flight, and its exception vanishes.
+        value = node.value
+        if (
+            self.serve_package
+            and isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr in ("create_task", "ensure_future")
+        ):
+            self._add(
+                node,
+                "BCL014",
+                f"fire-and-forget {value.func.attr}(): the task reference "
+                "is dropped, so exceptions vanish and the task may be "
+                "garbage-collected mid-flight",
+            )
+        self.generic_visit(node)
 
     # -- loops ---------------------------------------------------------
     def _visit_loop(self, node: ast.AST) -> None:
@@ -807,6 +944,21 @@ class _Linter(ast.NodeVisitor):
                     "propagated parent), never from clocks or randomness",
                 )
 
+        # BCL009: one frozen AccessResult per reference is the cost the
+        # batch kernels exist to avoid.
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "AccessResult"
+            and self._in_batch_func
+            and self._loop_depth > 0
+        ):
+            self._add(
+                node,
+                "BCL009",
+                "AccessResult allocated per access inside a batch kernel "
+                "loop; accumulate local counters instead",
+            )
+
         # BCL016: the columnar refactor's contract.  Batch kernels flow
         # flat address/kind columns straight from the trace store; one
         # Access object per reference would resurrect the allocation
@@ -990,31 +1142,8 @@ def _noqa_codes(source: str) -> dict[int, set[str] | None]:
     return suppressed
 
 
-def _flow_violations(
-    tree: ast.Module, path: str, segments: tuple[str, ...]
-) -> list[Violation]:
-    """BCL013–BCL015 via the abstract-interpretation engine."""
-    from .rules_flow import (
-        check_address_math,
-        check_determinism,
-        check_fork_safety,
-    )
-
-    violations: list[Violation] = []
-    for checker in (check_determinism, check_fork_safety, check_address_math):
-        for line, code, message in checker(tree, segments):
-            violations.append(Violation(path, line, code, message))
-    return violations
-
-
-def lint_source(
-    source: str, path: str = "<string>", flow: bool = True
-) -> list[Violation]:
-    """Lint one module's source text; ``path`` drives path-scoped rules.
-
-    ``flow=False`` restricts the pass to the syntactic rules (an order
-    of magnitude faster; used by callers that only need BCL001–BCL012).
-    """
+def lint_source(source: str, path: str = "<string>") -> list[Violation]:
+    """Lint one module's source text; ``path`` drives path-scoped rules."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -1023,12 +1152,9 @@ def lint_source(
     linter = _Linter(path, segments)
     linter.visit(tree)
     linter.finish()
-    violations = linter.violations
-    if flow:
-        violations = violations + _flow_violations(tree, path, segments)
     suppressed = _noqa_codes(source)
     kept = []
-    for violation in violations:
+    for violation in linter.violations:
         codes = suppressed.get(violation.line, set())
         if codes is None or (codes and violation.code in codes):
             continue
@@ -1050,120 +1176,16 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield entry
 
 
-# ----------------------------------------------------------------------
-# Result cache + parallel execution
-# ----------------------------------------------------------------------
-#: Default location of the content-hash result cache.
-CACHE_DIR_NAME = ".bcache-lint-cache"
-
-_fingerprint: Optional[str] = None
+def lint_file(path: str | Path) -> list[Violation]:
+    """Lint one file."""
+    return lint_source(Path(path).read_text(encoding="utf-8"), str(path))
 
 
-def engine_fingerprint() -> str:
-    """Hash of the analysis engine's own sources.
-
-    Part of every cache key, so editing any rule (or the engine under
-    it) invalidates all cached results at once.
-    """
-    global _fingerprint
-    if _fingerprint is None:
-        digest = hashlib.sha256()
-        here = Path(__file__).parent
-        for name in ("lint.py", "domains.py", "flow.py", "rules_flow.py"):
-            module = here / name
-            if module.exists():
-                digest.update(module.read_bytes())
-        _fingerprint = digest.hexdigest()
-    return _fingerprint
-
-
-def available_cpus() -> int:
-    """CPUs usable by this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _cache_key(path: str, source: str) -> str:
-    digest = hashlib.sha256()
-    digest.update(engine_fingerprint().encode())
-    digest.update(path.encode())
-    digest.update(b"\0")
-    digest.update(source.encode())
-    return digest.hexdigest()
-
-
-def _cache_load(cache_dir: Path, key: str) -> Optional[list[Violation]]:
-    entry = cache_dir / f"{key}.json"
-    try:
-        rows = json.loads(entry.read_text(encoding="utf-8"))
-        return [Violation(r[0], r[1], r[2], r[3]) for r in rows]
-    except (OSError, ValueError, IndexError, TypeError):
-        return None
-
-
-def _cache_store(
-    cache_dir: Path, key: str, violations: list[Violation]
-) -> None:
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        rows = [[v.path, v.line, v.code, v.message] for v in violations]
-        tmp = cache_dir / f".{key}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(rows), encoding="utf-8")
-        tmp.replace(cache_dir / f"{key}.json")
-    except OSError:  # cache is best-effort; never fail the lint
-        pass
-
-
-def lint_file(
-    path: str | Path, cache_dir: str | Path | None = None
-) -> list[Violation]:
-    """Lint one file, consulting the content-hash cache if given."""
-    path = str(path)
-    source = Path(path).read_text(encoding="utf-8")
-    if cache_dir is None:
-        return lint_source(source, path)
-    cache = Path(cache_dir)
-    key = _cache_key(path, source)
-    cached = _cache_load(cache, key)
-    if cached is not None:
-        return cached
-    violations = lint_source(source, path)
-    _cache_store(cache, key, violations)
-    return violations
-
-
-def _lint_file_job(job: tuple[str, str | None]) -> list[Violation]:
-    """Process-pool entry point (must be module-level picklable)."""
-    path, cache_dir = job
-    return lint_file(path, cache_dir)
-
-
-def lint_paths(
-    paths: Iterable[str | Path],
-    jobs: int = 1,
-    cache_dir: str | Path | None = None,
-) -> list[Violation]:
-    """Lint every python file under ``paths``; returns all violations.
-
-    ``jobs > 1`` fans files out across a process pool;
-    ``cache_dir`` enables the content-hash result cache.
-    """
-    files = [str(f) for f in iter_python_files(paths)]
-    cache = str(cache_dir) if cache_dir is not None else None
+def lint_paths(paths: Iterable[str | Path]) -> list[Violation]:
+    """Lint every python file under ``paths``; returns all violations."""
     violations: list[Violation] = []
-    if jobs > 1 and len(files) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(files))) as pool:
-            for result in pool.map(
-                _lint_file_job, [(f, cache) for f in files]
-            ):
-                violations.extend(result)
-    else:
-        for file in files:
-            violations.extend(lint_file(file, cache))
+    for file in iter_python_files(paths):
+        violations.extend(lint_file(file))
     return violations
 
 
@@ -1253,23 +1275,6 @@ def main(argv: list[str] | None = None) -> int:
         default="text",
         help="output format (default: text)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="lint N files in parallel (default: all available CPUs)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help=f"disable the {CACHE_DIR_NAME}/ result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=CACHE_DIR_NAME,
-        help=f"result-cache directory (default: {CACHE_DIR_NAME})",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -1282,9 +1287,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bcache-lint: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    jobs = args.jobs if args.jobs > 0 else available_cpus()
-    cache_dir = None if args.no_cache else args.cache_dir
-    violations = lint_paths(args.paths, jobs=jobs, cache_dir=cache_dir)
+    violations = lint_paths(args.paths)
     violations.sort(key=lambda v: (v.path, v.line, v.code))
     checked = sum(1 for _ in iter_python_files(args.paths))
     if args.format == "json":

@@ -1,8 +1,9 @@
 # lint-path: src/repro/caches/example.py
 class FastCache(DirectMappedCache):
     def _batch_trace(self, addresses, kinds):
-        # Lexically under a for, but returns on iteration 1: the block
-        # is not on a CFG cycle, so the flow-aware rule stays quiet.
+        # Count in locals inside the loop; any result object is built
+        # once, outside it.
+        hits = 0
         for address in addresses:
-            return AccessResult(hit=True, set_index=0)
-        return None
+            hits += 1
+        return AccessResult(hit=hits > 0, set_index=0)

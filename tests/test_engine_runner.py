@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.engine.runner import (
@@ -116,6 +121,54 @@ class TestResilientRouting:
             run_sweep(
                 small_sweep()[:1], store=store, run_id="a", resume="b"
             )
+
+
+class TestForkserverStartMethod:
+    """Everything the process paths ship to a worker must pickle.
+
+    Under ``fork`` a child inherits the parent's objects, so a lock or
+    file handle in a ``Process(args=...)`` goes unnoticed; ``forkserver``
+    (the default on Linux from Python 3.14) pickles every argument.
+    """
+
+    CHILD = """
+import multiprocessing
+import sys
+
+multiprocessing.set_start_method("forkserver")
+
+from repro.engine.resilience import ResilienceConfig
+from repro.engine.runner import SweepJob, execute_job, run_sweep
+from repro.engine.trace_store import TraceStore
+from repro.serve.workers import ShardPool
+
+store = TraceStore(sys.argv[1], fsync=False)
+jobs = [
+    SweepJob(spec=spec, benchmark="gzip", n=1500)
+    for spec in ("dm", "2way", "mf8_bas8")
+]
+serial = [execute_job(job, store=store) for job in jobs]
+assert run_sweep(jobs, workers=2, store=store) == serial, "pool"
+resilient = run_sweep(
+    jobs, workers=2, store=store, resilience=ResilienceConfig(fsync=False)
+)
+assert resilient == serial, "resilient"
+with ShardPool(1, store=store) as pool:
+    [(status, snapshot)] = pool.run_batch_blocking(0, jobs[:1])
+assert (status, snapshot) == ("ok", serial[0].snapshot()), "shard pool"
+"""
+
+    def test_process_paths_match_serial_under_forkserver(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, str(tmp_path / "traces")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDefaultJobs:
