@@ -7,7 +7,7 @@ from repro.experiments import comparisons
 def test_hac_comparison(benchmark, bench_scale, archive):
     scale = bench_scale.scaled(0.5)  # the 32-way HAC probe is costly
     result = benchmark.pedantic(
-        comparisons.run_hac, args=(scale,), rounds=1, iterations=1
+        comparisons.HAC.run, args=(scale,), rounds=1, iterations=1
     )
     archive("hac_comparison", result.render())
     # Section 6.7: similar miss-rate territory, but the HAC needs a
@@ -21,10 +21,11 @@ def test_hac_comparison(benchmark, bench_scale, archive):
 
 def test_prior_art_comparison(benchmark, bench_scale, archive):
     scale = bench_scale.scaled(0.5)
-    result = benchmark.pedantic(
-        comparisons.run_prior_art, args=(scale,), rounds=1, iterations=1
+    prior_art = comparisons.Comparison(
+        "Section 7.1 prior-art comparison", comparisons.PRIOR_ART_SPECS
     )
-    archive("prior_art", result.render("Section 7.1 prior-art comparison"))
+    result = benchmark.pedantic(prior_art.run, args=(scale,), rounds=1, iterations=1)
+    archive("prior_art", result.render())
     reductions = result.data_reduction
     # Section 7.1's claims: column-associative ~ 2-way; skewed ~ between
     # 2- and 4-way; the B-Cache at or above 4-way.
@@ -37,7 +38,7 @@ def test_prior_art_comparison(benchmark, bench_scale, archive):
 def test_replacement_ablation(benchmark, bench_scale, archive):
     scale = bench_scale.scaled(0.5)
     result = benchmark.pedantic(
-        comparisons.run_replacement_ablation, args=(scale,), rounds=1, iterations=1
+        comparisons.Replacement().run, args=(scale,), rounds=1, iterations=1
     )
     archive("replacement_ablation", result.render())
     # Section 3.3: LRU at least matches random; both clearly positive.

@@ -8,7 +8,7 @@ def test_fig12_cache_sizes(benchmark, bench_scale, archive):
     # both cache sides, by far the largest panel count.
     scale = bench_scale.scaled(0.5)
     result = benchmark.pedantic(
-        missrate_figures.run_fig12, args=(scale,), rounds=1, iterations=1
+        missrate_figures.FIG12.run, args=(scale,), rounds=1, iterations=1
     )
     archive("fig12_sizes", result.render())
 

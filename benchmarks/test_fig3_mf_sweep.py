@@ -5,7 +5,7 @@ from repro.experiments import fig3_mf_sweep
 
 def test_fig3_mf_sweep(benchmark, bench_scale, archive):
     result = benchmark.pedantic(
-        fig3_mf_sweep.run, args=(bench_scale,), rounds=1, iterations=1
+        fig3_mf_sweep.MFSweep().run, args=(bench_scale,), rounds=1, iterations=1
     )
     archive("fig3_mf_sweep", result.render())
     # Shape: the miss rate at the largest MF is below the smallest MF's,

@@ -5,7 +5,7 @@ from repro.experiments import missrate_figures
 
 def test_fig4_dcache_reductions(benchmark, bench_scale, archive):
     result = benchmark.pedantic(
-        missrate_figures.run_fig4, args=(bench_scale,), rounds=1, iterations=1
+        missrate_figures.FIG4.run, args=(bench_scale,), rounds=1, iterations=1
     )
     archive("fig4_dcache", result.render())
 

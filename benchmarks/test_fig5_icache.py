@@ -5,7 +5,7 @@ from repro.experiments import missrate_figures
 
 def test_fig5_icache_reductions(benchmark, bench_scale, archive):
     panel = benchmark.pedantic(
-        missrate_figures.run_fig5, args=(bench_scale,), rounds=1, iterations=1
+        missrate_figures.FIG5.run, args=(bench_scale,), rounds=1, iterations=1
     )
     archive("fig5_icache", panel.render())
 

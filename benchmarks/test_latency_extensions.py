@@ -10,7 +10,7 @@ from repro.experiments import extensions, latency_study
 def test_latency_study(benchmark, bench_scale, archive):
     scale = bench_scale.scaled(0.5)
     study = benchmark.pedantic(
-        latency_study.run, args=(scale,), rounds=1, iterations=1
+        latency_study.Latency().run, args=(scale,), rounds=1, iterations=1
     )
     archive("latency_study", study.render())
     # The paper's core claim, end to end: the B-Cache gets associative
@@ -37,7 +37,7 @@ def test_addressing_analysis(benchmark, archive):
 def test_drowsy_extension(benchmark, bench_scale, archive):
     scale = bench_scale.scaled(0.5)
     study = benchmark.pedantic(
-        extensions.run_drowsy, args=(scale,), rounds=1, iterations=1
+        extensions.Drowsy().run, args=(scale,), rounds=1, iterations=1
     )
     archive("drowsy", study.render())
     # Section 6.4: balancing must not erase the idleness drowsy

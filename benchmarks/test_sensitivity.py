@@ -6,7 +6,7 @@ from repro.experiments import sensitivity
 def test_line_size_sensitivity(benchmark, bench_scale, archive):
     scale = bench_scale.scaled(0.5)
     result = benchmark.pedantic(
-        sensitivity.run_line_size, args=(scale,), rounds=1, iterations=1
+        sensitivity.line_size_sweep().run, args=(scale,), rounds=1, iterations=1
     )
     archive("sensitivity_line_size", result.render())
     # The B-Cache's reduction is not an artefact of 32-byte lines.
@@ -18,7 +18,7 @@ def test_line_size_sensitivity(benchmark, bench_scale, archive):
 def test_cache_size_sensitivity(benchmark, bench_scale, archive):
     scale = bench_scale.scaled(0.5)
     result = benchmark.pedantic(
-        sensitivity.run_cache_size, args=(scale,), rounds=1, iterations=1
+        sensitivity.cache_size_sweep().run, args=(scale,), rounds=1, iterations=1
     )
     archive("sensitivity_cache_size", result.render())
     rates = [p.baseline_miss_rate for p in result.points]

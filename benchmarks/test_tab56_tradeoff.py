@@ -5,7 +5,7 @@ from repro.experiments import tab56_tradeoff
 
 def test_tab56_design_tradeoff(benchmark, bench_scale, archive):
     result = benchmark.pedantic(
-        tab56_tradeoff.run, args=(bench_scale,), rounds=1, iterations=1
+        tab56_tradeoff.Tradeoff().run, args=(bench_scale,), rounds=1, iterations=1
     )
     archive("tab56_tradeoff", result.render())
 

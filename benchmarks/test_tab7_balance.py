@@ -5,7 +5,7 @@ from repro.experiments import tab7_balance
 
 def test_tab7_balance(benchmark, bench_scale, archive):
     result = benchmark.pedantic(
-        tab7_balance.run, args=(bench_scale,), rounds=1, iterations=1
+        tab7_balance.Balance().run, args=(bench_scale,), rounds=1, iterations=1
     )
     archive("tab7_balance", result.render())
 

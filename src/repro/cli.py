@@ -12,6 +12,9 @@ Usage::
     bcache-repro tab1 tab2 tab3 tab56 tab7
     bcache-repro hac prior-art replacement
     bcache-repro all
+
+One executor (:func:`repro.experiments.execute`) runs each distinct
+sweep job of the invocation once.
 """
 
 from __future__ import annotations
@@ -21,56 +24,27 @@ import functools
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.experiments import DEFAULT, FULL, SMOKE, ExperimentScale
 from repro.experiments import circuit_tables, comparisons, extensions
 from repro.experiments import fig3_mf_sweep, latency_study, miss_decomposition
 from repro.experiments import missrate_figures, perf_energy
 from repro.experiments import sensitivity, tab56_tradeoff, tab7_balance
+from repro.experiments.common import Experiment, RunOptions, Stats, Text, execute
+from repro.experiments.report import write_report
 
 _SCALES = {"smoke": SMOKE, "default": DEFAULT, "full": FULL}
 
 
 @dataclass(frozen=True)
-class RunOptions:
-    """Engine options shared by the sweep-backed experiments.
+class Table(Experiment[Text]):
+    """An experiment with its own runner and no sweep jobs."""
 
-    ``run_id`` opts into the crash-safe journal: the id is namespaced
-    per experiment (``<run_id>-fig4`` etc.) so one ``bcache-repro all
-    --run-id nightly`` invocation resumes each experiment independently
-    after a kill.
-    """
+    table: Callable[[ExperimentScale], str]
 
-    jobs: int | None = None
-    run_id: str | None = None
-
-    def sub_id(self, name: str) -> str | None:
-        return f"{self.run_id}-{name}" if self.run_id else None
-
-
-def _render_fig3(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return fig3_mf_sweep.run(
-        scale, jobs=opts.jobs, run_id=opts.sub_id("fig3")
-    ).render()
-
-
-def _render_fig4(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return missrate_figures.run_fig4(
-        scale, jobs=opts.jobs, run_id=opts.sub_id("fig4")
-    ).render()
-
-
-def _render_fig5(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return missrate_figures.run_fig5(
-        scale, jobs=opts.jobs, run_id=opts.sub_id("fig5")
-    ).render()
-
-
-def _render_fig12(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return missrate_figures.run_fig12(
-        scale, jobs=opts.jobs, run_id=opts.sub_id("fig12")
-    ).render()
+    def result(self, scale: ExperimentScale, stats: Stats) -> Text:
+        return Text(self.table(scale))
 
 
 @functools.lru_cache(maxsize=1)
@@ -79,95 +53,26 @@ def _perf_energy(scale: ExperimentScale) -> perf_energy.PerfEnergyResult:
     return perf_energy.run(scale)
 
 
-def _render_fig8(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return _perf_energy(scale).render_fig8()
-
-
-def _render_fig9(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return _perf_energy(scale).render_fig9()
-
-
-def _render_tab1(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return circuit_tables.run_tab1().render()
-
-
-def _render_tab2(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return circuit_tables.run_tab2().render()
-
-
-def _render_tab3(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return circuit_tables.run_tab3().render()
-
-
-def _render_tab56(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return tab56_tradeoff.run(scale).render()
-
-
-def _render_tab7(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return tab7_balance.run(scale).render()
-
-
-def _render_hac(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return comparisons.run_hac(scale).render()
-
-
-def _render_prior_art(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return comparisons.run_prior_art(scale).render(
-        "Section 7.1 prior art comparison"
-    )
-
-
-def _render_replacement(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return comparisons.run_replacement_ablation(scale).render()
-
-
-def _render_sensitivity(scale: ExperimentScale, opts: "RunOptions") -> str:
-    run_id = opts.sub_id("sensitivity")
-    return (
-        sensitivity.run_line_size(scale, jobs=opts.jobs, run_id=run_id).render()
-        + "\n\n"
-        + sensitivity.run_cache_size(scale, jobs=opts.jobs, run_id=run_id).render()
-    )
-
-
-def _render_3c(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return miss_decomposition.run(scale).render()
-
-
-def _render_latency(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return latency_study.run(
-        scale, jobs=opts.jobs, run_id=opts.sub_id("latency")
-    ).render()
-
-
-def _render_addressing(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return extensions.run_addressing().render()
-
-
-def _render_drowsy(scale: ExperimentScale, opts: "RunOptions") -> str:
-    return extensions.run_drowsy(scale).render()
-
-
-EXPERIMENTS: dict[str, Callable[[ExperimentScale, RunOptions], str]] = {
-    "fig3": _render_fig3,
-    "fig4": _render_fig4,
-    "fig5": _render_fig5,
-    "fig8": _render_fig8,
-    "fig9": _render_fig9,
-    "fig12": _render_fig12,
-    "tab1": _render_tab1,
-    "tab2": _render_tab2,
-    "tab3": _render_tab3,
-    "tab56": _render_tab56,
-    "tab7": _render_tab7,
-    "hac": _render_hac,
-    "prior-art": _render_prior_art,
-    "replacement": _render_replacement,
-    "latency": _render_latency,
-    "3c": _render_3c,
-    "sensitivity": _render_sensitivity,
-    "addressing": _render_addressing,
-    "drowsy": _render_drowsy,
+EXPERIMENTS: dict[str, Experiment[Any]] = {
+    "fig3": fig3_mf_sweep.MFSweep(),
+    "fig4": missrate_figures.FIG4,
+    "fig5": missrate_figures.FIG5,
+    "fig8": Table(lambda scale: _perf_energy(scale).render_fig8()),
+    "fig9": Table(lambda scale: _perf_energy(scale).render_fig9()),
+    "fig12": missrate_figures.FIG12,
+    "tab1": Table(lambda scale: circuit_tables.run_tab1().render()),
+    "tab2": Table(lambda scale: circuit_tables.run_tab2().render()),
+    "tab3": Table(lambda scale: circuit_tables.run_tab3().render()),
+    "tab56": tab56_tradeoff.Tradeoff(),
+    "tab7": tab7_balance.Balance(),
+    "hac": comparisons.HAC,
+    "prior-art": comparisons.PRIOR_ART,
+    "replacement": comparisons.Replacement(),
+    "latency": latency_study.Latency(),
+    "3c": Table(lambda scale: miss_decomposition.run(scale).render()),
+    "sensitivity": sensitivity.SENSITIVITY,
+    "addressing": Table(lambda scale: extensions.run_addressing().render()),
+    "drowsy": extensions.Drowsy(),
 }
 
 
@@ -219,19 +124,21 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     names = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
+    unknown = [name for name in names if name not in EXPERIMENTS]
+    for name in unknown:
+        print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
+    if unknown:
+        return 2
     scale = _SCALES[args.scale]
-    opts = RunOptions(jobs=args.jobs, run_id=args.run_id)
-    status = 0
+    selected = [EXPERIMENTS[name] for name in names]
+    tables: dict[str, str] = {}
     try:
+        results = execute(selected, scale, RunOptions(args.jobs, args.run_id))
         for name in names:
-            runner = EXPERIMENTS.get(name)
-            if runner is None:
-                print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
-                status = 2
-                continue
             started = time.time()
             print(f"== {name} (scale={args.scale}) ==")
-            print(runner(scale, opts))
+            tables[name] = next(results).render()
+            print(tables[name])
             print(f"[{time.time() - started:.1f}s]\n")
     except KeyboardInterrupt:
         print(
@@ -246,19 +153,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 130
 
-    if args.report and status == 0:
-        from repro.experiments.report import write_report
-
-        valid = tuple(name for name in names if name in EXPERIMENTS)
-        # Bind this invocation's engine options; with --run-id the
-        # report replays journaled results instead of recomputing.
-        registry = {
-            name: (lambda s, _fn=fn: _fn(s, opts))
-            for name, fn in EXPERIMENTS.items()
-        }
-        path = write_report(args.report, scale, experiments=registry, ids=valid)
+    if args.report:
+        path = write_report(args.report, scale, tables)
         print(f"report written to {path}")
-    return status
+    return 0
 
 
 if __name__ == "__main__":

@@ -5,21 +5,23 @@ from repro.experiments.common import (
     FULL,
     SMOKE,
     ExperimentScale,
+    RunOptions,
     clear_trace_caches,
+    execute,
     miss_rate,
     run_side,
     run_system,
-    sweep_stats,
 )
 
 __all__ = [
     "DEFAULT",
     "ExperimentScale",
     "FULL",
+    "RunOptions",
     "SMOKE",
     "clear_trace_caches",
+    "execute",
     "miss_rate",
     "run_side",
     "run_system",
-    "sweep_stats",
 ]

@@ -14,12 +14,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.caches.hac import HighlyAssociativeCache
 from repro.core.config import BCacheGeometry
-from repro.experiments.common import DEFAULT, ExperimentScale, run_side
+from repro.experiments.common import (
+    Composite,
+    ExperimentScale,
+    Pair,
+    Paired,
+    Stats,
+    mean_reduction,
+    versus_dm,
+)
 from repro.experiments.reporting import format_table
-from repro.stats.summary import average_reduction, miss_rate_reduction
 from repro.workloads.spec2k import ALL_BENCHMARKS
 
 
@@ -27,11 +35,12 @@ from repro.workloads.spec2k import ALL_BENCHMARKS
 class ComparisonResult:
     """Average miss-rate reduction of several organisations (D$ and I$)."""
 
+    title: str
     specs: tuple[str, ...]
     data_reduction: dict[str, float]
     instr_reduction: dict[str, float]
 
-    def render(self, title: str) -> str:
+    def render(self) -> str:
         rows = [
             (
                 spec,
@@ -40,38 +49,39 @@ class ComparisonResult:
             )
             for spec in self.specs
         ]
-        return format_table(("config", "D$ red %", "I$ red %"), rows, title=title)
+        return format_table(
+            ("config", "D$ red %", "I$ red %"), rows, title=self.title
+        )
 
 
-def run_comparison(
-    specs: tuple[str, ...],
-    scale: ExperimentScale = DEFAULT,
-    benchmarks: tuple[str, ...] = ALL_BENCHMARKS,
-) -> ComparisonResult:
+@dataclass(frozen=True)
+class Comparison(Paired[ComparisonResult]):
     """Average reductions of ``specs`` over the suite (both cache sides)."""
-    data_red: dict[str, list[float]] = {spec: [] for spec in specs}
-    instr_red: dict[str, list[float]] = {spec: [] for spec in specs}
-    for benchmark in benchmarks:
-        data_base = run_side("dm", benchmark, "data", scale).miss_rate
-        instr_base = run_side("dm", benchmark, "instr", scale).miss_rate
-        for spec in specs:
-            data_rate = run_side(spec, benchmark, "data", scale).miss_rate
-            instr_rate = run_side(spec, benchmark, "instr", scale).miss_rate
-            data_red[spec].append(miss_rate_reduction(data_base, data_rate))
-            instr_red[spec].append(miss_rate_reduction(instr_base, instr_rate))
-    return ComparisonResult(
-        specs=specs,
-        data_reduction={s: average_reduction(v) for s, v in data_red.items()},
-        instr_reduction={s: average_reduction(v) for s, v in instr_red.items()},
-    )
+
+    title: str
+    specs: tuple[str, ...]
+    benchmarks: tuple[str, ...] = ALL_BENCHMARKS
+
+    def pairs(self, scale: ExperimentScale) -> dict[Any, list[Pair]]:
+        return {
+            (spec, side): versus_dm(spec, self.benchmarks, side, scale)
+            for spec in self.specs
+            for side in ("data", "instr")
+        }
+
+    def result(self, scale: ExperimentScale, stats: Stats) -> ComparisonResult:
+        red = {key: mean_reduction(stats, g) for key, g in self.pairs(scale).items()}
+        return ComparisonResult(
+            self.title,
+            self.specs,
+            {spec: red[spec, "data"] for spec in self.specs},
+            {spec: red[spec, "instr"] for spec in self.specs},
+        )
 
 
 #: Prior-art comparison of Section 7.1 (plus the victim buffer of 6.6).
 PRIOR_ART_SPECS = ("victim16", "column", "skew2", "2way", "4way", "mf8_bas8")
-
-
-def run_prior_art(scale: ExperimentScale = DEFAULT) -> ComparisonResult:
-    return run_comparison(PRIOR_ART_SPECS, scale)
+PRIOR_ART = Comparison("Section 7.1 prior art comparison", PRIOR_ART_SPECS)
 
 
 @dataclass(frozen=True)
@@ -84,21 +94,23 @@ class HACResult:
 
     def render(self) -> str:
         return (
-            self.comparison.render("Section 6.7: HAC vs B-Cache")
+            self.comparison.render()
             + f"\nCAM width: HAC {self.hac_cam_bits} bits vs "
             f"B-Cache PD {self.bcache_pd_bits} bits"
         )
 
 
-def run_hac(scale: ExperimentScale = DEFAULT) -> HACResult:
-    comparison = run_comparison(("hac", "mf8_bas8", "32way"), scale)
-    hac = HighlyAssociativeCache(16 * 1024)
-    geometry = BCacheGeometry(16 * 1024, 32, 8, 8)
+def _hac(comparison: ComparisonResult) -> HACResult:
     return HACResult(
         comparison=comparison,
-        hac_cam_bits=hac.cam_entry_bits,
-        bcache_pd_bits=geometry.pi_bits,
+        hac_cam_bits=HighlyAssociativeCache(16 * 1024).cam_entry_bits,
+        bcache_pd_bits=BCacheGeometry(16 * 1024, 32, 8, 8).pi_bits,
     )
+
+
+HAC = Composite(
+    (Comparison("Section 6.7: HAC vs B-Cache", ("hac", "mf8_bas8", "32way")),), _hac
+)
 
 
 @dataclass(frozen=True)
@@ -142,38 +154,41 @@ class VictimSweep:
         return self.data_reduction[to_entries] - self.data_reduction[from_entries]
 
 
-def run_victim_sweep(
-    scale: ExperimentScale = DEFAULT,
-    benchmarks: tuple[str, ...] = ALL_BENCHMARKS,
-    entries: tuple[int, ...] = (4, 8, 16, 32, 64),
-) -> VictimSweep:
+@dataclass(frozen=True)
+class VictimSizes(Paired[VictimSweep]):
     """Sweep the victim-buffer entry count."""
-    reductions: dict[int, list[float]] = {n: [] for n in entries}
-    for benchmark in benchmarks:
-        base = run_side("dm", benchmark, "data", scale).miss_rate
-        for n in entries:
-            rate = run_side(f"victim{n}", benchmark, "data", scale).miss_rate
-            reductions[n].append(miss_rate_reduction(base, rate))
-    return VictimSweep(
-        entries=entries,
-        data_reduction={n: average_reduction(v) for n, v in reductions.items()},
-    )
+
+    benchmarks: tuple[str, ...] = ALL_BENCHMARKS
+    entries: tuple[int, ...] = (4, 8, 16, 32, 64)
+
+    def pairs(self, scale: ExperimentScale) -> dict[Any, list[Pair]]:
+        return {
+            n: versus_dm(f"victim{n}", self.benchmarks, "data", scale)
+            for n in self.entries
+        }
+
+    def result(self, scale: ExperimentScale, stats: Stats) -> VictimSweep:
+        return VictimSweep(
+            self.entries,
+            {n: mean_reduction(stats, g) for n, g in self.pairs(scale).items()},
+        )
 
 
-def run_replacement_ablation(
-    scale: ExperimentScale = DEFAULT,
-    benchmarks: tuple[str, ...] = ALL_BENCHMARKS,
-    policies: tuple[str, ...] = ("lru", "random", "fifo", "plru"),
-) -> ReplacementAblation:
-    reductions: dict[str, list[float]] = {policy: [] for policy in policies}
-    for benchmark in benchmarks:
-        base = run_side("dm", benchmark, "data", scale).miss_rate
-        for policy in policies:
-            rate = run_side(
-                "mf8_bas8", benchmark, "data", scale, policy=policy
-            ).miss_rate
-            reductions[policy].append(miss_rate_reduction(base, rate))
-    return ReplacementAblation(
-        policies=policies,
-        data_reduction={p: average_reduction(v) for p, v in reductions.items()},
-    )
+@dataclass(frozen=True)
+class Replacement(Paired[ReplacementAblation]):
+    """The B-Cache (MF=8, BAS=8) under each replacement policy."""
+
+    benchmarks: tuple[str, ...] = ALL_BENCHMARKS
+    policies: tuple[str, ...] = ("lru", "random", "fifo", "plru")
+
+    def pairs(self, scale: ExperimentScale) -> dict[Any, list[Pair]]:
+        return {
+            p: versus_dm("mf8_bas8", self.benchmarks, "data", scale, policy=p)
+            for p in self.policies
+        }
+
+    def result(self, scale: ExperimentScale, stats: Stats) -> ReplacementAblation:
+        return ReplacementAblation(
+            self.policies,
+            {p: mean_reduction(stats, g) for p, g in self.pairs(scale).items()},
+        )

@@ -3,7 +3,7 @@
 * ``run_addressing`` — Section 6.8: which PD input bits a
   virtually-indexed/physically-tagged implementation must treat as
   virtual index, across cache sizes and page sizes.
-* ``run_drowsy`` — Section 6.4's closing claim: less-accessed sets
+* ``Drowsy`` — Section 6.4's closing claim: less-accessed sets
   survive balancing, so drowsy leakage techniques still pay off on the
   B-Cache.
 """
@@ -11,11 +11,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.addressing import AddressingReport, analyze_addressing
 from repro.core.config import BCacheGeometry
 from repro.energy.drowsy import DrowsyReport, estimate_drowsy_leakage
-from repro.experiments.common import DEFAULT, ExperimentScale, run_side
+from repro.engine.runner import SweepJob
+from repro.experiments.common import ExperimentScale, Pair, Paired, Stats, versus_dm
 from repro.experiments.reporting import format_table
 from repro.workloads.spec2k import ALL_BENCHMARKS
 
@@ -82,20 +84,23 @@ class DrowsyStudy:
         )
 
 
-def run_drowsy(
-    scale: ExperimentScale = DEFAULT,
-    benchmarks: tuple[str, ...] = ALL_BENCHMARKS,
-    decay_window: int = 2000,
-) -> DrowsyStudy:
-    rows = []
-    for benchmark in benchmarks:
-        dm_stats = run_side("dm", benchmark, "data", scale)
-        bc_stats = run_side("mf8_bas8", benchmark, "data", scale)
-        rows.append(
-            (
-                benchmark,
-                estimate_drowsy_leakage(dm_stats, decay_window),
-                estimate_drowsy_leakage(bc_stats, decay_window),
+@dataclass(frozen=True)
+class Drowsy(Paired[DrowsyStudy]):
+    """Drowsy leakage savings of the baseline and the B-Cache D$."""
+
+    benchmarks: tuple[str, ...] = ALL_BENCHMARKS
+    decay_window: int = 2000
+
+    def pairs(self, scale: ExperimentScale) -> dict[Any, list[Pair]]:
+        return {b: versus_dm("mf8_bas8", (b,), "data", scale) for b in self.benchmarks}
+
+    def result(self, scale: ExperimentScale, stats: Stats) -> DrowsyStudy:
+        def leakage(job: SweepJob) -> DrowsyReport:
+            return estimate_drowsy_leakage(stats[job], self.decay_window)
+
+        return DrowsyStudy(
+            rows=tuple(
+                (benchmark, leakage(dm), leakage(bcache))
+                for benchmark, [(dm, bcache)] in self.pairs(scale).items()
             )
         )
-    return DrowsyStudy(rows=tuple(rows))

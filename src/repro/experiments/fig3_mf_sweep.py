@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import DEFAULT, ExperimentScale, sweep_stats
+from repro.engine.runner import SweepJob
+from repro.experiments.common import Experiment, ExperimentScale, Stats, l1_job
 from repro.experiments.reporting import format_table
 
 MF_SWEEP = (2, 4, 8, 16, 32, 64, 128, 256, 512)
@@ -52,30 +53,22 @@ class Fig3Result:
         return [p.pd_hit_rate_during_miss for p in self.points]
 
 
-def run(
-    scale: ExperimentScale = DEFAULT,
-    benchmark: str = "wupwise",
-    mapping_factors: tuple[int, ...] = MF_SWEEP,
-    jobs: int | None = None,
-    run_id: str | None = None,
-) -> Fig3Result:
-    """Run the MF sweep of Figure 3 (parallelised across ``jobs``).
+@dataclass(frozen=True)
+class MFSweep(Experiment[Fig3Result]):
+    """The MF sweep of Figure 3 at BAS = 8 on one benchmark's D$."""
 
-    ``run_id`` journals each MF point durably and resumes a previously
-    killed sweep bit-identically (see ``docs/engine.md``).
-    """
-    specs = [f"mf{mf}_bas8" for mf in mapping_factors]
-    stats_by_key = sweep_stats(
-        specs, [benchmark], "data", scale, jobs=jobs, run_id=run_id
-    )
-    points = []
-    for mf, spec in zip(mapping_factors, specs):
-        stats = stats_by_key[(spec, benchmark)]
-        points.append(
-            MFSweepPoint(
-                mapping_factor=mf,
-                miss_rate=stats.miss_rate,
-                pd_hit_rate_during_miss=stats.pd_hit_rate_during_miss,
-            )
+    benchmark: str = "wupwise"
+    mapping_factors: tuple[int, ...] = MF_SWEEP
+
+    def jobs(self, scale: ExperimentScale) -> tuple[SweepJob, ...]:
+        return tuple(
+            l1_job(f"mf{mf}_bas8", self.benchmark, "data", scale)
+            for mf in self.mapping_factors
         )
-    return Fig3Result(benchmark=benchmark, points=tuple(points))
+
+    def result(self, scale: ExperimentScale, stats: Stats) -> Fig3Result:
+        points = tuple(
+            MFSweepPoint(mf, stats[job].miss_rate, stats[job].pd_hit_rate_during_miss)
+            for mf, job in zip(self.mapping_factors, self.jobs(scale))
+        )
+        return Fig3Result(benchmark=self.benchmark, points=points)

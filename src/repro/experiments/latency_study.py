@@ -20,10 +20,18 @@ reports, per organisation:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
-from repro.experiments.common import DEFAULT, ExperimentScale, sweep_stats
+from repro.experiments.common import (
+    ExperimentScale,
+    Pair,
+    Paired,
+    Stats,
+    mean_reduction,
+    versus_dm,
+)
 from repro.experiments.reporting import format_table
-from repro.stats.summary import average_reduction, miss_rate_reduction
+from repro.stats.summary import average_reduction
 from repro.workloads.spec2k import ALL_BENCHMARKS
 
 #: Organisations compared; each records its own slow hits and their
@@ -83,45 +91,35 @@ class LatencyStudy:
         )
 
 
-def run(
-    scale: ExperimentScale = DEFAULT,
-    benchmarks: tuple[str, ...] = ALL_BENCHMARKS,
-    specs: tuple[str, ...] = LATENCY_SPECS,
-    jobs: int | None = None,
-    run_id: str | None = None,
-) -> LatencyStudy:
-    """Measure reduction, slow-hit fraction and AMAT per organisation."""
-    results = sweep_stats(
-        tuple(dict.fromkeys(("dm",) + specs)), benchmarks, "data", scale,
-        jobs=jobs, run_id=run_id,
-    )
-    rows = []
-    for spec in specs:
-        reductions = []
-        slow_fractions = []
-        eff_latencies = []
-        amats = []
-        for benchmark in benchmarks:
-            stats = results[(spec, benchmark)]
-            miss = stats.miss_rate
-            reductions.append(
-                miss_rate_reduction(results[("dm", benchmark)].miss_rate, miss)
+@dataclass(frozen=True)
+class Latency(Paired[LatencyStudy]):
+    """Reduction, slow-hit fraction and AMAT per organisation."""
+
+    benchmarks: tuple[str, ...] = ALL_BENCHMARKS
+    specs: tuple[str, ...] = LATENCY_SPECS
+
+    def pairs(self, scale: ExperimentScale) -> dict[Any, list[Pair]]:
+        return {
+            spec: versus_dm(spec, self.benchmarks, "data", scale) for spec in self.specs
+        }
+
+    def result(self, scale: ExperimentScale, stats: Stats) -> LatencyStudy:
+        rows = []
+        for spec, pairs in self.pairs(scale).items():
+            runs = [stats[job] for _, job in pairs]
+            slow = [s.slow_hits / s.hits if s.hits else 0.0 for s in runs]
+            extra = [
+                s.slow_hit_cycles / s.slow_hits if s.slow_hits else 0.0 for s in runs
+            ]
+            effective = [1.0 + f * e for f, e in zip(slow, extra)]
+            amats = [e + s.miss_rate * MISS_PENALTY for e, s in zip(effective, runs)]
+            rows.append(
+                LatencyRow(
+                    spec=spec,
+                    reduction=mean_reduction(stats, pairs),
+                    slow_hit_fraction=average_reduction(slow),
+                    effective_hit_latency=average_reduction(effective),
+                    amat=average_reduction(amats),
+                )
             )
-            slow_fraction = stats.slow_hits / stats.hits if stats.hits else 0.0
-            extra = (
-                stats.slow_hit_cycles / stats.slow_hits if stats.slow_hits else 0.0
-            )
-            slow_fractions.append(slow_fraction)
-            effective = 1.0 + slow_fraction * extra
-            eff_latencies.append(effective)
-            amats.append(effective + miss * MISS_PENALTY)
-        rows.append(
-            LatencyRow(
-                spec=spec,
-                reduction=average_reduction(reductions),
-                slow_hit_fraction=average_reduction(slow_fractions),
-                effective_hit_latency=average_reduction(eff_latencies),
-                amat=average_reduction(amats),
-            )
-        )
-    return LatencyStudy(rows=tuple(rows))
+        return LatencyStudy(rows=tuple(rows))

@@ -13,13 +13,21 @@ baseline* per benchmark, plus the arithmetic-mean "Ave" bar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any
 
 from repro.caches.factory import FIGURE12_SPECS, FIGURE45_SPECS
 from repro.experiments.ascii_chart import horizontal_bars
-from repro.experiments.common import DEFAULT, ExperimentScale, sweep_stats
+from repro.experiments.common import (
+    Composite,
+    ExperimentScale,
+    Pair,
+    Paired,
+    Stats,
+    reduction,
+    versus_dm,
+)
 from repro.experiments.reporting import format_table
-from repro.stats.summary import average_reduction, miss_rate_reduction
+from repro.stats.summary import average_reduction
 from repro.workloads.spec2k import CFP2K, CINT2K, REPORTED_ICACHE
 
 
@@ -65,45 +73,40 @@ class ReductionPanel:
         )
 
 
-def run_panel(
-    benchmarks: Sequence[str],
-    side: str,
-    scale: ExperimentScale,
-    size: int = 16 * 1024,
-    specs: Sequence[str] = FIGURE45_SPECS,
-    title: str = "",
-    jobs: int | None = None,
-    run_id: str | None = None,
-) -> ReductionPanel:
-    """Measure one panel of miss-rate reductions.
+@dataclass(frozen=True)
+class Panel(Paired[ReductionPanel]):
+    """One panel of miss-rate reductions over the direct-mapped baseline."""
 
-    The (spec x benchmark) grid goes through the engine's sweep runner:
-    ``jobs`` (default ``$REPRO_JOBS``) fans the jobs across processes
-    with bit-identical results.  ``run_id`` journals every grid cell
-    durably so a killed panel resumes where it stopped (see
-    ``docs/engine.md``).
-    """
-    all_specs = ["dm"] + [spec for spec in specs if spec != "dm"]
-    stats = sweep_stats(
-        all_specs, benchmarks, side, scale, size=size, jobs=jobs, run_id=run_id
-    )
-    baseline_rates: dict[str, float] = {}
-    reductions: dict[str, dict[str, float]] = {spec: {} for spec in specs}
-    for benchmark in benchmarks:
-        base = stats[("dm", benchmark)].miss_rate
-        baseline_rates[benchmark] = base
-        for spec in specs:
-            rate = stats[(spec, benchmark)].miss_rate
-            reductions[spec][benchmark] = miss_rate_reduction(base, rate)
-    return ReductionPanel(
-        title=title or f"{side} cache {size // 1024}kB miss-rate reductions",
-        side=side,
-        size=size,
-        specs=tuple(specs),
-        benchmarks=tuple(benchmarks),
-        baseline_rates=baseline_rates,
-        reductions=reductions,
-    )
+    benchmarks: tuple[str, ...]
+    side: str
+    title: str = ""
+    size: int = 16 * 1024
+    specs: tuple[str, ...] = FIGURE45_SPECS
+
+    def pairs(self, scale: ExperimentScale) -> dict[Any, list[Pair]]:
+        return {
+            spec: versus_dm(spec, self.benchmarks, self.side, scale, self.size)
+            for spec in self.specs
+        }
+
+    def result(self, scale: ExperimentScale, stats: Stats) -> ReductionPanel:
+        pairs = self.pairs(scale)
+        return ReductionPanel(
+            title=self.title
+            or f"{self.side} cache {self.size // 1024}kB miss-rate reductions",
+            side=self.side,
+            size=self.size,
+            specs=self.specs,
+            benchmarks=self.benchmarks,
+            baseline_rates={
+                b: stats[dm].miss_rate
+                for b, (dm, _) in zip(self.benchmarks, pairs[self.specs[0]])
+            },
+            reductions={
+                spec: {b: reduction(stats, p) for b, p in zip(self.benchmarks, group)}
+                for spec, group in pairs.items()
+            },
+        )
 
 
 @dataclass(frozen=True)
@@ -123,42 +126,17 @@ class Fig4Result:
         )
 
 
-def _sub_id(run_id: str | None, suffix: str) -> str | None:
-    """Derive a per-panel journal id (multi-panel figures get one
-    journal per panel so each resumes independently)."""
-    return f"{run_id}-{suffix}" if run_id else None
+#: Figure 4: D$ reductions at 16 kB, CFP2K and CINT2K panels.
+FIG4 = Composite(
+    (
+        Panel(CINT2K, "data", "Figure 4 (bottom): SPEC CINT2K data cache, 16kB"),
+        Panel(CFP2K, "data", "Figure 4 (top): SPEC CFP2K data cache, 16kB"),
+    ),
+    Fig4Result,
+)
 
-
-def run_fig4(
-    scale: ExperimentScale = DEFAULT,
-    jobs: int | None = None,
-    run_id: str | None = None,
-) -> Fig4Result:
-    """Figure 4: D$ reductions at 16 kB, CFP2K and CINT2K panels."""
-    cfp = run_panel(
-        CFP2K, "data", scale,
-        title="Figure 4 (top): SPEC CFP2K data cache, 16kB",
-        jobs=jobs, run_id=_sub_id(run_id, "cfp"),
-    )
-    cint = run_panel(
-        CINT2K, "data", scale,
-        title="Figure 4 (bottom): SPEC CINT2K data cache, 16kB",
-        jobs=jobs, run_id=_sub_id(run_id, "cint"),
-    )
-    return Fig4Result(cint=cint, cfp=cfp)
-
-
-def run_fig5(
-    scale: ExperimentScale = DEFAULT,
-    jobs: int | None = None,
-    run_id: str | None = None,
-) -> ReductionPanel:
-    """Figure 5: I$ reductions at 16 kB for the reported benchmarks."""
-    return run_panel(
-        REPORTED_ICACHE, "instr", scale,
-        title="Figure 5: instruction cache, 16kB",
-        jobs=jobs, run_id=run_id,
-    )
+#: Figure 5: I$ reductions at 16 kB for the reported benchmarks.
+FIG5 = Panel(REPORTED_ICACHE, "instr", "Figure 5: instruction cache, 16kB")
 
 
 @dataclass(frozen=True)
@@ -178,31 +156,16 @@ class Fig12Result:
         )
 
 
-def run_fig12(
-    scale: ExperimentScale = DEFAULT,
-    jobs: int | None = None,
-    run_id: str | None = None,
-) -> Fig12Result:
-    """Figure 12: average reductions at 32 kB and 8 kB, both caches."""
-    benchmarks_d = CINT2K + CFP2K
-    panels = []
-    for size in (32 * 1024, 8 * 1024):
-        kb = size // 1024
-        panels.append(
-            run_panel(
-                benchmarks_d, "data", scale, size=size,
-                specs=FIGURE12_SPECS,
-                title=f"Figure 12: D$ {kb}kB",
-                jobs=jobs, run_id=_sub_id(run_id, f"d{kb}k"),
-            )
+#: Figure 12: average reductions at 32 kB and 8 kB, both caches, in the
+#: paper's x-axis order (32K D$, 32K I$, 8K D$, 8K I$).
+FIG12 = Composite(
+    tuple(
+        Panel(benchmarks, side, f"Figure 12: {label} {kb}kB", kb * 1024, FIGURE12_SPECS)
+        for kb in (32, 8)
+        for benchmarks, side, label in (
+            (CINT2K + CFP2K, "data", "D$"),
+            (REPORTED_ICACHE, "instr", "I$"),
         )
-        panels.append(
-            run_panel(
-                REPORTED_ICACHE, "instr", scale, size=size,
-                specs=FIGURE12_SPECS,
-                title=f"Figure 12: I$ {kb}kB",
-                jobs=jobs, run_id=_sub_id(run_id, f"i{kb}k"),
-            )
-        )
-    # Order: 32K D$, 32K I$, 8K D$, 8K I$ (paper's x-axis order).
-    return Fig12Result(panels=(panels[0], panels[1], panels[2], panels[3]))
+    ),
+    lambda *panels: Fig12Result(panels=panels),
+)

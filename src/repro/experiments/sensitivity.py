@@ -4,8 +4,8 @@ The paper fixes 32-byte lines and studies 8/16/32 kB capacities.  These
 sweeps check that the B-Cache's advantage is not an artefact of that
 geometry:
 
-* ``run_line_size``  — 16/32/64-byte lines at 16 kB;
-* ``run_cache_size`` — 4 kB to 64 kB at 32-byte lines (a superset of
+* ``line_size_sweep``  — 16/32/64-byte lines at 16 kB;
+* ``cache_size_sweep`` — 4 kB to 64 kB at 32-byte lines (a superset of
   the paper's Figure 12 range).
 
 Each point reports the direct-mapped baseline miss rate and the
@@ -16,10 +16,20 @@ over a benchmark subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
-from repro.experiments.common import DEFAULT, ExperimentScale, sweep_stats
+from repro.experiments.common import (
+    Composite,
+    ExperimentScale,
+    Pair,
+    Paired,
+    Stats,
+    Text,
+    mean_reduction,
+    versus_dm,
+)
 from repro.experiments.reporting import format_table
-from repro.stats.summary import average_reduction, miss_rate_reduction
+from repro.stats.summary import average_reduction
 
 SWEEP_SPECS = ("4way", "8way", "mf8_bas8")
 SWEEP_BENCHMARKS = ("equake", "crafty", "gzip", "mcf", "twolf", "mesa")
@@ -53,64 +63,62 @@ class SensitivityResult:
         return [point.reductions[spec] for point in self.points]
 
 
-def _measure_point(
-    label: str,
-    size: int,
-    line_size: int,
-    scale: ExperimentScale,
-    benchmarks: tuple[str, ...],
-    jobs: int | None,
-    run_id: str | None,
-) -> SweepPoint:
-    results = sweep_stats(
-        ("dm",) + SWEEP_SPECS, benchmarks, "data", scale,
-        size=size, line_size=line_size, jobs=jobs, run_id=run_id,
-    )
-    baselines = []
-    reductions: dict[str, list[float]] = {spec: [] for spec in SWEEP_SPECS}
-    for benchmark in benchmarks:
-        dm_miss_rate = results[("dm", benchmark)].miss_rate
-        baselines.append(dm_miss_rate)
-        for spec in SWEEP_SPECS:
-            reductions[spec].append(
-                miss_rate_reduction(dm_miss_rate, results[(spec, benchmark)].miss_rate)
-            )
-    return SweepPoint(
-        label=label,
-        baseline_miss_rate=average_reduction(baselines),
-        reductions={
-            spec: average_reduction(values) for spec, values in reductions.items()
-        },
-    )
+@dataclass(frozen=True)
+class Sweep(Paired[SensitivityResult]):
+    """One sensitivity sweep: ``points`` are ``(label, size, line_size)``."""
+
+    axis: str
+    points: tuple[tuple[str, int, int], ...]
+    benchmarks: tuple[str, ...] = SWEEP_BENCHMARKS
+
+    def pairs(self, scale: ExperimentScale) -> dict[Any, list[Pair]]:
+        return {
+            (label, spec): versus_dm(spec, self.benchmarks, "data", scale, size, line)
+            for label, size, line in self.points
+            for spec in SWEEP_SPECS
+        }
+
+    def result(self, scale: ExperimentScale, stats: Stats) -> SensitivityResult:
+        pairs = self.pairs(scale)
+        return SensitivityResult(
+            axis=self.axis,
+            points=tuple(
+                SweepPoint(
+                    label=label,
+                    baseline_miss_rate=average_reduction(
+                        [stats[dm].miss_rate for dm, _ in pairs[label, SWEEP_SPECS[0]]]
+                    ),
+                    reductions={
+                        spec: mean_reduction(stats, pairs[label, spec])
+                        for spec in SWEEP_SPECS
+                    },
+                )
+                for label, _, _ in self.points
+            ),
+        )
 
 
-def run_line_size(
-    scale: ExperimentScale = DEFAULT,
+def line_size_sweep(
     line_sizes: tuple[int, ...] = (16, 32, 64),
     size: int = 16 * 1024,
     benchmarks: tuple[str, ...] = SWEEP_BENCHMARKS,
-    jobs: int | None = None,
-    run_id: str | None = None,
-) -> SensitivityResult:
+) -> Sweep:
     """Sweep the line size at fixed capacity."""
-    points = tuple(
-        _measure_point(f"{line}B", size, line, scale, benchmarks, jobs, run_id)
-        for line in line_sizes
-    )
-    return SensitivityResult(axis="line size", points=points)
+    points = tuple((f"{line}B", size, line) for line in line_sizes)
+    return Sweep("line size", points, benchmarks)
 
 
-def run_cache_size(
-    scale: ExperimentScale = DEFAULT,
+def cache_size_sweep(
     sizes: tuple[int, ...] = (4, 8, 16, 32, 64),
     line_size: int = 32,
     benchmarks: tuple[str, ...] = SWEEP_BENCHMARKS,
-    jobs: int | None = None,
-    run_id: str | None = None,
-) -> SensitivityResult:
+) -> Sweep:
     """Sweep the capacity (sizes in kB) at fixed line size."""
-    points = tuple(
-        _measure_point(f"{kb}kB", kb * 1024, line_size, scale, benchmarks, jobs, run_id)
-        for kb in sizes
-    )
-    return SensitivityResult(axis="cache size", points=points)
+    points = tuple((f"{kb}kB", kb * 1024, line_size) for kb in sizes)
+    return Sweep("cache size", points, benchmarks)
+
+
+SENSITIVITY = Composite(
+    (line_size_sweep(), cache_size_sweep()),
+    lambda line, size: Text(line.render() + "\n\n" + size.render()),
+)

@@ -15,10 +15,18 @@ MF in {2,4,8,16} x BAS in {4,8}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
-from repro.experiments.common import DEFAULT, ExperimentScale, run_side
+from repro.experiments.common import (
+    ExperimentScale,
+    Pair,
+    Paired,
+    Stats,
+    mean_reduction,
+    versus_dm,
+)
 from repro.experiments.reporting import format_table
-from repro.stats.summary import average_reduction, miss_rate_reduction
+from repro.stats.summary import average_reduction
 from repro.workloads.spec2k import ALL_BENCHMARKS
 
 MF_VALUES = (2, 4, 8, 16)
@@ -70,34 +78,31 @@ class Tab56Result:
         )
 
 
-def run(
-    scale: ExperimentScale = DEFAULT,
-    benchmarks: tuple[str, ...] = ALL_BENCHMARKS,
-) -> Tab56Result:
-    """Measure the Table 5/6 grid on the data cache."""
-    cells = []
-    baselines = {
-        benchmark: run_side("dm", benchmark, "data", scale).miss_rate
-        for benchmark in benchmarks
-    }
-    for bas in BAS_VALUES:
-        for mf in MF_VALUES:
-            reductions = []
-            pd_rates = []
-            for benchmark in benchmarks:
-                stats = run_side(f"mf{mf}_bas{bas}", benchmark, "data", scale)
-                reductions.append(
-                    miss_rate_reduction(baselines[benchmark], stats.miss_rate)
-                )
-                pd_rates.append(stats.pd_hit_rate_during_miss)
-            pd_bits = (mf.bit_length() - 1) + (bas.bit_length() - 1)
-            cells.append(
+@dataclass(frozen=True)
+class Tradeoff(Paired[Tab56Result]):
+    """The Table 5/6 grid on the data cache."""
+
+    benchmarks: tuple[str, ...] = ALL_BENCHMARKS
+
+    def pairs(self, scale: ExperimentScale) -> dict[Any, list[Pair]]:
+        return {
+            (mf, bas): versus_dm(f"mf{mf}_bas{bas}", self.benchmarks, "data", scale)
+            for bas in BAS_VALUES
+            for mf in MF_VALUES
+        }
+
+    def result(self, scale: ExperimentScale, stats: Stats) -> Tab56Result:
+        return Tab56Result(
+            cells=tuple(
                 TradeoffCell(
                     mapping_factor=mf,
                     associativity=bas,
-                    pd_bits=pd_bits,
-                    reduction=average_reduction(reductions),
-                    pd_hit_rate=average_reduction(pd_rates),
+                    pd_bits=(mf.bit_length() - 1) + (bas.bit_length() - 1),
+                    reduction=mean_reduction(stats, pairs),
+                    pd_hit_rate=average_reduction(
+                        [stats[job].pd_hit_rate_during_miss for _, job in pairs]
+                    ),
                 )
+                for (mf, bas), pairs in self.pairs(scale).items()
             )
-    return Tab56Result(cells=tuple(cells))
+        )

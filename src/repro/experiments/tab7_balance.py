@@ -16,8 +16,9 @@ assertions in ``benchmarks/test_tab7_balance.py`` check:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
-from repro.experiments.common import DEFAULT, ExperimentScale, run_side
+from repro.experiments.common import ExperimentScale, Pair, Paired, Stats, versus_dm
 from repro.experiments.reporting import format_table
 from repro.stats.balance import BalanceReport, analyze_balance
 from repro.workloads.spec2k import ALL_BENCHMARKS
@@ -78,21 +79,26 @@ class Tab7Result:
         )
 
 
-def run(
-    scale: ExperimentScale = DEFAULT,
-    benchmarks: tuple[str, ...] = ALL_BENCHMARKS,
-    bcache_spec: str = "mf8_bas8",
-) -> Tab7Result:
-    """Measure Table 7's per-set usage on baseline and B-Cache."""
-    rows = []
-    for benchmark in benchmarks:
-        baseline_stats = run_side("dm", benchmark, "data", scale)
-        bcache_stats = run_side(bcache_spec, benchmark, "data", scale)
-        rows.append(
-            BalanceRow(
-                benchmark=benchmark,
-                baseline=analyze_balance(baseline_stats),
-                bcache=analyze_balance(bcache_stats),
+@dataclass(frozen=True)
+class Balance(Paired[Tab7Result]):
+    """Table 7's per-set usage on baseline and B-Cache."""
+
+    benchmarks: tuple[str, ...] = ALL_BENCHMARKS
+    bcache_spec: str = "mf8_bas8"
+
+    def pairs(self, scale: ExperimentScale) -> dict[Any, list[Pair]]:
+        return {
+            b: versus_dm(self.bcache_spec, (b,), "data", scale) for b in self.benchmarks
+        }
+
+    def result(self, scale: ExperimentScale, stats: Stats) -> Tab7Result:
+        return Tab7Result(
+            rows=tuple(
+                BalanceRow(
+                    benchmark=benchmark,
+                    baseline=analyze_balance(stats[dm]),
+                    bcache=analyze_balance(stats[bcache]),
+                )
+                for benchmark, [(dm, bcache)] in self.pairs(scale).items()
             )
         )
-    return Tab7Result(rows=tuple(rows))

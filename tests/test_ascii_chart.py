@@ -81,9 +81,9 @@ class TestGroupedBars:
 class TestPanelChart:
     def test_reduction_panel_chart(self):
         from repro.experiments.common import ExperimentScale
-        from repro.experiments.missrate_figures import run_panel
+        from repro.experiments.missrate_figures import Panel
 
         scale = ExperimentScale(data_n=3000, instr_n=3000, instructions=1000)
-        panel = run_panel(("gzip",), "data", scale, specs=("2way", "mf8_bas8"))
+        panel = Panel(("gzip",), "data", specs=("2way", "mf8_bas8")).run(scale)
         chart = panel.render_chart()
         assert "2way" in chart and "#" in chart

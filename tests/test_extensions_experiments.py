@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.common import ExperimentScale
-from repro.experiments.extensions import run_addressing, run_drowsy
+from repro.experiments.extensions import Drowsy, run_addressing
 
 TINY = ExperimentScale(data_n=6_000, instr_n=6_000, instructions=3_000)
 
@@ -38,7 +38,7 @@ class TestAddressingStudy:
 class TestDrowsyStudy:
     @pytest.fixture(scope="class")
     def study(self):
-        return run_drowsy(TINY, benchmarks=("ammp", "equake", "mcf"))
+        return Drowsy(benchmarks=("ammp", "equake", "mcf")).run(TINY)
 
     def test_row_per_benchmark(self, study):
         assert [row[0] for row in study.rows] == ["ammp", "equake", "mcf"]

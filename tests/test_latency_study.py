@@ -4,7 +4,7 @@ import pytest
 
 from repro.caches import make_cache
 from repro.experiments.common import ExperimentScale
-from repro.experiments.latency_study import LATENCY_SPECS, run
+from repro.experiments.latency_study import LATENCY_SPECS, Latency
 
 TINY = ExperimentScale(data_n=10_000, instr_n=10_000, instructions=5_000, seed=2006)
 
@@ -46,7 +46,7 @@ class TestSlowHitProfiles:
 class TestStudy:
     @pytest.fixture(scope="class")
     def study(self):
-        return run(TINY, benchmarks=("equake", "crafty", "gzip"))
+        return Latency(benchmarks=("equake", "crafty", "gzip")).run(TINY)
 
     def test_all_specs_present(self, study):
         assert {row.spec for row in study.rows} == set(LATENCY_SPECS)

@@ -4,12 +4,12 @@ import pytest
 
 from repro.experiments.common import ExperimentScale
 from repro.experiments.missrate_figures import (
+    FIG4,
+    FIG5,
+    FIG12,
     Fig12Result,
+    Panel,
     ReductionPanel,
-    run_fig4,
-    run_fig5,
-    run_fig12,
-    run_panel,
 )
 
 TINY = ExperimentScale(data_n=5_000, instr_n=5_000, instructions=2_000)
@@ -18,7 +18,7 @@ SPECS = ("2way", "8way", "mf8_bas8")
 
 @pytest.fixture(scope="module")
 def panel() -> ReductionPanel:
-    return run_panel(("gzip", "mcf"), "data", TINY, specs=SPECS)
+    return Panel(("gzip", "mcf"), "data", specs=SPECS).run(TINY)
 
 
 class TestReductionPanel:
@@ -47,24 +47,24 @@ class TestReductionPanel:
 
     def test_invalid_side_rejected(self):
         with pytest.raises(ValueError):
-            run_panel(("gzip",), "both", TINY, specs=("2way",))
+            Panel(("gzip",), "both", specs=("2way",)).run(TINY)
 
 
 class TestFigureRunners:
     def test_fig4_panels_cover_suites(self):
-        result = run_fig4(TINY.scaled(0.5))
+        result = FIG4.run(TINY.scaled(0.5))
         assert len(result.cint.benchmarks) == 12
         assert len(result.cfp.benchmarks) == 14
         text = result.render()
         assert "CFP2K" in text and "CINT2K" in text
 
     def test_fig5_covers_reported(self):
-        panel = run_fig5(TINY.scaled(0.5))
+        panel = FIG5.run(TINY.scaled(0.5))
         assert len(panel.benchmarks) == 15
         assert panel.side == "instr"
 
     def test_fig12_four_panels(self):
-        result = run_fig12(
+        result = FIG12.run(
             ExperimentScale(data_n=2_000, instr_n=2_000, instructions=1_000)
         )
         assert isinstance(result, Fig12Result)

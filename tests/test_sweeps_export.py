@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import BCacheGeometry
 from repro.energy.cam import npd_bits_for
 from repro.experiments.common import ExperimentScale
-from repro.experiments.comparisons import run_victim_sweep
+from repro.experiments.comparisons import VictimSizes
 from repro.trace.trace_file import load_trace
 from repro.workloads.export import export_suite
 
@@ -15,11 +15,9 @@ TINY = ExperimentScale(data_n=8_000, instr_n=8_000, instructions=4_000)
 class TestVictimSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return run_victim_sweep(
-            TINY,
-            benchmarks=("equake", "crafty", "gzip"),
-            entries=(4, 16, 64, 128),
-        )
+        return VictimSizes(
+            benchmarks=("equake", "crafty", "gzip"), entries=(4, 16, 64, 128)
+        ).run(TINY)
 
     def test_monotone_in_entries(self, sweep):
         values = [sweep.data_reduction[n] for n in sweep.entries]

@@ -6,8 +6,8 @@ import pytest
 from repro.experiments import comparisons, perf_energy, tab7_balance
 from repro.experiments.circuit_tables import run_tab1, run_tab2, run_tab3
 from repro.experiments.common import ExperimentScale, run_system
-from repro.experiments.fig3_mf_sweep import run as run_fig3
-from repro.experiments.missrate_figures import run_panel
+from repro.experiments.fig3_mf_sweep import MFSweep
+from repro.experiments.missrate_figures import Panel
 from repro.experiments.reporting import format_table, percent
 
 TINY = ExperimentScale(data_n=12_000, instr_n=15_000, instructions=8_000, seed=2006)
@@ -78,7 +78,7 @@ class TestFig89:
 class TestTab7:
     @pytest.fixture(scope="class")
     def result(self):
-        return tab7_balance.run(TINY, benchmarks=("equake", "mcf", "ammp"))
+        return tab7_balance.Balance(benchmarks=("equake", "mcf", "ammp")).run(TINY)
 
     def test_miss_concentration_collapses(self, result):
         """The B-Cache's whole point: conflict misses de-concentrate.
@@ -109,18 +109,18 @@ class TestTab7:
 
 class TestFig3:
     def test_sweep_runs_and_renders(self):
-        result = run_fig3(TINY, mapping_factors=(2, 8, 64, 512))
+        result = MFSweep(mapping_factors=(2, 8, 64, 512)).run(TINY)
         assert len(result.points) == 4
         assert "Figure 3" in result.render()
 
     def test_miss_rate_falls_across_sweep(self):
-        result = run_fig3(TINY, mapping_factors=(8, 512))
+        result = MFSweep(mapping_factors=(8, 512)).run(TINY)
         assert result.miss_rates()[1] < result.miss_rates()[0]
 
 
 class TestPanels:
     def test_panel_structure(self):
-        panel = run_panel(("gzip", "mcf"), "data", TINY, specs=("2way", "mf8_bas8"))
+        panel = Panel(("gzip", "mcf"), "data", specs=("2way", "mf8_bas8")).run(TINY)
         assert panel.benchmarks == ("gzip", "mcf")
         assert 0 <= panel.average("2way") <= 1
         text = panel.render()
@@ -129,7 +129,7 @@ class TestPanels:
 
 class TestComparisons:
     def test_hac_close_to_bcache(self):
-        result = comparisons.run_hac(
+        result = comparisons.HAC.run(
             ExperimentScale(data_n=8_000, instr_n=8_000, instructions=4_000)
         )
         assert result.hac_cam_bits == 26
@@ -137,11 +137,9 @@ class TestComparisons:
         assert "HAC" in result.render()
 
     def test_replacement_lru_at_least_random(self):
-        result = comparisons.run_replacement_ablation(
-            ExperimentScale(data_n=8_000, instr_n=8_000, instructions=4_000),
-            benchmarks=("equake", "crafty"),
-            policies=("lru", "random"),
-        )
+        result = comparisons.Replacement(
+            benchmarks=("equake", "crafty"), policies=("lru", "random")
+        ).run(ExperimentScale(data_n=8_000, instr_n=8_000, instructions=4_000))
         assert result.data_reduction["lru"] >= result.data_reduction["random"] - 0.02
 
 

@@ -6,7 +6,7 @@ from repro.caches import make_cache
 from repro.caches.direct_mapped import DirectMappedCache
 from repro.caches.write_policy import WritePolicyCache
 from repro.experiments.common import ExperimentScale
-from repro.experiments.sensitivity import run_cache_size, run_line_size
+from repro.experiments.sensitivity import cache_size_sweep, line_size_sweep
 
 TINY = ExperimentScale(data_n=6_000, instr_n=6_000, instructions=3_000)
 
@@ -98,7 +98,7 @@ class TestWrapperPlumbing:
 
 class TestSensitivitySweeps:
     def test_line_size_sweep(self):
-        result = run_line_size(TINY, benchmarks=("equake", "gzip"))
+        result = line_size_sweep(benchmarks=("equake", "gzip")).run(TINY)
         assert [p.label for p in result.points] == ["16B", "32B", "64B"]
         # The B-Cache's advantage holds at every line size.
         for point in result.points:
@@ -106,9 +106,9 @@ class TestSensitivitySweeps:
         assert "line size" in result.render()
 
     def test_cache_size_sweep(self):
-        result = run_cache_size(
-            TINY, sizes=(8, 16, 32), benchmarks=("equake", "gzip")
-        )
+        result = cache_size_sweep(
+            sizes=(8, 16, 32), benchmarks=("equake", "gzip")
+        ).run(TINY)
         # Baseline miss rate falls with capacity.
         rates = [p.baseline_miss_rate for p in result.points]
         assert rates == sorted(rates, reverse=True)
@@ -116,6 +116,6 @@ class TestSensitivitySweeps:
         assert all(r > 0.1 for r in result.reduction_series("mf8_bas8"))
 
     def test_series_accessor(self):
-        result = run_line_size(TINY, line_sizes=(32,), benchmarks=("gzip",))
+        result = line_size_sweep(line_sizes=(32,), benchmarks=("gzip",)).run(TINY)
         series = result.reduction_series("8way")
         assert len(series) == 1
