@@ -215,9 +215,7 @@ INDEX_FUNCS = frozenset(
 BATCH_FUNCS = frozenset({"access_trace", "_batch_trace"})
 
 #: Known process-boundary entry points (engine/serve workers) — BCL014.
-ENTRY_POINT_NAMES = frozenset(
-    {"execute_job", "_shard_entry", "_worker_entry", "_init_worker"}
-)
+ENTRY_POINT_NAMES = frozenset({"execute_job", "_worker_entry"})
 
 #: Calls whose first argument runs in a worker process (BCL014):
 #: executor/pool submission, and a pool's ``map`` family (as a method;

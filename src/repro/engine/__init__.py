@@ -1,19 +1,22 @@
-"""Parallel experiment engine: trace store, runner, resilience, bench.
+"""Parallel experiment engine: trace store, runner, supervisor, journal, bench.
 
-Six pieces (see ``docs/engine.md``):
+Seven pieces (see ``docs/engine.md``):
 
 * :mod:`repro.engine.trace_store` — on-disk ``array('Q')`` blobs (CRC32
   framed, corrupt files quarantined + regenerated) so every synthetic
   trace is generated exactly once per machine;
-* :mod:`repro.engine.runner` — deterministic process-pool fan-out of
-  (spec, benchmark, side, scale) jobs with bit-identical statistics;
+* :mod:`repro.engine.runner` — :class:`SweepJob`, :func:`execute_job`
+  and :func:`run_sweep`, with bit-identical statistics at any worker
+  count;
+* :mod:`repro.engine.workers` — the one worker supervisor: persistent
+  worker processes with trace-affinity routing, per-job deadlines,
+  restarts, retries and in-process fallback, behind every parallel
+  sweep and ``bcache-serve``'s shards;
 * :mod:`repro.engine.results` — the content-addressed result store
   (:class:`ResultCache`): the served result cache and, rooted at
   ``<run_root>/<run_id>/``, the run journal;
-* :mod:`repro.engine.resilience` — crash-safe execution: per-job
-  retries with backoff, hung-worker timeouts, the durable run journal
-  behind ``run_sweep(..., resume=run_id)``, and serial fallback after
-  repeated pool failures;
+* :mod:`repro.engine.resilience` — the durable run journal behind
+  ``run_sweep(..., run_id=...)``, around the same supervisor;
 * :mod:`repro.engine.faultinject` — deterministic fault injection
   (:class:`FaultPlan`) proving every recovery path, plus the CI chaos
   harness (``python -m repro.engine.faultinject``);
@@ -35,17 +38,17 @@ from repro.engine.trace_store import TraceStore, default_store, set_default_stor
 
 #: Symbols resolved lazily (PEP 562) so ``python -m
 #: repro.engine.faultinject`` does not double-import its own module and
-#: plain sweeps never pay the resilience import.
+#: serial sweeps never pay the supervisor import.
 _LAZY = {
     "FAULT_KINDS": "faultinject",
     "FaultPlan": "faultinject",
     "FaultPlanError": "faultinject",
     "FaultSpec": "faultinject",
     "InjectedFault": "faultinject",
-    "ResilienceConfig": "resilience",
+    "ResilienceConfig": "workers",
     "ResultCache": "results",
-    "RetryPolicy": "resilience",
-    "SweepFailure": "resilience",
+    "RetryPolicy": "workers",
+    "SweepFailure": "workers",
     "default_run_root": "resilience",
     "engine_fingerprint": "results",
     "job_hash": "results",

@@ -362,29 +362,22 @@ class ClusterCoordinator:
         jobs: Iterable[SweepJob],
         *,
         run_id: str | None = None,
-        resume: str | None = None,
         run_root: str | Path | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> list[CacheStats]:
         """Run every job on the fleet; mirrors ``run_sweep`` semantics.
 
-        ``run_id``/``resume`` are create-or-resume aliases exactly as in
+        ``run_id`` is create-or-resume exactly as in
         :func:`repro.engine.runner.run_sweep`: completed jobs replay
         from the run's stored entries, the rest are dispatched, and a
         coordinator killed mid-sweep resumes bit-identically.  A result
         that cannot be stored fails the sweep with ``OSError``.
         """
         job_list = list(jobs)
-        if run_id and resume and run_id != resume:
-            raise ValueError(
-                f"run_id={run_id!r} and resume={resume!r} disagree; "
-                "pass one (they are aliases)"
-            )
-        rid = run_id or resume
         journal: ResultCache | None = None
-        if rid:
+        if run_id:
             root = Path(run_root) if run_root is not None else default_run_root()
-            journal = ResultCache(root / rid, fsync=self.config.fsync)
+            journal = ResultCache(root / run_id, fsync=self.config.fsync)
         return asyncio.run(self._run_async(job_list, journal, fault_plan))
 
     def summary(self) -> dict[str, Any]:
@@ -726,7 +719,6 @@ def run_cluster_sweep(
     *,
     config: ClusterConfig | None = None,
     run_id: str | None = None,
-    resume: str | None = None,
     run_root: str | Path | None = None,
     fault_plan: FaultPlan | None = None,
     store: TraceStore | None = None,
@@ -739,7 +731,6 @@ def run_cluster_sweep(
     return coordinator.run(
         jobs,
         run_id=run_id,
-        resume=resume,
         run_root=run_root,
         fault_plan=fault_plan,
     )

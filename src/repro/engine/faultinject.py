@@ -4,7 +4,7 @@ Chaos testing only earns its keep when failures are *reproducible*: a
 flake that appears once a week proves nothing, a fault injected at
 job 3, attempt 0, by seed 2006 proves the recovery path every single
 run.  A :class:`FaultPlan` is a set of ``(kind, job_index, attempt)``
-triples; the resilient executor consults it at well-defined points and
+triples; the worker supervisor consults it at well-defined points and
 triggers each fault exactly when its coordinates match.
 
 Fault classes (``FAULT_KINDS``):
@@ -19,9 +19,10 @@ Fault classes (``FAULT_KINDS``):
     Worker raises :class:`InjectedFault` — a transient in-job Python
     error, retried with backoff.
 ``corrupt_blob``
-    Parent flips a byte in the job's on-disk trace blob before the
-    attempt starts; the hardened ``TraceStore`` must quarantine the
-    blob and regenerate it from the deterministic seed.
+    The attempt flips a byte in the job's on-disk trace blob, then
+    reads the trace through a fresh store (never a shared segment or a
+    warm LRU); the hardened ``TraceStore`` must quarantine the blob and
+    regenerate it from the deterministic seed.
 ``torn_journal``
     Half of the job's journal entry reaches its temp file and the
     rename never happens — what a power loss between ``write`` and
@@ -90,10 +91,8 @@ NODE_KINDS = ("node_down", "node_hang", "node_flaky")
 #: Every kind the DSL accepts (worker-, parent- and node-level).
 ALL_KINDS = FAULT_KINDS + NODE_KINDS
 
-#: Faults applied inside the worker process.
+#: Faults that stop or fail the process running the job.
 CHILD_KINDS = frozenset({"crash", "hang", "flaky"})
-#: Faults applied by the supervising parent.
-PARENT_KINDS = frozenset({"corrupt_blob", "torn_journal"})
 
 #: Exit code of an injected worker crash (mirrors SIGKILL's 128+9).
 CRASH_EXIT_CODE = 137
@@ -274,9 +273,9 @@ def apply_inprocess_faults(kinds: Sequence[str]) -> None:
 def corrupt_job_blobs(store: "TraceStore", job: "SweepJob") -> None:
     """Flip a byte in the job's on-disk address blob (``corrupt_blob``).
 
-    Ensures the blob exists first, then damages it in place — the
-    hardened store must detect the CRC mismatch, quarantine the file,
-    and regenerate it from the deterministic seed.
+    Ensures the blob exists first, then damages it in place — a store
+    that reads it from disk must detect the CRC mismatch, quarantine
+    the file, and regenerate it from the deterministic seed.
     """
     store.ensure(
         job.benchmark,
@@ -293,8 +292,6 @@ def corrupt_job_blobs(store: "TraceStore", job: "SweepJob") -> None:
         return
     data[0] ^= 0xFF
     path.write_bytes(bytes(data))
-    # Drop any clean in-memory copy so the corruption is actually seen.
-    store.clear_memory()
     log.warning("injected fault: corrupted trace blob %s", path.name)
 
 
@@ -402,55 +399,35 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     from repro.engine import shm
 
-    def leak_shm(stage: str) -> bool:
-        """Shared-memory leak gate: no trace segment survives a sweep.
-
-        Fault-killed workers (SIGKILL included) only ever *attach*;
-        the parent registry owns every segment and must unlink them
-        all on the way out, whatever the sweep just went through.
-        """
-        leaked = shm.leaked_segments()
-        if leaked:
-            print(
-                f"chaos: FAIL — {stage} leaked shared-memory "
-                f"segments: {', '.join(leaked)}",
-                file=sys.stderr,
-            )
-            return True
-        return False
-
     print(f"chaos: {len(jobs)} jobs, plan [{plan.render()}]")
     expected = run_sweep(jobs, workers=1)
-
     with tempfile.TemporaryDirectory(prefix="bcache-chaos-") as tmp:
-        run_root = args.run_root or tmp
-        faulted = run_sweep(
-            jobs,
-            workers=args.workers,
-            run_id="chaos",
-            run_root=run_root,
-            resilience=config,
-            fault_plan=plan,
-        )
-        if faulted != expected:
-            print("chaos: FAIL — faulted run diverged from clean run", file=sys.stderr)
-            return 1
-        if leak_shm("faulted run"):
-            return 1
-        print("chaos: faulted run recovered bit-identically")
-        resumed = run_sweep(
-            jobs,
-            workers=1,
-            resume="chaos",
-            run_root=run_root,
-            resilience=config,
-        )
-        if resumed != expected:
-            print("chaos: FAIL — resume diverged from clean run", file=sys.stderr)
-            return 1
-        if leak_shm("resume"):
-            return 1
-        print("chaos: resume replayed bit-identically from the journal")
+        # The faulted run recovers, then a rerun of the same id replays
+        # every job from the journal.  After each, no trace segment may
+        # survive: fault-killed workers only ever attach, and the
+        # parent's registry must unlink them all on the way out.
+        legs = (("faulted run", args.workers, plan), ("resume", 1, None))
+        for stage, workers, fault_plan in legs:
+            got = run_sweep(
+                jobs,
+                workers=workers,
+                run_id="chaos",
+                run_root=args.run_root or tmp,
+                resilience=config,
+                fault_plan=fault_plan,
+            )
+            leaked = shm.leaked_segments()
+            if got != expected:
+                print(f"chaos: FAIL — {stage} diverged from clean run", file=sys.stderr)
+                return 1
+            if leaked:
+                print(
+                    f"chaos: FAIL — {stage} leaked shared-memory "
+                    f"segments: {', '.join(leaked)}",
+                    file=sys.stderr,
+                )
+                return 1
+            print(f"chaos: {stage} bit-identical to the clean run")
     print(f"chaos: PASS ({len(plan)} faults injected and recovered)")
     return 0
 

@@ -1,12 +1,12 @@
 """Zero-copy trace sharing over ``multiprocessing.shared_memory``.
 
-The sweep runner and the serve shard pool replay the same traces in
-every worker process.  Before this module existed each worker re-read
-(or worse, regenerated) its blobs from disk; now the parent exports
-each distinct trace **once** into a named shared-memory segment and
-ships only the segment *name* across the process boundary.  Workers
-attach and hand out zero-copy ``memoryview`` columns that flow straight
-into the batch kernels.
+The worker supervisor's processes (behind parallel sweeps and the
+serve shards) replay the same traces in every worker process.  Before
+this module existed each worker re-read (or worse, regenerated) its
+blobs from disk; now the parent exports each distinct trace **once**
+into a named shared-memory segment and ships only the segment *name*
+across the process boundary.  Workers attach and hand out zero-copy
+``memoryview`` columns that flow straight into the batch kernels.
 
 Segment layout mirrors the store's columnar blobs:
 
@@ -27,11 +27,10 @@ platform's name limit.
 
 Ownership is explicit: the :class:`SharedTraceRegistry` that exported a
 segment is its owner and the only place that may ``unlink`` it.
-Workers only ever ``attach``/``close``.  The registry refcounts
-exports, unlinks a segment when its count drops to zero via
-:meth:`release`, and :meth:`unlink_all` (also the context-manager exit)
-force-unlinks everything — the drain/exit path that the chaos harness
-asserts on with :func:`leaked_segments`.
+Workers only ever ``attach``/``close``.  Segments live as long as their
+registry: :meth:`~SharedTraceRegistry.unlink_all` (also the
+context-manager exit) unlinks everything — the drain/exit path that the
+chaos harness asserts on with :func:`leaked_segments`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import os
 import threading
 import zlib
 from multiprocessing import resource_tracker, shared_memory
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.obs import instrument as _obs
 
@@ -68,17 +67,11 @@ def trace_key(
     return (benchmark, side, n, seed, "acc" if with_kinds else "adr")
 
 
-def segment_size(count: int, with_kinds: bool) -> int:
-    """Bytes of a segment holding ``count`` references."""
-    return 9 * count if with_kinds else 8 * count
-
-
 class SharedTraceRegistry:
     """Parent-side owner of exported trace segments.
 
-    Thread-safe: the serve pool exports from its event-loop thread
-    while per-shard worker threads release, and ``unlink_all`` may race
-    a signal-driven drain.
+    Thread-safe: supervisor threads export concurrently, and
+    ``unlink_all`` may race a signal-driven drain.
     """
 
     def __init__(self, prefix: str = SEGMENT_PREFIX) -> None:
@@ -88,7 +81,7 @@ class SharedTraceRegistry:
         # against the owner's create registration instead of spawning
         # per-worker trackers that would unlink live segments (and spam
         # leak warnings) when a worker exits.  Registries are always
-        # constructed before the pools they feed, so this ordering holds.
+        # constructed before the workers they feed, so this ordering holds.
         resource_tracker.ensure_running()
         # Heal leftovers of SIGKILLed owners before adding our own
         # segments (their names share the prefix we scan for).
@@ -97,18 +90,15 @@ class SharedTraceRegistry:
         self._serial = 0
         self._segments: dict[TraceKey, shared_memory.SharedMemory] = {}
         self._manifest: Manifest = {}
-        self._refcounts: dict[TraceKey, int] = {}
         # Segments whose close() failed because a view is still live;
         # kept referenced so their finalisers fire after the views die.
         self._zombies: list[shared_memory.SharedMemory] = []
 
-    # -- naming --------------------------------------------------------
     def _segment_name(self, key: TraceKey) -> str:
         digest = zlib.crc32("|".join(str(part) for part in key).encode())
         self._serial += 1
         return f"{self.prefix}-{os.getpid()}-{self._serial}-{digest:08x}"
 
-    # -- export --------------------------------------------------------
     def export(
         self,
         store: "TraceStore",
@@ -120,57 +110,33 @@ class SharedTraceRegistry:
     ) -> tuple[str, int]:
         """Export one trace into a named segment (idempotent per key).
 
-        Materialises the trace through ``store`` (CRC-verified or
-        regenerated there), copies its columns into a fresh segment,
-        and returns ``(segment name, reference count)``.  A repeated
-        export of the same key bumps its refcount and returns the
-        existing segment.
+        Materialises the trace through ``store`` (CRC-verified, or
+        regenerated and written there), copies its columns into a fresh
+        segment, and returns ``(segment name, reference count)``.
         """
         key = trace_key(benchmark, side, n, seed, with_kinds)
         with self._lock:
             entry = self._manifest.get(key)
             if entry is not None:
-                self._refcounts[key] += 1
                 return entry
-        if with_kinds:
-            addresses, kinds = store.accesses(benchmark, side, n, seed)
-            count = len(addresses)
-            address_bytes = bytes(memoryview(addresses).cast("B"))
-            kind_bytes = bytes(memoryview(kinds).cast("B"))
-        else:
-            addresses = store.addresses(benchmark, side, n, seed)
-            count = len(addresses)
-            address_bytes = bytes(memoryview(addresses).cast("B"))
-            kind_bytes = b""
-        with self._lock:
-            entry = self._manifest.get(key)
-            if entry is not None:  # lost a benign race with another thread
-                self._refcounts[key] += 1
-                return entry
+            if with_kinds:
+                addresses, kinds = store.accesses(benchmark, side, n, seed)
+                columns = [addresses.cast("B"), kinds.cast("B")]
+            else:
+                columns = [store.addresses(benchmark, side, n, seed).cast("B")]
+            count = len(columns[0]) // 8
+            size = 9 * count if with_kinds else 8 * count  # addresses, kinds
             name = self._segment_name(key)
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=segment_size(count, with_kinds)
-            )
-            view = segment.buf
-            view[: len(address_bytes)] = address_bytes
-            if kind_bytes:
-                view[len(address_bytes):len(address_bytes) + count] = kind_bytes
+            segment = shared_memory.SharedMemory(name=name, create=True, size=size)
+            offset = 0
+            for column in columns:
+                segment.buf[offset:offset + len(column)] = column
+                offset += len(column)
             self._segments[key] = segment
             self._manifest[key] = (name, count)
-            self._refcounts[key] = 1
-        _obs.shm_segment("export", name, segment_size(count, with_kinds))
+        _obs.shm_segment("export", name, size)
         return name, count
 
-    def export_jobs(
-        self, store: "TraceStore", specs: Iterable[tuple[str, str, int, int, bool]]
-    ) -> Manifest:
-        """Export every distinct ``(benchmark, side, n, seed, kinds)``
-        spec and return the resulting manifest."""
-        for benchmark, side, n, seed, with_kinds in specs:
-            self.export(store, benchmark, side, n, seed, with_kinds)
-        return self.manifest()
-
-    # -- introspection -------------------------------------------------
     def manifest(self) -> Manifest:
         """Picklable ``{trace key: (segment name, count)}`` snapshot."""
         with self._lock:
@@ -180,36 +146,17 @@ class SharedTraceRegistry:
         with self._lock:
             return len(self._segments)
 
-    # -- teardown ------------------------------------------------------
-    def release(self, key: TraceKey) -> bool:
-        """Drop one reference; unlink the segment at refcount zero.
-
-        Returns True when the segment was actually unlinked.
-        """
-        with self._lock:
-            if key not in self._refcounts:
-                return False
-            self._refcounts[key] -= 1
-            if self._refcounts[key] > 0:
-                return False
-            segment = self._segments.pop(key)
-            name, count = self._manifest.pop(key)
-            del self._refcounts[key]
-        self._destroy(segment, name)
-        return True
-
     def unlink_all(self) -> int:
-        """Force-unlink every owned segment (drain/exit path).
+        """Unlink every owned segment (drain/exit path).
 
         Idempotent and safe after partial failures: every segment gets
-        a close+unlink attempt regardless of refcount.
+        a close+unlink attempt.
         """
         with self._lock:
-            doomed = list(self._segments.items())
+            doomed = list(self._segments.values())
             self._segments.clear()
             self._manifest.clear()
-            self._refcounts.clear()
-        for key, segment in doomed:
+        for segment in doomed:
             self._destroy(segment, segment.name)
         return len(doomed)
 

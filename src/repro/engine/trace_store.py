@@ -457,9 +457,7 @@ class TraceStore:
     ) -> Path:
         """Materialise one trace on disk without retaining it in memory.
 
-        The runner calls this for every distinct trace of a sweep
-        before forking workers, so the pool loads blobs instead of
-        regenerating streams.  Returns the address-blob path.
+        Returns the address-blob path.
         """
         if kinds:
             addr_path = self.address_path(benchmark, side, n, seed, kinds=True)
@@ -483,8 +481,8 @@ class TraceStore:
 
 
 # ----------------------------------------------------------------------
-# Process-wide default store (worker processes point it at the parent's
-# root via the runner's pool initializer).
+# Process-wide default store (supervisor workers point it at the
+# parent's root when they start).
 # ----------------------------------------------------------------------
 _DEFAULT: TraceStore | None = None
 

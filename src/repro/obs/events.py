@@ -244,8 +244,8 @@ def active_log_path() -> Path:
 def log_to(path: str | Path) -> Iterator[None]:
     """Temporarily route events to ``path`` (no-op while tier is off).
 
-    The resilient sweep supervisor wraps each journaled run in this so
-    the event log lands beside the run's result entries.
+    The run journal (``repro.engine.resilience``) wraps each journaled
+    run in this so the event log lands beside the run's result entries.
     """
     state = _state()
     if state.mode == "off":

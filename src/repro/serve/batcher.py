@@ -194,18 +194,11 @@ class MicroBatcher:
         shard_ctxs = [self._close_windows(entry, flush_start)
                       for entry in entries]
         try:
-            jobs = [entry.job for entry in entries]
-            if any(ctx is not None for ctx in shard_ctxs):
-                results = await self.pool.run_batch(
-                    shard,
-                    jobs,
-                    traces=[ctx.to_wire() if ctx is not None else None
-                            for ctx in shard_ctxs],
-                )
-            else:
-                # Untraced batches keep the legacy call shape so duck-typed
-                # pools (and REPRO_OBS=off) see no interface change.
-                results = await self.pool.run_batch(shard, jobs)
+            results = await self.pool.run_batch(
+                shard,
+                [entry.job for entry in entries],
+                [ctx.to_wire() if ctx is not None else None for ctx in shard_ctxs],
+            )
         except Exception as exc:
             self._retire(bucket)
             for entry in entries:

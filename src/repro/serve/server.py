@@ -669,7 +669,7 @@ class SimServer:
                 "max_pending": self.config.max_pending,
                 "singleflight_leaders": self.singleflight.leaders,
                 "singleflight_waits": self.singleflight.waits,
-                "fallback_batches": self.pool.fallback_batches,
+                "fallback_batches": self.pool.supervisor.fallback_batches,
                 "shard_restarts_total": int(restart_counter.total()),
             },
             "batcher": self.batcher.metrics.snapshot(),

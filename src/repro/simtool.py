@@ -84,11 +84,11 @@ def _run_specs(
 ) -> tuple[dict[str, CacheStats], dict[str, str], int]:
     """Run every spec; returns (stats by spec, errors by spec, status).
 
-    Benchmark runs with ``--jobs > 1`` go through the process-pool
-    sweep runner (each worker loads the same stored trace); trace-file
-    and ``--sanitize`` runs stay serial.  ``--run-id``/``--inject-faults``
-    route benchmark runs through the crash-safe resilient engine
-    (retries, timeouts, durable journal — see ``docs/engine.md``).
+    Benchmark runs with ``--jobs > 1`` go through the sweep runner's
+    worker supervisor (each worker loads the same stored trace);
+    trace-file and ``--sanitize`` runs stay serial.
+    ``--run-id``/``--inject-faults`` add the durable run journal and
+    fault injection (see ``docs/engine.md``).
     """
     results: dict[str, CacheStats] = {}
     errors: dict[str, str] = {}

@@ -167,11 +167,6 @@ class TestCoordinatorValidation:
             "unix:/a", "unix:/b",
         ]
 
-    def test_conflicting_run_id_and_resume_rejected(self):
-        coordinator = ClusterCoordinator(["unix:/a"], config=FAST)
-        with pytest.raises(ValueError, match="aliases"):
-            coordinator.run(small_sweep()[:1], run_id="x", resume="y")
-
 
 class TestFleetSweep:
     def test_two_node_sweep_matches_serial_run(self, fleet, tmp_path, store):
@@ -268,7 +263,7 @@ class TestJournal:
         coordinator = ClusterCoordinator(
             [f"unix:{tmp_path}/ghost.sock"], config=FAST, store=store
         )
-        resumed = coordinator.run(jobs, resume="done", run_root=run_root)
+        resumed = coordinator.run(jobs, run_id="done", run_root=run_root)
         assert resumed == first
         assert coordinator.summary()["fallback_jobs"] == 0
 
@@ -336,7 +331,7 @@ run_cluster_sweep(
 
         resumed = run_cluster_sweep(
             jobs, [f"unix:{tmp_path}/ghost.sock"], config=FAST, store=store,
-            resume="killed", run_root=run_root,
+            run_id="killed", run_root=run_root,
         )
         assert resumed == run_sweep(jobs, workers=1, store=store)
         assert len(entries(run_root / "killed")) == len(jobs)

@@ -116,12 +116,6 @@ class TestResilientRouting:
         )
         assert len(list((tmp_path / "routed").glob("fp-*/*.json"))) == 2
 
-    def test_run_id_resume_alias_conflict(self, store):
-        with pytest.raises(ValueError, match="disagree"):
-            run_sweep(
-                small_sweep()[:1], store=store, run_id="a", resume="b"
-            )
-
 
 class TestForkserverStartMethod:
     """Everything the process paths ship to a worker must pickle.
@@ -153,6 +147,11 @@ resilient = run_sweep(
     jobs, workers=2, store=store, resilience=ResilienceConfig(fsync=False)
 )
 assert resilient == serial, "resilient"
+journaled = run_sweep(
+    jobs, workers=2, store=store, run_id="fs", run_root=sys.argv[2],
+    resilience=ResilienceConfig(fsync=False),
+)
+assert journaled == serial, "journaled"
 with ShardPool(1, store=store) as pool:
     [(status, snapshot)] = pool.run_batch_blocking(0, jobs[:1])
 assert (status, snapshot) == ("ok", serial[0].snapshot()), "shard pool"
@@ -162,7 +161,8 @@ assert (status, snapshot) == ("ok", serial[0].snapshot()), "shard pool"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
-            [sys.executable, "-c", self.CHILD, str(tmp_path / "traces")],
+            [sys.executable, "-c", self.CHILD, str(tmp_path / "traces"),
+             str(tmp_path / "runs")],
             env=env,
             capture_output=True,
             text=True,

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import EXPERIMENTS, Table, main
-from repro.engine import resilience, runner
+from repro.engine import runner, workers
 from repro.engine.runner import SweepJob
 from repro.experiments.common import ExperimentScale, RunOptions, execute
 from repro.experiments.comparisons import VictimSizes
@@ -87,7 +87,7 @@ def _count_executions(monkeypatch) -> list[str]:
         return original(job, *args, **kwargs)
 
     monkeypatch.setattr(runner, "execute_job", counting)
-    monkeypatch.setattr(resilience, "execute_job", counting)
+    monkeypatch.setattr(workers, "execute_job", counting)
     return keys
 
 
@@ -121,7 +121,7 @@ class TestDedupe:
 
 CHILD = """
 import sys, time
-from repro.engine import resilience, runner
+from repro.engine import runner, workers
 from repro.engine.trace_store import TraceStore, set_default_store
 from repro.experiments.common import ExperimentScale, RunOptions, execute
 from repro.cli import EXPERIMENTS
@@ -140,7 +140,7 @@ def stalling(job, *args, **kwargs):
     return original(job, *args, **kwargs)
 
 
-resilience.execute_job = stalling
+workers.execute_job = stalling
 scale = ExperimentScale(data_n=600, instr_n=600, instructions=600)
 for result in execute(
     [EXPERIMENTS[name] for name in ("fig4", "tab7", "drowsy")],

@@ -21,8 +21,10 @@ from repro.engine.resilience import (
     default_run_root,
 )
 from repro.engine.results import ResultCache, decode_entry
-from repro.engine.runner import SweepJob, execute_job, run_sweep
+from repro.engine.runner import SweepJob, execute_job, job_label, run_sweep
 from repro.engine.trace_store import TraceStore
+from repro.obs import events as obs_events
+from repro.obs.events import read_events
 
 
 @pytest.fixture
@@ -104,7 +106,7 @@ class TestResultJournal:
         line = path.read_text()
         path.write_text(line[:9] + ("X" if line[9] != "X" else "Y") + line[10:])
 
-        resumed = run_sweep(jobs, workers=1, store=store, resume="r1",
+        resumed = run_sweep(jobs, workers=1, store=store, run_id="r1",
                             run_root=tmp_path, resilience=FAST)
         assert resumed == clean
         assert (tmp_path / "r1" / "quarantine" / path.name).is_file()
@@ -135,7 +137,7 @@ class TestResumeSerial:
         )
         assert first == clean
         resumed = run_sweep(
-            jobs, workers=1, store=store, resume="r", run_root=tmp_path,
+            jobs, workers=1, store=store, run_id="r", run_root=tmp_path,
             resilience=FAST,
         )
         assert resumed == clean
@@ -147,24 +149,17 @@ class TestResumeSerial:
             resilience=FAST,
         )
 
-        import repro.engine.resilience as resilience
+        import repro.engine.workers as workers
 
         def _boom(*args, **kwargs):
             raise AssertionError("resume must not re-execute completed jobs")
 
-        monkeypatch.setattr(resilience, "execute_job", _boom)
+        monkeypatch.setattr(workers, "execute_job", _boom)
         resumed = run_sweep(
-            jobs, workers=1, store=store, resume="r", run_root=tmp_path,
+            jobs, workers=1, store=store, run_id="r", run_root=tmp_path,
             resilience=FAST,
         )
         assert resumed == expected
-
-    def test_run_id_resume_conflict_rejected(self, tmp_path, store):
-        with pytest.raises(ValueError, match="disagree"):
-            run_sweep(
-                small_sweep()[:1], workers=1, store=store,
-                run_id="a", resume="b", run_root=tmp_path,
-            )
 
     def test_resume_with_other_jobs_reuses_shared_entries(
         self, tmp_path, store, monkeypatch
@@ -175,7 +170,7 @@ class TestResumeSerial:
             resilience=FAST,
         )
         other = small_sweep()[1:3]
-        import repro.engine.resilience as resilience
+        import repro.engine.workers as workers
 
         ran: list[SweepJob] = []
 
@@ -183,9 +178,9 @@ class TestResumeSerial:
             ran.append(job)
             return execute_job(job, *args, **kwargs)
 
-        monkeypatch.setattr(resilience, "execute_job", counting)
+        monkeypatch.setattr(workers, "execute_job", counting)
         got = run_sweep(
-            other, workers=1, store=store, resume="fp", run_root=tmp_path,
+            other, workers=1, store=store, run_id="fp", run_root=tmp_path,
             resilience=FAST,
         )
         assert got == run_sweep(other, workers=1, store=store)
@@ -210,7 +205,7 @@ class TestResumeSerial:
         assert checked == plain
         resumed = run_sweep(
             jobs, workers=1, store=store, sanitize=True,
-            resume="san", run_root=tmp_path, resilience=FAST,
+            run_id="san", run_root=tmp_path, resilience=FAST,
         )
         assert resumed == plain
 
@@ -261,7 +256,7 @@ class TestFaultRecovery:
         assert len(entries(tmp_path / "torn")) == len(jobs) - 1
         assert len(list((tmp_path / "torn").glob("fp-*/*.tmp.*"))) == 1
         resumed = run_sweep(
-            jobs, workers=1, store=store, resume="torn", run_root=tmp_path,
+            jobs, workers=1, store=store, run_id="torn", run_root=tmp_path,
             resilience=FAST,
         )
         assert resumed == clean
@@ -296,6 +291,58 @@ class TestFaultRecovery:
             )
         assert got == clean
         assert any("serial" in record.message for record in caplog.records)
+
+
+class TestPersistentWorkers:
+    """Supervisor workers live for the whole sweep, faults included."""
+
+    @staticmethod
+    def _runs_by_pid(path: Path) -> dict[int, list[str]]:
+        """``job.run`` span keys per worker pid, in each worker's order."""
+        runs: dict[int, list[str]] = {}
+        for record in read_events(path):
+            if record["name"] == "job.run":
+                runs.setdefault(record["pid"], []).append(record["key"])
+        return runs
+
+    def test_journaled_sweep_starts_one_process_per_worker(self, tmp_path, store):
+        obs_events.configure(mode="events", log_path=tmp_path / "events.jsonl")
+        jobs = [
+            SweepJob(spec=spec, benchmark=benchmark, n=1000)
+            for spec in ("dm", "2way", "4way")
+            for benchmark in ("gzip", "equake", "gcc", "mcf")
+        ]
+        got = run_sweep(
+            jobs, workers=2, store=store, run_id="persist", run_root=tmp_path,
+            resilience=FAST,
+        )
+        assert got == run_sweep(jobs, workers=1, store=store)
+        # The journaled run routes its events beside its entries.
+        runs = self._runs_by_pid(tmp_path / "persist" / "events.jsonl")
+        assert sum(len(keys) for keys in runs.values()) == len(jobs)
+        assert len(runs) == 2
+        assert os.getpid() not in runs
+
+    def test_corrupt_blob_bypasses_an_attached_segment(self, tmp_path, store):
+        jobs = [
+            SweepJob(spec=spec, benchmark="gzip", n=2000)
+            for spec in ("dm", "2way", "4way", "8way", "mf8_bas8", "fa")
+        ]
+        clean = [execute_job(job, store=store) for job in jobs]
+        log_path = tmp_path / "events.jsonl"
+        obs_events.configure(mode="events", log_path=log_path)
+        got = run_sweep(
+            jobs, workers=2, store=store, resilience=FAST,
+            fault_plan=FaultPlan.parse("corrupt_blob@5"),
+        )
+        assert got == clean
+        blob = store.address_path("gzip", "data", 2000, 2006).name
+        assert (store.quarantine_root / blob).is_file()
+        # The faulted job ran on a worker that had already attached
+        # this trace's segment for an earlier job.
+        label = job_label(jobs[5])
+        [keys] = [keys for keys in self._runs_by_pid(log_path).values() if label in keys]
+        assert keys.index(label) > 0
 
 
 class TestKillResume:
@@ -358,7 +405,7 @@ run_sweep(
 
         clean = run_sweep(jobs, workers=1, store=store)
         resumed = run_sweep(
-            jobs, workers=1, store=store, resume="killed", run_root=run_root,
+            jobs, workers=1, store=store, run_id="killed", run_root=run_root,
             resilience=FAST,
         )
         assert resumed == clean

@@ -7,6 +7,8 @@ replay — that is the contract that makes ``--connect`` a drop-in."""
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 
 import pytest
 
@@ -23,7 +25,8 @@ from repro.serve.client import (
 )
 from repro.serve.protocol import HEADER
 from repro.serve.server import ServeConfig, SimServer, _job_from_payload, BadRequest
-from repro.serve.workers import ShardPool, trace_shard_key
+from repro.engine.workers import ResilienceConfig, trace_shard_key
+from repro.serve.workers import ShardPool
 
 JOB = SweepJob(spec="mf8_bas8", benchmark="gcc", n=3000, with_kinds=True)
 
@@ -42,7 +45,7 @@ class _FakePool:
     def shard_of(self, job: SweepJob) -> int:
         return trace_shard_key(job) % self.shards
 
-    async def run_batch(self, shard_id, jobs):
+    async def run_batch(self, shard_id, jobs, traces):
         self.batches.append((shard_id, list(jobs)))
         if self.fail:
             return [("error", "injected failure") for _ in jobs]
@@ -149,12 +152,25 @@ class TestShardPool:
     def test_dead_shard_restarts_and_serves(self):
         job = SweepJob(spec="dm", benchmark="gzip", n=1500)
         with ShardPool(1) as pool:
-            pool._shards[0].proc.kill()
-            pool._shards[0].proc.join(timeout=10)
+            os.kill(pool.snapshot()[0]["pid"], signal.SIGKILL)
             [(status, snapshot)] = pool.run_batch_blocking(0, [job])
             assert status == "ok"
             assert snapshot == execute_job(job).snapshot()
             assert pool.snapshot()[0]["restarts"] >= 1
+
+    def test_stopped_shard_is_killed_restarted_and_answers(self):
+        # A hung shard used to block its callers forever; now its
+        # deadline kills it and the batch goes to a fresh worker.
+        job = SweepJob(spec="dm", benchmark="gzip", n=1500)
+        with ShardPool(1, config=ResilienceConfig(job_timeout=2.0)) as pool:
+            stopped = pool.snapshot()[0]["pid"]
+            os.kill(stopped, signal.SIGSTOP)
+            [(status, snapshot)] = pool.run_batch_blocking(0, [job])
+            assert (status, snapshot) == ("ok", execute_job(job).snapshot())
+            shard = pool.snapshot()[0]
+            assert shard["restarts"] == 1
+            assert shard["pid"] != stopped
+            assert pool.supervisor.fallback_batches == 0
 
 
 # ----------------------------------------------------------------------
@@ -394,8 +410,7 @@ class TestServeTelemetry:
         async def scenario(server, address):
             client = await AsyncServeClient.connect(address)
             try:
-                server.pool._shards[0].proc.kill()
-                server.pool._shards[0].proc.join(timeout=10)
+                os.kill(server.pool.snapshot()[0]["pid"], signal.SIGKILL)
                 await client.simulate(JOB)
                 return await client.status()
             finally:

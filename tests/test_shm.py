@@ -2,13 +2,16 @@
 
 The :class:`~repro.engine.shm.SharedTraceRegistry` owns every exported
 segment; workers only attach.  These tests pin the ownership contract:
-refcounted release, idempotent force-unlink, zero-copy read-only views,
+idempotent export and force-unlink, zero-copy read-only views,
 the store's memory → shared → disk tier order, and — the part chaos
 runs assert on — that no ``bcrepro-*`` segment survives a sweep, a
 fault-injected worker crash, or a shard-pool shutdown.
 """
 
 from __future__ import annotations
+
+import os
+import signal
 
 import pytest
 
@@ -47,17 +50,6 @@ class TestRegistryLifecycle:
             second = registry.export(store, "gzip", "data", 400, 1, False)
             assert first == second
             assert len(registry) == 1
-
-    def test_release_unlinks_at_refcount_zero(self, store):
-        registry = SharedTraceRegistry()
-        registry.export(store, "gzip", "data", 300, 1, False)
-        registry.export(store, "gzip", "data", 300, 1, False)  # refcount 2
-        key = trace_key("gzip", "data", 300, 1, False)
-        assert registry.release(key) is False  # still referenced
-        assert shm.leaked_segments() != []
-        assert registry.release(key) is True  # dropped to zero
-        assert shm.leaked_segments() == []
-        assert registry.release(key) is False  # unknown key now
 
     def test_unlink_all_is_idempotent(self, store):
         registry = SharedTraceRegistry()
@@ -255,7 +247,7 @@ class TestShardPoolLeakGate:
         with ShardPool(2, store=store) as pool:
             results = pool.run_batch_blocking(pool.shard_of(job), [job])
             assert results[0][0] == "ok"
-            assert len(pool._registry) == 1
+            assert len(pool.supervisor._registry) == 1
             assert shm.leaked_segments() != []
         assert shm.leaked_segments() == []
 
@@ -266,8 +258,8 @@ class TestShardPoolLeakGate:
         with ShardPool(1, store=store) as pool:
             pool.run_batch_blocking(0, [job])
             key = trace_key("gzip", "data", 2000, 2006, False)
-            assert key in pool._sent_keys[0]
-            pool._shards[0].proc.kill()
+            assert key in pool.supervisor._workers[0].sent
+            os.kill(pool.snapshot()[0]["pid"], signal.SIGKILL)
             pool.run_batch_blocking(0, [job])  # restart + re-send manifest
-            assert pool._shards[0].restarts == 1
-            assert key in pool._sent_keys[0]
+            assert pool.snapshot()[0]["restarts"] == 1
+            assert key in pool.supervisor._workers[0].sent

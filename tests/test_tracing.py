@@ -21,6 +21,7 @@ import asyncio
 import json
 import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -275,8 +276,7 @@ class TestWorkerSpanDeltas:
         with ShardPool(1) as pool:
             pool.run_batch_blocking(0, self.JOBS, traces)
             assert len(self._kernel_records(events_log)) == len(self.JOBS)
-            pool._shards[0].proc.kill()
-            pool._shards[0].proc.join(timeout=10)
+            os.kill(pool.snapshot()[0]["pid"], signal.SIGKILL)
             results = pool.run_batch_blocking(0, self.JOBS, traces)
             assert [status for status, _ in results] == ["ok", "ok"]
             assert pool.snapshot()[0]["restarts"] >= 1
