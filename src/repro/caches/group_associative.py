@@ -26,8 +26,18 @@ Model
 from __future__ import annotations
 
 from collections import OrderedDict
+from heapq import heappop, heappush
+from typing import Sequence
 
-from repro.caches.base import AccessResult, Cache, log2_exact
+from repro.caches.base import (
+    DEMAND,
+    WRITEBACK,
+    AccessResult,
+    Cache,
+    NextLevelStream,
+    log2_exact,
+)
+from repro.stats.counters import CacheStats
 
 
 class GroupAssociativeCache(Cache):
@@ -156,6 +166,155 @@ class GroupAssociativeCache(Cache):
         self._dirty[home] = is_write
         return AccessResult(
             hit=False, set_index=home, evicted=evicted, evicted_dirty=evicted_dirty
+        )
+
+    def _batch_trace(
+        self,
+        addresses: Sequence[int],
+        kinds: Sequence[int] | None,
+        next_level: NextLevelStream | None = None,
+    ) -> CacheStats:
+        """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
+
+        The home-set hit path is inlined.  A relocated hit and a full
+        miss share the rest: the home set's occupant moves to the first
+        hole in index order, else it leaves the cache.  The frames the
+        OPD points at are kept as a set, updated with every OPD change,
+        and the frames that may be holes as a min-heap, so a hole
+        search pops the stale entries off its top instead of scanning
+        every set.
+        """
+        if type(self)._access_block is not GroupAssociativeCache._access_block:
+            # A subclass customises per-access behaviour; let the generic
+            # kernel drive its _access_block override instead of this one.
+            return super()._batch_trace(addresses, kinds, next_level)
+        stats = self.stats
+        blocks = self._blocks
+        dirty = self._dirty
+        sht = self._sht
+        opd = self._opd
+        sht_capacity = self.sht_capacity
+        opd_capacity = self.opd_capacity
+        num_sets = self.num_sets
+        index_mask = self._index_mask
+        offset_bits = self.offset_bits
+        set_accesses = stats.set_accesses
+        set_hits = stats.set_hits
+        set_misses = stats.set_misses
+        # The frames OPD entries point at (no two entries share one).
+        relocated = set(opd.values())
+        # Every hole is queued; a queued frame may have stopped being one
+        # (entered the SHT or the OPD) and is dropped when it surfaces.
+        holes = [f for f in range(num_sets) if f not in sht and f not in relocated]
+        queued = set(holes)
+
+        def unpin(frame: int) -> None:
+            """``frame`` left the SHT or the OPD: it may be a hole now."""
+            if frame not in queued:
+                queued.add(frame)
+                heappush(holes, frame)
+
+        n = len(addresses)
+        if kinds is None:
+            kinds = bytes(n)  # all reads
+        misses = writes = evictions = writebacks = slow_hits = 0
+        emit = None if next_level is None else next_level.emit
+        for position, address, kind in zip(range(n), addresses, kinds):
+            block = address >> offset_bits
+            home = block & index_mask
+            set_accesses[home] += 1
+            try:
+                sht.move_to_end(home)
+            except KeyError:
+                sht[home] = None
+                if len(sht) > sht_capacity:
+                    unpin(sht.popitem(last=False)[0])
+            is_write = kind == 1
+            if is_write:
+                writes += 1
+            if blocks[home] == block:
+                set_hits[home] += 1
+                if is_write:
+                    dirty[home] = True
+                continue
+            frame = opd.get(block)
+            if frame is not None and blocks[frame] == block:
+                # Relocated hit: promote the block back to its home set.
+                set_hits[home] += 1
+                slow_hits += 1
+                del opd[block]
+                relocated.discard(frame)
+                unpin(frame)
+                home_dirty = dirty[frame] or is_write
+                blocks[frame] = -1
+                dirty[frame] = False
+            else:
+                misses += 1
+                set_misses[home] += 1
+                if emit is not None:
+                    emit(position, address, DEMAND)
+                home_dirty = is_write
+            displaced = blocks[home]
+            if displaced >= 0:
+                displaced_dirty = dirty[home]
+                while holes:
+                    hole = holes[0]
+                    if hole not in sht and hole not in relocated:
+                        break
+                    heappop(holes)
+                    queued.discard(hole)
+                else:
+                    hole = -1
+                if hole < 0:
+                    out_block, out_dirty = displaced, displaced_dirty
+                else:
+                    out_block = blocks[hole]
+                    out_dirty = dirty[hole]
+                    if out_block >= 0:
+                        stale = opd.pop(out_block, None)
+                        if stale is not None:
+                            relocated.discard(stale)
+                            unpin(stale)
+                    stale = opd.get(displaced)
+                    if stale is not None:
+                        relocated.discard(stale)
+                        unpin(stale)
+                    blocks[hole] = displaced
+                    dirty[hole] = displaced_dirty
+                    opd[displaced] = hole
+                    relocated.add(hole)
+                    if len(opd) > opd_capacity:
+                        # The dropped entry's line becomes unreachable:
+                        # invalidate it; a dirty one is written back,
+                        # outside the next-level stream (see _relocate).
+                        old_block, old_frame = opd.popitem(last=False)
+                        relocated.discard(old_frame)
+                        unpin(old_frame)
+                        if blocks[old_frame] == old_block:
+                            if dirty[old_frame]:
+                                writebacks += 1
+                                evictions += 1
+                            blocks[old_frame] = -1
+                            dirty[old_frame] = False
+                if out_block >= 0:
+                    evictions += 1
+                    if out_dirty:
+                        writebacks += 1
+                        if emit is not None:
+                            emit(position, out_block << offset_bits, WRITEBACK)
+            blocks[home] = block
+            dirty[home] = home_dirty
+        # Each relocated hit costs two extra cycles.
+        return self._commit_batch(
+            n,
+            None,
+            None,
+            misses,
+            writes,
+            evictions,
+            writebacks,
+            slow_hits=slow_hits,
+            slow_hit_cycles=2 * slow_hits,
         )
 
     def _probe_block(self, block: int) -> bool:

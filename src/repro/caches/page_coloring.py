@@ -24,8 +24,17 @@ the page's resident blocks (the OS copy cost is tracked as
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Sequence
 
-from repro.caches.base import AccessResult, Cache, log2_exact
+from repro.caches.base import (
+    DEMAND,
+    WRITEBACK,
+    AccessResult,
+    Cache,
+    NextLevelStream,
+    log2_exact,
+)
+from repro.stats.counters import CacheStats
 
 
 class PageColoringCache(Cache):
@@ -153,6 +162,74 @@ class PageColoringCache(Cache):
         self._dirty[index] = is_write
         return AccessResult(
             hit=False, set_index=index, evicted=evicted, evicted_dirty=evicted_dirty
+        )
+
+    def _batch_trace(
+        self,
+        addresses: Sequence[int],
+        kinds: Sequence[int] | None,
+        next_level: NextLevelStream | None = None,
+    ) -> CacheStats:
+        """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
+
+        The colour lookup and the direct-mapped hit path are inlined; a
+        miss goes through :meth:`_record_miss`, which may recolour the
+        page (rare), and then fills the page's possibly new location.
+        """
+        if type(self)._access_block is not PageColoringCache._access_block:
+            # A subclass customises per-access behaviour; let the generic
+            # kernel drive its _access_block override instead of this one.
+            return super()._batch_trace(addresses, kinds, next_level)
+        stats = self.stats
+        blocks = self._blocks
+        dirty = self._dirty
+        colors = self._colors
+        record_miss = self._record_miss
+        color_mask = self.num_colors - 1
+        page_shift = self.page_bits - self.offset_bits
+        page_index_bits = self._page_index_bits
+        page_index_mask = self._page_index_mask
+        offset_bits = self.offset_bits
+        set_accesses = stats.set_accesses
+        set_hits = stats.set_hits
+        set_misses = stats.set_misses
+        n = len(addresses)
+        if kinds is None:
+            kinds = bytes(n)  # all reads
+        misses = writes = evictions = writebacks = 0
+        emit = None if next_level is None else next_level.emit
+        for position, address, kind in zip(range(n), addresses, kinds):
+            block = address >> offset_bits
+            page = block >> page_shift
+            line = block & page_index_mask
+            index = (colors.get(page, page & color_mask) << page_index_bits) | line
+            is_write = kind == 1
+            if is_write:
+                writes += 1
+            if blocks[index] == block:
+                set_accesses[index] += 1
+                set_hits[index] += 1
+                if is_write:
+                    dirty[index] = True
+                continue
+            record_miss(block)
+            index = (colors.get(page, page & color_mask) << page_index_bits) | line
+            set_accesses[index] += 1
+            set_misses[index] += 1
+            misses += 1
+            if emit is not None:
+                emit(position, address, DEMAND)
+            resident = blocks[index]
+            if resident >= 0:
+                evictions += 1
+                if dirty[index]:
+                    writebacks += 1
+                    if emit is not None:
+                        emit(position, resident << offset_bits, WRITEBACK)
+            blocks[index] = block
+            dirty[index] = is_write
+        return self._commit_batch(
+            n, None, None, misses, writes, evictions, writebacks
         )
 
     def _probe_block(self, block: int) -> bool:

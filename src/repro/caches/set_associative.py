@@ -28,6 +28,12 @@ from repro.stats.counters import CacheStats
 class SetAssociativeCache(Cache):
     """N-way set-associative cache with a pluggable replacement policy."""
 
+    #: The way prediction the exact-LRU batch kernel applies in place of
+    #: ``_access_block``: "" none, "pam" partial address matching, "psa"
+    #: predictive sequential.  Declared by the class that defines the
+    #: ``_access_block`` it stands for (see :meth:`_batch_trace`).
+    way_prediction = ""
+
     def __init__(
         self,
         size: int,
@@ -90,16 +96,22 @@ class SetAssociativeCache(Cache):
         """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
 
         The exact-LRU loops fill a ``next_level`` stream on their miss
-        path, where the recency stamp already equals the position.
+        path, where the recency stamp already equals the position.  A
+        way-predicting subclass misses exactly like its LRU base class
+        and differs only in which hits are slow, so one more exact-LRU
+        loop applies its per-hit rule (see :attr:`way_prediction`).
         """
-        if type(self)._access_block is not SetAssociativeCache._access_block:
-            # A subclass customises per-access behaviour (way-prediction
-            # bookkeeping, partial-tag probes, ...); the generic kernel
-            # drives its _access_block override instead of this one.
-            return super()._batch_trace(addresses, kinds, next_level)
+        # The class that defines _access_block names the way prediction
+        # this kernel models in its place; a subclass that overrides
+        # _access_block without naming one gets the generic kernel.
+        owner = next(c for c in type(self).__mro__ if "_access_block" in vars(c))
+        prediction = vars(owner).get("way_prediction")
         lru_fast = all(type(p) is LRUPolicy for p in self._policies)
-        if next_level is not None and not lru_fast:
-            # Only the exact-LRU loops carry a position stamp to emit.
+        if prediction is None or (
+            not lru_fast and (prediction or next_level is not None)
+        ):
+            # Only the exact-LRU loops carry a position stamp to emit
+            # and apply a way prediction's slow-hit rule.
             return super()._batch_trace(addresses, kinds, next_level)
         stats = self.stats
         tags_by_set = self._tags
@@ -141,7 +153,7 @@ class SetAssociativeCache(Cache):
             block_column = [a >> offset_bits for a in addresses]
             if n < num_blocks:
                 sets = {block & index_mask for block in block_column}
-            if lru_fast:
+            if lru_fast and not prediction:
                 # The LRU loop below counts hits per way slot; together
                 # with the per-set miss counts that recovers per-set
                 # accesses without a separate whole-column masking pass
@@ -183,6 +195,7 @@ class SetAssociativeCache(Cache):
                     ts_flat[base + way] = -position
         stamp = 0
         misses = writes = evictions = writebacks = 0
+        slow_hits = slow_hit_cycles = 0
         if ts_flat is not None and hit_way_counts is not None:
             # Same loop as below plus the one-store hit count; kept as
             # a separate variant so the numpy-assisted path (whose
@@ -205,6 +218,74 @@ class SetAssociativeCache(Cache):
                     way = base + segment.index(min(segment))
                     stamp += 1
                     ts_flat[way] = stamp
+                    if emit is not None:
+                        emit(stamp - 1, addresses[stamp - 1], DEMAND)
+                    resident = resident_blocks[way]
+                    if resident >= 0:
+                        evictions += 1
+                        if dirty_flat[way]:
+                            writebacks += 1
+                            if emit is not None:
+                                emit(stamp - 1, resident << offset_bits, WRITEBACK)
+                        del lookup[resident]
+                    lookup[block] = way
+                    resident_blocks[way] = block
+                    is_write = kind == 1
+                    if is_write:
+                        writes += 1
+                    dirty_flat[way] = is_write
+        elif ts_flat is not None and prediction:
+            # psa: the predicted way is ``_mru[set]``, kept in place; a
+            # hit elsewhere pays its position in the probe order
+            # [predicted] + the other ways in way order.  pam: a hit is
+            # fast only if no other valid way shares its partial tag,
+            # the PAD field of the block address above the index; the
+            # field is kept per way (-1 for an invalid way).
+            mru: list[int] | None = (
+                getattr(self, "_mru") if prediction == "psa" else None
+            )
+            pad_field = (
+                0 if mru is not None else getattr(self, "_pad_mask") << index_bits
+            )
+            pad_flat = [
+                resident & pad_field if resident >= 0 else -1
+                for resident in resident_blocks
+            ]
+            for block, kind in zip(block_column, kinds):
+                try:
+                    way = lookup[block]
+                    stamp += 1
+                    ts_flat[way] = stamp
+                    if kind == 1:
+                        writes += 1
+                        dirty_flat[way] = True
+                    if mru is not None:
+                        index = way // ways
+                        hit_way = way - index * ways
+                        predicted = mru[index]
+                        if hit_way != predicted:
+                            mru[index] = hit_way
+                            slow_hits += 1
+                            slow_hit_cycles += (
+                                hit_way + 1 if hit_way < predicted else hit_way
+                            )
+                    else:
+                        base = way - way % ways
+                        if pad_flat[base:base + ways].count(block & pad_field) > 1:
+                            slow_hits += 1
+                            slow_hit_cycles += 1
+                except KeyError:
+                    index = block & index_mask
+                    misses += 1
+                    set_misses[index] += 1
+                    base = index * ways
+                    segment = ts_flat[base:base + ways]
+                    way = base + segment.index(min(segment))
+                    stamp += 1
+                    ts_flat[way] = stamp
+                    if mru is not None:
+                        mru[index] = way - base
+                    pad_flat[way] = block & pad_field
                     if emit is not None:
                         emit(stamp - 1, addresses[stamp - 1], DEMAND)
                     resident = resident_blocks[way]
@@ -319,6 +400,8 @@ class SetAssociativeCache(Cache):
         stats.writebacks += writebacks
         # A fixed decoder always selects a set: every miss is a PD hit.
         stats.pd_hit_misses += misses
+        stats.slow_hits += slow_hits
+        stats.slow_hit_cycles += slow_hit_cycles
         return stats
 
     def _probe_block(self, block: int) -> bool:

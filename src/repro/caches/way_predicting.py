@@ -36,6 +36,8 @@ class PartialAddressMatchingCache(SetAssociativeCache):
 
     #: A multiple or wrong PAD match costs one extra cycle.
     has_slow_hits = True
+    #: The batch kernel's rule for this class's ``_access_block``.
+    way_prediction = "pam"
 
     def __init__(
         self,
@@ -82,6 +84,8 @@ class PredictiveSequentialCache(SetAssociativeCache):
 
     #: A hit outside the predicted way costs its extra probes.
     has_slow_hits = True
+    #: The batch kernel's rule for this class's ``_access_block``.
+    way_prediction = "psa"
 
     def __init__(
         self,
@@ -96,6 +100,10 @@ class PredictiveSequentialCache(SetAssociativeCache):
             size, line_size, ways=ways, policy=policy, seed=seed,
             name=name or f"PSA-{size // 1024}kB-{ways}way",
         )
+        # Way 0 is also where an LRU policy's recency order starts
+        # (``_order[0]``), so under LRU the prediction is always the
+        # set's most recently used way.  The exact-LRU batch kernel
+        # updates this list in place, hit for hit.
         self._mru = [0] * self.num_sets
 
     def _access_block(self, block: int, is_write: bool) -> AccessResult:

@@ -45,9 +45,12 @@ from repro.stats.counters import CacheStats
 SCHEMA = "bcache-bench/1"
 
 #: Hot-loop specs: the baseline, a classic set-associative design, the
-#: paper's headline B-Cache point and the three prior-art organisations
-#: with their own kernels.
-HOT_SPECS = ("dm", "8way", "mf8_bas8", "victim16", "column", "skew2")
+#: paper's headline B-Cache point, three prior-art organisations with
+#: their own kernels, AGAC's relocating kernel and way prediction on
+#: the set-associative kernel.
+HOT_SPECS = (
+    "dm", "8way", "mf8_bas8", "victim16", "column", "skew2", "agac", "psa2",
+)
 
 #: Sweep grid for the scaling measurement.
 SWEEP_SPECS = ("dm", "2way", "4way", "8way", "mf8_bas8", "victim16")

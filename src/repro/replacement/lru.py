@@ -17,8 +17,8 @@ class LRUPolicy(ReplacementPolicy):
 
     def __init__(self, ways: int) -> None:
         super().__init__(ways)
-        # Most recent first.  Starts in way order so cold caches fill
-        # way 0 upward, matching textbook behaviour.
+        # Most recent first.  Starts in way order, so the victim is the
+        # tail: a cold set fills its highest way first and way 0 last.
         self._order: list[int] = list(range(ways))
 
     def touch(self, way: int) -> None:

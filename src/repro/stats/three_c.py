@@ -11,20 +11,21 @@ capacity would not take (Hill's classic 3C model):
   the target of the B-Cache, victim buffers, skewing et al.
 
 :func:`classify_misses` replays the stream as one batch per cache under
-test and once through a same-capacity fully associative LRU reference,
-then buckets every miss by its position in the stream.  The
-decomposition experiment shows the B-Cache removing most of the
-baseline's conflict bucket while leaving compulsory/capacity intact.
+test and makes one LRU pass over its block column for the
+same-capacity fully associative reference, then buckets every miss by
+its position in the stream.  The decomposition experiment shows the
+B-Cache removing most of the baseline's conflict bucket while leaving
+compulsory/capacity intact.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
 from repro.caches.base import DEMAND, Cache, NextLevelStream
-from repro.caches.fully_associative import FullyAssociativeCache
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,21 +62,18 @@ def classify_misses(
 ) -> list[MissBreakdown]:
     """Run ``addresses`` through each of ``caches``, classifying every miss.
 
-    The caches (at least one) must share one capacity and line size;
-    the fully associative LRU reference of that geometry is replayed
-    once for all of them.  Returns one breakdown per cache, in order.
+    The caches (at least one) must share one capacity and line size.
+    The fully associative LRU reference of that geometry is one pass
+    over the stream's blocks (:func:`fully_associative_misses`), shared
+    by all of them.  Returns one breakdown per cache, in order.
     """
     geometries = {(cache.size, cache.line_size) for cache in caches}
     if len(geometries) != 1:
         raise ValueError("classify_misses needs caches of one capacity and line size")
     ((size, line_size),) = geometries
-    reference = FullyAssociativeCache(size, line_size, policy="lru")
-    reference_misses = _miss_positions(reference, addresses)
-    first_positions: dict[int, int] = {}
-    offset_bits = reference.offset_bits
-    for position, address in enumerate(addresses):
-        first_positions.setdefault(address >> offset_bits, position)
-    first_references = set(first_positions.values())
+    reference_misses, first_references = fully_associative_misses(
+        addresses, size // line_size, caches[0].offset_bits
+    )
     breakdowns = []
     for cache in caches:
         misses = _miss_positions(cache, addresses)
@@ -90,6 +88,38 @@ def classify_misses(
             )
         )
     return breakdowns
+
+
+def fully_associative_misses(
+    addresses: Sequence[int], capacity: int, offset_bits: int
+) -> tuple[set[int], set[int]]:
+    """Miss positions of a cold fully associative LRU cache of
+    ``capacity`` blocks over ``addresses``, and the positions of each
+    block's first reference (its compulsory misses).
+
+    One pass: the resident blocks in recency order, least recent
+    first.  A hit moves its block to the end; a miss appends one and
+    drops the least recent block once the cache is full.
+    """
+    resident: OrderedDict[int, None] = OrderedDict()
+    touch = resident.move_to_end
+    drop_lru = resident.popitem
+    seen: set[int] = set()
+    misses: set[int] = set()
+    first: set[int] = set()
+    for position, address in enumerate(addresses):
+        block = address >> offset_bits
+        try:
+            touch(block)
+        except KeyError:
+            misses.add(position)
+            if block not in seen:
+                seen.add(block)
+                first.add(position)
+            resident[block] = None
+            if len(resident) > capacity:
+                drop_lru(last=False)
+    return misses, first
 
 
 def _miss_positions(cache: Cache, addresses: Sequence[int]) -> set[int]:

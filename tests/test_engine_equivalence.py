@@ -14,6 +14,7 @@ kernels run.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +25,12 @@ from repro.analysis.sanitizer import (
     install_global_sanitizer,
     uninstall_global_sanitizer,
 )
-from repro.caches import make_cache
+from repro.caches import (
+    GroupAssociativeCache,
+    PageColoringCache,
+    SetAssociativeCache,
+    make_cache,
+)
 from repro.caches.base import WRITEBACK, NextLevelStream
 
 #: Every spec family the factory understands (see make_cache's docs).
@@ -57,6 +63,12 @@ KERNEL_CASES = (
     ("skew4", "lru"),
     ("mf8_bas8", "lru"),
     ("mf8_bas8", "random"),
+    ("agac", "lru"),
+    ("pagecolor", "lru"),
+    ("pam2", "lru"),
+    ("pam4", "lru"),
+    ("psa2", "lru"),
+    ("psa4", "lru"),
 )
 
 
@@ -88,8 +100,54 @@ def mixed_trace(n: int, seed: int) -> tuple[list[int], list[int]]:
     return addresses, kinds
 
 
+def recoloring_trace() -> tuple[list[int], list[int]]:
+    """A mixed stream around two pages thrashing one colour of a
+    16 kB page-coloured cache (4 kB pages, so pages 0 and 4 share
+    colour 0): the miss count crosses the recolour threshold."""
+    addresses, kinds = mixed_trace(3000, seed=37)
+    for i in range(0, 3000, 3):
+        addresses[i] = (i // 3 % 2) * 4 * 4096 + (i // 6 % 8) * 32
+    return addresses, kinds
+
+
+class CountingOPD(OrderedDict):
+    """An out-of-position directory that counts its overflow drops."""
+
+    overflows = 0
+
+    def popitem(self, last=True):
+        self.overflows += 1
+        return super().popitem(last)
+
+
 def model_state(cache) -> dict:
     """Everything a batch kernel may mutate besides the statistics."""
+    if isinstance(cache, GroupAssociativeCache):
+        return {
+            "blocks": cache._blocks,
+            "dirty": cache._dirty,
+            "sht": list(cache._sht),
+            "opd": list(cache._opd.items()),
+        }
+    if isinstance(cache, PageColoringCache):
+        return {
+            "blocks": cache._blocks,
+            "dirty": cache._dirty,
+            "colors": cache._colors,
+            "cml": list(cache._cml.items()),
+            "color_pressure": cache._color_pressure,
+            "miss_counter": cache._miss_counter,
+            "last_recolor_at": cache._last_recolor_at,
+            "page_recolors": cache._page_recolors,
+            "recolored_pages": cache.recolored_pages,
+        }
+    if isinstance(cache, SetAssociativeCache):
+        return {
+            "tags": cache._tags,
+            "dirty": cache._dirty,
+            "orders": [policy.recency_order() for policy in cache._policies],
+            "mru": getattr(cache, "_mru", None),
+        }
     if hasattr(cache, "decoder"):
         policies = []
         for policy in cache._policies:
@@ -174,11 +232,11 @@ class TestBatchEquivalence:
 
     @pytest.mark.parametrize("spec", ("pam2", "psa2"))
     def test_way_prediction_counters_match(self, spec, real_kernels):
-        """Subclass overrides of ``_access_block`` keep their bookkeeping.
+        """Way prediction keeps its slow-hit accounting in the kernel.
 
-        The set-associative fast kernel never calls ``_access_block``,
-        so for these organisations it must defer to the generic kernel
-        — otherwise slow-hit accounting silently reads zero.
+        The set-associative kernel never calls ``_access_block``; it
+        applies the subclass's ``way_prediction`` rule instead, so the
+        slow hits must not silently read zero.
         """
         addresses, kinds = mixed_trace(3000, seed=41)
         scalar = make_cache(spec)
@@ -231,7 +289,21 @@ class TestBatchEquivalence:
         assert batch.stats == scalar.stats
 
     @pytest.mark.parametrize(
-        "spec", ("dm", "4way", "victim16", "column", "skew2", "mf8_bas8")
+        "spec",
+        (
+            "dm",
+            "4way",
+            "victim16",
+            "column",
+            "skew2",
+            "mf8_bas8",
+            "agac",
+            "pagecolor",
+            "pam2",
+            "pam4",
+            "psa2",
+            "psa4",
+        ),
     )
     def test_resumable_between_batches(self, spec, real_kernels):
         """Two batch calls == one; the kernel keeps state, not a copy."""
@@ -242,6 +314,44 @@ class TestBatchEquivalence:
         split.access_trace(addresses[:777], kinds[:777])
         split.access_trace(addresses[777:], kinds[777:])
         assert split.stats == whole.stats
+
+    @pytest.mark.parametrize(
+        ("spec", "trace"),
+        (
+            ("pagecolor", recoloring_trace),
+            ("agac", lambda: mixed_trace(3000, seed=53)),
+        ),
+    )
+    def test_rare_paths_match(self, spec, trace, real_kernels):
+        """The kernels' rare paths: a page recolour, an OPD overflow.
+
+        The per-access replay counts the OPD overflows (the only
+        ``popitem`` its directory sees; the mixed stream overflows the
+        64-entry directory of a 16 kB AGAC hundreds of times), so each
+        trace provably takes the path the kernel must reproduce.
+        """
+        addresses, kinds = trace()
+        scalar = make_cache(spec)
+        if spec == "agac":
+            scalar._opd = CountingOPD()
+        expected = NextLevelStream()
+        access = expected.recording(scalar.access, addresses)
+        for address, kind in zip(addresses, kinds):
+            access(address, kind == 1)
+        if spec == "agac":
+            assert scalar._opd.overflows > 0
+        else:
+            assert scalar.recolored_pages > 0
+        batch = make_cache(spec)
+        out = NextLevelStream()
+        batch.access_trace(addresses[:1500], kinds[:1500], out)
+        rest = NextLevelStream()
+        batch.access_trace(addresses[1500:], kinds[1500:], rest)
+        assert batch.stats == scalar.stats
+        assert model_state(batch) == model_state(scalar)
+        assert out.positions + [p + 1500 for p in rest.positions] == expected.positions
+        assert out.addresses + rest.addresses == expected.addresses
+        assert out.kinds + rest.kinds == expected.kinds
 
     def test_iterables_are_accepted(self, real_kernels):
         addresses, _ = mixed_trace(500, seed=2)

@@ -12,7 +12,11 @@ from repro.caches.fully_associative import FullyAssociativeCache
 from repro.engine.trace_store import default_store
 from repro.experiments.common import ExperimentScale
 from repro.experiments.miss_decomposition import run as run_decomposition
-from repro.stats.three_c import MissBreakdown, classify_misses
+from repro.stats.three_c import (
+    MissBreakdown,
+    classify_misses,
+    fully_associative_misses,
+)
 
 TINY = ExperimentScale(data_n=10_000, instr_n=10_000, instructions=5_000, seed=2006)
 
@@ -132,6 +136,31 @@ class TestClassifier:
         for spec, breakdown in zip(FACTORY_SPECS, batched):
             expected = lockstep_oracle(make_cache(spec, size=4096), addresses)
             assert breakdown == expected, spec
+
+
+class TestFullyAssociativePass:
+    """The LRU pass stands in for a ``FullyAssociativeCache`` replay."""
+
+    @pytest.mark.parametrize("size", (4096, 16 * 1024, 64 * 1024))
+    @pytest.mark.parametrize("line_size", (16, 64))
+    def test_matches_fully_associative_cache(self, size, line_size):
+        rng = random.Random(size + line_size)
+        hot = [rng.randrange(1 << 22) for _ in range(3 * size // line_size)]
+        addresses = [
+            rng.choice(hot) if rng.random() < 0.7 else rng.randrange(1 << 24)
+            for _ in range(6000)
+        ]
+        reference = FullyAssociativeCache(size, line_size, policy="lru")
+        expected = {
+            position
+            for position, address in enumerate(addresses)
+            if not reference.access(address).hit
+        }
+        misses, first = fully_associative_misses(
+            addresses, size // line_size, reference.offset_bits
+        )
+        assert misses == expected
+        assert 0 < len(first) < len(misses) < len(addresses)
 
 
 class TestDecomposition:
