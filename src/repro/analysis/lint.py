@@ -51,10 +51,9 @@ BCL014    fork-safety: a function that runs in a worker process (a
           same-module callees two calls deep; and (serve) no
           ``create_task``/``ensure_future`` whose reference is dropped
           (task leak)
-BCL016    columnar/shm discipline: no ``Access`` object construction
+BCL016    columnar discipline: no ``Access`` object construction
           inside a batch-kernel loop (kernels consume address/kind
-          columns directly), and no ``SharedMemory`` use without a
-          paired ``close()``/``unlink()`` owner in the same module
+          columns directly)
 BCL017    cluster coroutines (``repro.engine.cluster``) must bound every
           await on a node socket (``connect``/``request``/``sweep``/
           ``status``/``read_frame``/…) with a deadline — wrap the call
@@ -110,8 +109,7 @@ RULES: dict[str, str] = {
     "matching ^repro_[a-z0-9_]+$",
     "BCL014": "fork-safety hazard: worker-reachable module state mutation, "
     "or dropped create_task",
-    "BCL016": "Access object built in a batch-kernel loop, or SharedMemory "
-    "without a paired close()/unlink() owner",
+    "BCL016": "Access object built in a batch-kernel loop",
     "BCL017": "await on a node socket without a deadline in a cluster "
     "coroutine (wrap in asyncio.wait_for)",
     "BCL019": "trace discipline: span/stage_span/stage_event in a serve or "
@@ -480,12 +478,6 @@ class _Linter(ast.NodeVisitor):
         self._awaited_calls: set[ast.Call] = set()
         self._cm_calls: set[ast.Call] = set()  # calls used as with-items
         self._loop_depth = 0  # loops inside the current function body
-        # BCL016 bookkeeping: SharedMemory call sites seen in this
-        # module, plus whether any close()/unlink() appears anywhere in
-        # it (resolved module-wide in finish()).
-        self._shm_calls: list[tuple[ast.Call, bool]] = []
-        self._saw_close = False
-        self._saw_unlink = False
 
     # -- helpers -------------------------------------------------------
     def _add(self, node: ast.AST, code: str, message: str) -> None:
@@ -969,22 +961,6 @@ class _Linter(ast.NodeVisitor):
                 "kernels consume address/kind columns directly",
             )
 
-        # BCL016 bookkeeping: SharedMemory ownership is resolved
-        # module-wide in finish() — every create needs close()+unlink()
-        # somewhere in its module, every attach at least a close().
-        if name == "SharedMemory":
-            created = any(
-                kw.arg == "create"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in node.keywords
-            )
-            self._shm_calls.append((node, created))
-        elif name == "close":
-            self._saw_close = True
-        elif name == "unlink":
-            self._saw_unlink = True
-
         # BCL011: serve coroutines share one event loop; a single
         # blocking call there stalls every connection.  Blocking work
         # belongs in an executor (see ShardPool's shard-io threads).
@@ -1096,34 +1072,6 @@ class _Linter(ast.NodeVisitor):
             and (names is None or func.attr in names)
         )
 
-    # -- module-wide wrap-up -------------------------------------------
-    def finish(self) -> None:
-        """Emit violations that need the whole module seen first.
-
-        BCL016's shared-memory half is an ownership pairing: a module
-        that creates named segments must also be the place that closes
-        and unlinks them (the registry pattern); a module that only
-        attaches must still close its handles.  Individual calls can't
-        be judged until every call site has been visited.
-        """
-        for node, created in self._shm_calls:
-            if created and not (self._saw_close and self._saw_unlink):
-                self._add(
-                    node,
-                    "BCL016",
-                    "SharedMemory(create=True) without a paired "
-                    "close()/unlink() owner in this module; segments must "
-                    "be tracked and unlinked (registry pattern)",
-                )
-            elif not created and not self._saw_close:
-                self._add(
-                    node,
-                    "BCL016",
-                    "SharedMemory attached without a close() in this "
-                    "module; attachers must close their handle (only the "
-                    "owner unlinks)",
-                )
-
 
 def _noqa_codes(source: str) -> dict[int, set[str] | None]:
     """Map line number -> suppressed codes (None = suppress all)."""
@@ -1149,7 +1097,6 @@ def lint_source(source: str, path: str = "<string>") -> list[Violation]:
     segments = _module_segments(path)
     linter = _Linter(path, segments)
     linter.visit(tree)
-    linter.finish()
     suppressed = _noqa_codes(source)
     kept = []
     for violation in linter.violations:

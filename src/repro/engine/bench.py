@@ -10,10 +10,10 @@ Measures two things and writes them to ``BENCH_engine.json``:
   noise), and the two paths'
   :class:`~repro.stats.counters.CacheStats` are asserted bit-identical
   before any number is reported.
-* **Sweep scaling** — wall time (minimum of three runs) of a
-  (spec x benchmark) sweep through :func:`repro.engine.runner.run_sweep`
-  serially and at each requested worker count, asserting bit-identical
-  statistics at every count.
+* **Sweep scaling** — wall time (minimum of three runs, serial and
+  parallel runs taking turns) of a (spec x benchmark) sweep through
+  :func:`repro.engine.runner.run_sweep` serially and at each requested
+  worker count, asserting bit-identical statistics at every count.
 
 Regression gating compares *speedup ratios*, not absolute seconds:
 ratios are dimensionless, so a baseline recorded on one machine
@@ -181,26 +181,15 @@ def _timed_iteration(
     return seconds
 
 
-def _timed_sweep(
-    jobs: list[SweepJob], workers: int, repeats: int
-) -> tuple[float, list[CacheStats]]:
-    """Minimum wall time of ``repeats`` runs of a sweep, and its stats."""
-    best = float("inf")
-    stats: list[CacheStats] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        stats = run_sweep(jobs, workers=workers)
-        best = min(best, time.perf_counter() - start)
-    return best, stats
-
-
 def bench_sweep(
     n: int, job_counts: tuple[int, ...], seed: int = 2006, repeats: int = 1
 ) -> dict:
     """Time a sweep serially and per worker count; verify identical.
 
     Each wall time is the minimum of ``repeats`` runs, like the hot
-    loop's, so one burst of host load cannot decide the scaling gate.
+    loop's.  The runs take turns (serial, then each worker count, per
+    round), so a slow spell of the host lands on both sides of a
+    ``vs_serial`` ratio instead of on all the repeats of one side.
     """
     sweep = [
         SweepJob(spec=spec, benchmark=benchmark, n=n, seed=seed)
@@ -211,25 +200,30 @@ def bench_sweep(
     for job in sweep:  # materialise traces so timing excludes generation
         store.ensure(job.benchmark, job.side, job.n, job.seed)
 
-    serial_time, serial = _timed_sweep(sweep, 1, repeats)
+    counts = [1, *dict.fromkeys(count for count in job_counts if count > 1)]
+    times: dict[int, list[float]] = {count: [] for count in counts}
+    stats: dict[int, list[CacheStats]] = {}
+    for _ in range(repeats):
+        for count in counts:
+            start = time.perf_counter()
+            stats[count] = run_sweep(sweep, workers=count)
+            times[count].append(time.perf_counter() - start)
 
-    results = {
+    serial_time = min(times[1])
+    results: dict = {
         "jobs_total": len(sweep),
         "serial_s": serial_time,
         "workers": {},
     }
-    for count in job_counts:
-        if count <= 1:
-            continue
-        # The parallel path prewarms every trace into shared-memory
-        # segments and the workers attach zero-copy, so this wall time
-        # includes the export cost but no per-worker blob re-reads.
-        elapsed, parallel = _timed_sweep(sweep, count, repeats)
+    for count in counts[1:]:
+        # Workers read each trace from the store's disk blobs, so this
+        # wall time includes worker start-up and their blob reads.
+        elapsed = min(times[count])
         results["workers"][str(count)] = {
             "wall_s": elapsed,
             "vs_serial": elapsed / serial_time if serial_time > 0 else 0.0,
             "speedup": serial_time / elapsed if elapsed > 0 else 0.0,
-            "identical_stats": parallel == serial,
+            "identical_stats": stats[count] == stats[1],
         }
     return results
 
@@ -301,7 +295,7 @@ def check_against_baseline(
             failures.append(
                 f"sweep with {count} workers is slower than serial "
                 f"(vs_serial {entry['vs_serial']:.2f} with {cpus_usable} "
-                "usable CPUs): shared-memory prewarm is not paying off"
+                "usable CPUs): parallel dispatch is not paying off"
             )
     return failures
 

@@ -20,9 +20,9 @@ Fault classes (``FAULT_KINDS``):
     error, retried with backoff.
 ``corrupt_blob``
     The attempt flips a byte in the job's on-disk trace blob, then
-    reads the trace through a fresh store (never a shared segment or a
-    warm LRU); the hardened ``TraceStore`` must quarantine the blob and
-    regenerate it from the deterministic seed.
+    reads the trace through a fresh store (never the worker's warm
+    memory LRU); the hardened ``TraceStore`` must quarantine the blob
+    and regenerate it from the deterministic seed.
 ``torn_journal``
     Half of the job's journal entry reaches its temp file and the
     rename never happens — what a power loss between ``write`` and
@@ -74,7 +74,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.engine.results import encode_entry, temp_path
+from repro.engine.durable import temp_path
+from repro.engine.results import encode_entry
 
 if TYPE_CHECKING:  # avoid an import cycle with resilience/runner
     from repro.engine.results import ResultCache
@@ -403,9 +404,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     expected = run_sweep(jobs, workers=1)
     with tempfile.TemporaryDirectory(prefix="bcache-chaos-") as tmp:
         # The faulted run recovers, then a rerun of the same id replays
-        # every job from the journal.  After each, no trace segment may
-        # survive: fault-killed workers only ever attach, and the
-        # parent's registry must unlink them all on the way out.
+        # every job from the journal.  After each, no bcrepro-* shared
+        # memory segment may exist: no process of the engine leaves one.
         legs = (("faulted run", args.workers, plan), ("resume", 1, None))
         for stage, workers, fault_plan in legs:
             got = run_sweep(

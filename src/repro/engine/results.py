@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import shutil
 import threading
 import zlib
@@ -43,6 +42,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.engine.durable import atomic_write, quarantine
 from repro.obs import instrument as _obs
 from repro.obs.events import cache_dir
 from repro.stats.counters import CacheStats
@@ -134,11 +134,6 @@ def decode_entry(raw: str) -> dict[str, Any] | None:
     except json.JSONDecodeError:
         return None
     return payload if isinstance(payload, dict) else None
-
-
-def temp_path(path: Path) -> Path:
-    """The per-process temp file an entry is written to before its rename."""
-    return path.with_name(f"{path.name}.tmp.{os.getpid()}")
 
 
 class ResultCache:
@@ -271,13 +266,7 @@ class ResultCache:
 
     def _quarantine(self, path: Path, reason: str) -> None:
         """Park a corrupt entry for forensics; the caller recomputes."""
-        target = self.quarantine_root / path.name
-        try:
-            self.quarantine_root.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-        except OSError:
-            # A racing process already moved or replaced it.
-            path.unlink(missing_ok=True)
+        quarantine(path, self.quarantine_root)
         with self._lock:
             self.quarantined += 1
         _obs.resultcache_quarantined(path.name, reason)
@@ -295,16 +284,11 @@ class ResultCache:
         """
         key = self.key(job)
         self._remember(key, snapshot)
-        path = self.entry_path(key)
-        tmp = temp_path(path)
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(encode_entry(job, snapshot))
-                if self.fsync:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            atomic_write(
+                self.entry_path(key), encode_entry(job, snapshot).encode(), self.fsync
+            )
         except OSError:
             return False
         with self._lock:

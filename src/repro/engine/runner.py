@@ -10,8 +10,8 @@ result list is order-aligned with the job list and every job runs
 ``workers <= 1`` (and every sanitized run) is a plain in-process loop.
 ``workers > 1`` runs on the worker supervisor
 (:class:`repro.engine.workers.Supervisor`): persistent processes that
-replay traces the parent exported once into shared memory, with
-per-job deadlines, restarts, retries and in-process fallback.
+read each trace from the store as a serial run does, with per-job
+deadlines, restarts, retries and in-process fallback.
 
 A sanitized run replays serially, per access, with invariant checks
 (see ``docs/analysis.md``): the sanitizer's value is the invariant
@@ -35,7 +35,6 @@ from repro.caches import make_cache
 from repro.obs import events as obs_events
 from repro.obs import instrument as _obs
 from repro.stats.counters import CacheStats
-from repro.engine.shm import reap_stale_segments
 from repro.engine.trace_store import TraceStore, default_store
 
 if TYPE_CHECKING:  # resilience and workers import this module; keep the cycle lazy
@@ -209,10 +208,6 @@ def run_sweep(
     if workers is None:
         workers = default_jobs()
     store = store if store is not None else default_store()
-    # A previous sweep killed with SIGKILL could not unlink its trace
-    # segments; heal them here so serial and resumed runs (which never
-    # construct a registry of their own) clean up after it too.
-    reap_stale_segments()
     if run_id or resilience is not None or fault_plan is not None:
         from repro.engine.resilience import run_resilient
         from repro.engine.workers import ResilienceConfig

@@ -35,13 +35,13 @@ The default root is ``$REPRO_TRACE_STORE`` or
 from __future__ import annotations
 
 import logging
-import os
 import time
 import zlib
 from array import array
 from collections import OrderedDict
 from pathlib import Path
 
+from repro.engine.durable import atomic_write, quarantine
 from repro.obs import instrument as _obs
 from repro.obs.events import cache_dir
 from repro.trace.access import access_columns
@@ -68,6 +68,10 @@ ACCESS_SIDES = ("data", "instr", "combined")
 
 ENV_ROOT = "REPRO_TRACE_STORE"
 
+#: Store key of one trace: ``(benchmark, side, n, seed, flavour)``,
+#: flavour ``adr`` (addresses) or ``acc`` (addresses + kinds).
+Key = tuple[str, str, int, int, str]
+
 
 def default_root() -> Path:
     """Store root: ``$REPRO_TRACE_STORE`` or ``~/.cache/bcache-repro/traces``."""
@@ -89,44 +93,17 @@ def _unframe(data: bytes) -> bytes | None:
     return payload
 
 
-def _atomic_write(path: Path, payload: bytes, fsync: bool = True) -> None:
-    """Write a framed ``payload`` to ``path`` atomically and durably.
-
-    Safe under racing workers (temp file + ``os.replace``); with
-    ``fsync`` (the default) the temp file's contents reach stable
-    storage *before* the rename, so a power loss cannot leave the live
-    path pointing at a half-written blob.  Tests pass ``fsync=False``
-    to skip the flush — durability is irrelevant under ``tmp_path``.
-    """
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    data = _frame(payload)
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        if fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 def _payload_size(count: int) -> int:
     """On-disk size of a framed blob holding ``count`` payload bytes."""
     return count + CRC_BYTES
 
 
-def _readonly(value: object) -> object:
-    """Wrap cached trace columns as read-only ``memoryview`` objects.
-
-    ``array`` blobs become typed read-only views (format ``Q``/``B``
-    preserved); shared-memory views are already read-only and pass
-    through; pairs wrap element-wise.
-    """
+def _readonly(value: array | tuple[array, array]) -> object:
+    """Cached trace columns as read-only typed ``memoryview`` objects
+    (format ``Q``/``B`` preserved; pairs wrap element-wise)."""
     if isinstance(value, tuple):
-        return tuple(_readonly(item) for item in value)
-    if isinstance(value, memoryview):
-        return value if value.readonly else value.toreadonly()
-    if isinstance(value, array):
-        return memoryview(value).toreadonly()
-    return value
+        return tuple(memoryview(item).toreadonly() for item in value)
+    return memoryview(value).toreadonly()
 
 
 class TraceStoreError(ValueError):
@@ -155,18 +132,9 @@ class TraceStore:
         self.root = Path(root) if root is not None else default_root()
         self.memory_entries = max(1, memory_entries)
         self.fsync = fsync
-        self._memory: OrderedDict[tuple, object] = OrderedDict()
-        # Zero-copy tier: adopted {key: (segment name, count)} manifest
-        # plus the attached segment handles keeping the mappings alive.
-        self._shared: dict[tuple, tuple[str, int]] = {}
-        self._attached: dict[tuple, object] = {}
-        # Segments whose close() failed because a caller still holds a
-        # view; kept referenced so their finalisers fire only once the
-        # views are gone.
-        self._zombies: list[object] = []
+        self._memory: OrderedDict[Key, array | tuple[array, array]] = OrderedDict()
         self.disk_hits = 0
         self.disk_misses = 0
-        self.shared_hits = 0
         self.quarantined = 0
 
     # -- paths ---------------------------------------------------------
@@ -189,7 +157,7 @@ class TraceStore:
     # -- verified blob IO ----------------------------------------------
     def _write(self, path: Path, payload: bytes) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, payload, fsync=self.fsync)
+        atomic_write(path, _frame(payload), fsync=self.fsync)
 
     def _quarantine(self, path: Path, reason: str) -> None:
         """Park a corrupt blob under ``quarantine/`` for forensics.
@@ -198,14 +166,7 @@ class TraceStore:
         the trace from its deterministic seed and the damaged bytes are
         kept aside instead of silently overwritten.
         """
-        target = self.quarantine_root / path.name
-        try:
-            self.quarantine_root.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-        except OSError:
-            # A racing process already moved/replaced it; regeneration
-            # is still correct, so just drop the stale handle.
-            path.unlink(missing_ok=True)
+        quarantine(path, self.quarantine_root)
         self.quarantined += 1
         _obs.trace_store_quarantined(path.name, reason)
         log.warning("quarantined corrupt trace blob %s (%s)", path.name, reason)
@@ -230,88 +191,64 @@ class TraceStore:
             return None
         return payload
 
-    # -- memory LRU ----------------------------------------------------
-    def _remember(self, key: tuple, value: object) -> None:
-        memory = self._memory
-        memory[key] = value
-        memory.move_to_end(key)
-        while len(memory) > self.memory_entries:
-            memory.popitem(last=False)
+    # -- tiers: memory LRU -> disk -> regenerate -----------------------
+    @staticmethod
+    def _key(benchmark: str, side: str, n: int, seed: int, kinds: bool) -> Key:
+        sides = ACCESS_SIDES if kinds else ADDRESS_SIDES
+        if side not in sides:
+            stream = "access" if kinds else "address"
+            raise TraceStoreError(
+                f"{stream} streams support sides {sides}, got {side!r}"
+            )
+        return (benchmark, side, n, seed, "acc" if kinds else "adr")
 
-    def _recall(self, key: tuple) -> object | None:
-        """Cached value as **read-only** ``memoryview`` columns.
+    def _get(self, key: Key) -> object:
+        """The trace as **read-only** ``memoryview`` columns.
 
         The LRU keeps the mutable backing objects private: a caller
-        mutating what it was handed can no longer corrupt the trace
-        every later caller sees.
+        mutating what it was handed cannot corrupt the trace every
+        later caller sees.
         """
-        value = self._memory.get(key)
+        memory = self._memory
+        value = memory.get(key)
         if value is None:
-            return None
-        self._memory.move_to_end(key)
+            value = self._materialise(key)
+            memory[key] = value
+            while len(memory) > self.memory_entries:
+                memory.popitem(last=False)
+        else:
+            memory.move_to_end(key)
+            _obs.trace_store_hit("memory", key[0])
         return _readonly(value)
+
+    def _materialise(self, key: Key) -> array | tuple[array, array]:
+        """Load the trace from disk (CRC-verified), else generate it."""
+        benchmark, side, n, seed, flavour = key
+        value: array | tuple[array, array] | None
+        if flavour == "acc":
+            value = self._read_access_pair(benchmark, side, n, seed)
+        else:
+            payload = self._load_payload(
+                self.address_path(benchmark, side, n, seed),
+                expected_size=_payload_size(8 * n),
+            )
+            value = None if payload is None else array("Q", payload)
+        if value is not None:
+            self.disk_hits += 1
+            _obs.trace_store_hit("disk", benchmark)
+            return value
+        self.disk_misses += 1
+        started = time.monotonic()
+        if flavour == "acc":
+            value = self._generate_accesses(benchmark, side, n, seed)
+        else:
+            value = self._generate_addresses(benchmark, side, n, seed)
+        _obs.trace_store_miss(benchmark, time.monotonic() - started)
+        return value
 
     def clear_memory(self) -> None:
         """Drop the in-process LRU (disk blobs stay)."""
         self._memory.clear()
-
-    # -- zero-copy shared-memory tier ----------------------------------
-    def adopt_manifest(self, manifest: dict | None) -> None:
-        """Adopt ``{trace key: (segment name, count)}`` from a parent.
-
-        Subsequent :meth:`addresses`/:meth:`accesses` calls for those
-        keys attach to the named segments instead of reading disk.
-        ``None`` or ``{}`` clears nothing; adopting replaces entries
-        key-by-key.
-        """
-        if manifest:
-            self._shared.update(manifest)
-
-    def _attach_shared(self, key: tuple) -> object | None:
-        """Attach ``key``'s segment and cache its zero-copy columns.
-
-        Falls back to ``None`` (disk tier) when the key has no adopted
-        segment or the segment vanished (owner already unlinked).
-        """
-        entry = self._shared.get(key)
-        if entry is None:
-            return None
-        from repro.engine import shm as _shm
-
-        name, count = entry
-        with_kinds = key[-1] == "acc"
-        try:
-            segment, addresses, kinds = _shm.attach_views(name, count, with_kinds)
-        except (FileNotFoundError, ValueError, OSError):
-            del self._shared[key]
-            return None
-        self._attached[key] = segment
-        value: object = (addresses, kinds) if with_kinds else addresses
-        self._remember(key, value)
-        self.shared_hits += 1
-        _obs.trace_store_hit("shared", key[0])
-        return self._recall(key)
-
-    def release_shared(self) -> None:
-        """Detach every attached segment and forget the manifest.
-
-        Cached views into the segments are dropped first so the
-        mappings can actually close; segment *unlinking* stays with the
-        owning registry in the parent process.
-        """
-        for key in list(self._attached):
-            self._memory.pop(key, None)
-        for key, segment in list(self._attached.items()):
-            self._zombies.append(segment)
-            del self._attached[key]
-        self._shared.clear()
-        still_pinned = []
-        for segment in self._zombies:
-            try:
-                segment.close()  # type: ignore[attr-defined]
-            except BufferError:  # a caller still holds a view
-                still_pinned.append(segment)
-        self._zombies = still_pinned
 
     def wipe(self) -> int:
         """Delete every blob under the root (quarantine included);
@@ -323,43 +260,18 @@ class TraceStore:
                 if path.suffix in (".u64", ".u8"):
                     path.unlink(missing_ok=True)
                     removed += 1
-        quarantine = self.quarantine_root
-        if quarantine.is_dir():
-            for path in quarantine.iterdir():
+        parked = self.quarantine_root
+        if parked.is_dir():
+            for path in parked.iterdir():
                 path.unlink(missing_ok=True)
-            quarantine.rmdir()
+            parked.rmdir()
         return removed
 
     # -- address streams (experiment harness; reads only) --------------
     def addresses(self, benchmark: str, side: str, n: int, seed: int) -> memoryview:
         """The first ``n`` addresses of one reference stream as a
         read-only ``uint64`` ``memoryview`` (zero-copy columnar)."""
-        if side not in ADDRESS_SIDES:
-            raise TraceStoreError(
-                f"address streams support sides {ADDRESS_SIDES}, got {side!r}"
-            )
-        key = (benchmark, side, n, seed, "adr")
-        cached = self._recall(key)
-        if cached is not None:
-            _obs.trace_store_hit("memory", benchmark)
-            return cached  # type: ignore[return-value]
-        shared = self._attach_shared(key)
-        if shared is not None:
-            return shared  # type: ignore[return-value]
-        path = self.address_path(benchmark, side, n, seed)
-        payload = self._load_payload(path, expected_size=_payload_size(8 * n))
-        if payload is not None:
-            self.disk_hits += 1
-            _obs.trace_store_hit("disk", benchmark)
-            blob = array("Q")
-            blob.frombytes(payload)
-        else:
-            self.disk_misses += 1
-            started = time.monotonic()
-            blob = self._generate_addresses(benchmark, side, n, seed)
-            _obs.trace_store_miss(benchmark, time.monotonic() - started)
-        self._remember(key, blob)
-        return self._recall(key)  # type: ignore[return-value]
+        return self._get(self._key(benchmark, side, n, seed, False))  # type: ignore[return-value]
 
     def _generate_addresses(self, benchmark: str, side: str, n: int, seed: int) -> array:
         profile = get_profile(benchmark)
@@ -384,35 +296,13 @@ class TraceStore:
         instructions (one ifetch each plus a data access for a fraction
         of them), recovered from the blob size.
         """
-        if side not in ACCESS_SIDES:
-            raise TraceStoreError(
-                f"access streams support sides {ACCESS_SIDES}, got {side!r}"
-            )
-        key = (benchmark, side, n, seed, "acc")
-        cached = self._recall(key)
-        if cached is not None:
-            _obs.trace_store_hit("memory", benchmark)
-            return cached  # type: ignore[return-value]
-        shared = self._attach_shared(key)
-        if shared is not None:
-            return shared  # type: ignore[return-value]
-        addr_path = self.address_path(benchmark, side, n, seed, kinds=True)
-        kind_path = self.kind_path(benchmark, side, n, seed)
-        pair = self._read_access_pair(addr_path, kind_path, side, n)
-        if pair is None:
-            self.disk_misses += 1
-            started = time.monotonic()
-            pair = self._generate_accesses(benchmark, side, n, seed)
-            _obs.trace_store_miss(benchmark, time.monotonic() - started)
-        else:
-            self.disk_hits += 1
-            _obs.trace_store_hit("disk", benchmark)
-        self._remember(key, pair)
-        return self._recall(key)  # type: ignore[return-value]
+        return self._get(self._key(benchmark, side, n, seed, True))  # type: ignore[return-value]
 
     def _read_access_pair(
-        self, addr_path: Path, kind_path: Path, side: str, n: int
+        self, benchmark: str, side: str, n: int, seed: int
     ) -> tuple[array, array] | None:
+        addr_path = self.address_path(benchmark, side, n, seed, kinds=True)
+        kind_path = self.kind_path(benchmark, side, n, seed)
         if not (addr_path.is_file() and kind_path.is_file()):
             return None
         kind_payload = self._load_payload(kind_path)
@@ -427,11 +317,7 @@ class TraceStore:
         )
         if addr_payload is None:
             return None
-        addresses = array("Q")
-        addresses.frombytes(addr_payload)
-        kinds = array("B")
-        kinds.frombytes(kind_payload)
-        return addresses, kinds
+        return array("Q", addr_payload), array("B", kind_payload)
 
     def _generate_accesses(
         self, benchmark: str, side: str, n: int, seed: int
@@ -457,20 +343,11 @@ class TraceStore:
     ) -> Path:
         """Materialise one trace on disk without retaining it in memory.
 
-        Returns the address-blob path.
+        Reads and CRC-checks the blob (or generates it); returns the
+        address-blob path.
         """
-        if kinds:
-            addr_path = self.address_path(benchmark, side, n, seed, kinds=True)
-            pair = self._read_access_pair(
-                addr_path, self.kind_path(benchmark, side, n, seed), side, n
-            )
-            if pair is None:
-                self._generate_accesses(benchmark, side, n, seed)
-            return addr_path
-        path = self.address_path(benchmark, side, n, seed)
-        if self._load_payload(path, expected_size=_payload_size(8 * n)) is None:
-            self._generate_addresses(benchmark, side, n, seed)
-        return path
+        self._materialise(self._key(benchmark, side, n, seed, kinds))
+        return self.address_path(benchmark, side, n, seed, kinds)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

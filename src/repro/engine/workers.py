@@ -7,7 +7,7 @@ Every parallel path in the repository runs on a :class:`Supervisor`:
 long-lived processes.  Each runs :func:`_worker_entry`, a loop over one
 message shape:
 
-* in: ``(jobs, manifest delta, trace contexts, fault kinds)``;
+* in: ``(jobs, trace contexts, fault kinds)``;
 * out: ``(results, metric deltas, span deltas)``.
 
 Every job runs through :func:`repro.engine.runner.execute_job`, the
@@ -18,9 +18,10 @@ side does, once for every caller:
 * **trace-affinity routing** (:func:`trace_shard_key`) for batches:
   jobs replaying the same stream go to the same worker, so its trace
   LRU stays hot;
-* **zero-copy traces**: each trace is exported once into shared memory
-  (:mod:`repro.engine.shm`) and its segment named to a worker once, in
-  the manifest delta of the first message that needs it;
+* **traces on disk before dispatch**: a sweep materialises each
+  distinct trace once in the store (:meth:`TraceStore.ensure`), so a
+  worker reads the CRC-checked blob into its own memory LRU, as a
+  serial run does, and never generates one;
 * **a deadline** of ``ResilienceConfig.job_timeout`` per job a message
   carries; a worker past it is killed;
 * **restart** of a dead or killed worker after a :class:`RetryPolicy`
@@ -48,7 +49,7 @@ import threading
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from random import Random
 from typing import Any, Callable, Iterable, Sequence
@@ -60,7 +61,6 @@ from repro.engine.faultinject import (
     corrupt_job_blobs,
 )
 from repro.engine.runner import SweepJob, execute_job, job_label
-from repro.engine.shm import Manifest, SharedTraceRegistry, TraceKey, trace_key
 from repro.engine.trace_store import TraceStore, set_default_store
 from repro.obs import events as obs_events
 from repro.obs import instrument as _obs
@@ -143,8 +143,8 @@ def _attempt(
     In-process, a ``crash`` or ``hang`` must not take the caller down,
     so worker faults degrade to transient errors there.  A
     ``corrupt_blob`` attempt damages the disk blob and reads the trace
-    back through a fresh store: a worker's attached segment or warm LRU
-    would otherwise serve a clean copy past the quarantine.
+    back through a fresh store: a worker's warm memory LRU would
+    otherwise serve a clean copy past the quarantine.
     """
     try:
         if "corrupt_blob" in kinds:
@@ -163,9 +163,9 @@ def _attempt(
 def _worker_entry(conn: Connection, store_root: str, obs_mode: str, obs_log: str) -> None:
     """Worker process: answer messages until ``None`` or a closed pipe.
 
-    A message's manifest delta names trace segments the parent exported
-    since its last message; the store attaches them zero-copy.  Each
-    job's faults fire before it runs (:func:`_attempt`).
+    Traces come from the store under ``store_root`` (memory LRU, then
+    the CRC-checked disk blob).  Each job's faults fire before it runs
+    (:func:`_attempt`).
 
     Span records of traced jobs are built here, with this process's
     clocks and pid, and travel back with the metric deltas; nothing is
@@ -183,8 +183,7 @@ def _worker_entry(conn: Connection, store_root: str, obs_mode: str, obs_log: str
             break
         if message is None:
             break
-        jobs, delta, traces, faults = message
-        store.adopt_manifest(delta)
+        jobs, traces, faults = message
         results: list[Outcome] = []
         spans: list[dict[str, Any]] = []
         for job, wire, kinds in zip(jobs, traces, faults):
@@ -203,7 +202,6 @@ def _worker_entry(conn: Connection, store_root: str, obs_mode: str, obs_log: str
             conn.send((results, metrics, spans))
         except OSError:
             break
-    store.release_shared()  # detach segments before the owner unlinks them
     with contextlib.suppress(OSError):
         conn.close()
 
@@ -215,7 +213,6 @@ class _Worker:
     proc: Any
     conn: Any
     started: float
-    sent: set[TraceKey] = field(default_factory=set)  # segments it was named
     failures: int = 0  # consecutive deaths/timeouts (restart backoff)
     batches: int = 0
     jobs: int = 0
@@ -259,9 +256,6 @@ class Supervisor:
         self._local = threading.Lock()  # one in-process job at a time
         self._closed = False
         self._ctx = multiprocessing.get_context()
-        # The registry starts the resource tracker; it must exist before
-        # the first fork so the workers share it (see shm).
-        self._registry = SharedTraceRegistry() if workers > 0 else None
         self._workers = [self._spawn() for _ in range(workers)]
         self._locks = [threading.Lock() for _ in self._workers]
 
@@ -304,7 +298,6 @@ class Supervisor:
             time.sleep(self.backoff(worker.failures - 1))
             fresh = self._spawn()
             worker.proc, worker.conn, worker.started = fresh.proc, fresh.conn, fresh.started
-            worker.sent = set()
             worker.restarts += 1
         return exitcode
 
@@ -318,8 +311,6 @@ class Supervisor:
                 worker.conn.send(None)
         for worker in self._workers:
             self._stop(worker, timeout)
-        if self._registry is not None:
-            self._registry.unlink_all()
 
     def __enter__(self) -> "Supervisor":
         return self
@@ -342,16 +333,6 @@ class Supervisor:
         return [worker.snapshot() for worker in self._workers]
 
     # -- one message ---------------------------------------------------
-    def _export(self, job: SweepJob) -> tuple[str, int] | None:
-        """Materialise the job's trace and export it to shared memory."""
-        assert self._registry is not None
-        try:
-            return self._registry.export(
-                self.store, job.benchmark, job.side, job.n, job.seed, job.with_kinds
-            )
-        except (OSError, ValueError):
-            return None  # shm unavailable: the worker reads from disk
-
     def _exchange(
         self,
         wid: int,
@@ -365,16 +346,9 @@ class Supervisor:
         worker died or overran its deadline and was restarted.
         """
         worker = self._workers[wid]
-        delta: Manifest = {}
-        for job in jobs:
-            key = trace_key(job.benchmark, job.side, job.n, job.seed, job.with_kinds)
-            if key not in worker.sent and key not in delta:
-                entry = self._export(job)
-                if entry is not None:
-                    delta[key] = entry
         deadline = self.config.job_timeout * len(jobs)
         try:
-            worker.conn.send((jobs, delta, list(traces), list(faults)))
+            worker.conn.send((jobs, list(traces), list(faults)))
             if worker.conn.poll(deadline):
                 results, metrics, spans = worker.conn.recv()
                 reason = ""
@@ -387,7 +361,6 @@ class Supervisor:
             if reason == "died":
                 reason = f"worker died (exit code {exitcode})"
             return None, reason
-        worker.sent.update(delta)
         worker.failures = 0
         worker.batches += 1
         worker.jobs += len(jobs)
@@ -458,8 +431,16 @@ class Supervisor:
             self, plan, commit,
         )
         if self._workers:
-            for index in sweep.todo:  # every trace on disk and shared first
-                self._export(sweep.jobs[index])
+            # Each distinct trace on disk before dispatch, so no worker
+            # generates one; a trace the store cannot build fails the
+            # attempts of its jobs instead.
+            traces = dict.fromkeys(
+                (job.benchmark, job.side, job.n, job.seed, job.with_kinds)
+                for job in (sweep.jobs[index] for index in sweep.todo)
+            )
+            for trace in traces:
+                with contextlib.suppress(OSError, ValueError, KeyError):
+                    self.store.ensure(*trace)
             threads = [
                 threading.Thread(target=self._drain, args=(sweep, wid), daemon=True)
                 for wid in range(len(self._workers))

@@ -106,28 +106,6 @@ def trace_store_quarantined(spec: str, reason: str) -> None:
         ).inc()
 
 
-def shm_segment(event: str, name: str, nbytes: int) -> None:
-    """One shared-memory segment lifecycle step (export|attach|unlink|reap).
-
-    The segment rides as ``segment=`` — ``name`` is the event-name
-    parameter of :func:`events.emit` and would collide.
-    """
-    if not events.enabled():
-        return
-    events.emit(f"shm.{event}", segment=name, bytes=nbytes)
-    if events.metrics_enabled():
-        registry = default_registry()
-        registry.counter(
-            "repro_shm_segments_total",
-            "Shared-memory trace segment operations, by lifecycle event",
-        ).inc(event=event)
-        if event == "export":
-            registry.counter(
-                "repro_shm_exported_bytes_total",
-                "Bytes of trace data exported into shared-memory segments",
-            ).inc(nbytes)
-
-
 def job_event(state: str, key: str, *, benchmark: str = "",
               attempt: int = 0, **extra: object) -> None:
     """One engine job lifecycle transition (queued/running/retried/done/failed)."""

@@ -5,8 +5,8 @@ life.  They are the persistent workers of one
 :class:`repro.engine.workers.Supervisor`, the same supervisor every
 sweep runs on: each job runs through
 :func:`repro.engine.runner.execute_job` (so served statistics stay
-bit-identical to a local replay), jobs are routed by trace affinity,
-traces reach the workers through shared memory, a worker that dies or
+bit-identical to a local replay), jobs are routed by trace affinity
+(so a worker's trace LRU stays hot), a worker that dies or
 overruns its ``job_timeout`` deadline is restarted after a backoff, and
 a batch whose worker keeps failing runs in-process instead.
 

@@ -1,14 +1,4 @@
 # lint-path: src/repro/caches/example.py
-from multiprocessing.shared_memory import SharedMemory
-
-
-class LeakyExporter:
-    def export(self, blob):
-        segment = SharedMemory(name="seg", create=True, size=len(blob))
-        segment.buf[: len(blob)] = blob
-        return segment.name
-
-
 class ObjectBatch(DirectMappedCache):
     def _batch_trace(self, addresses, kinds):
         misses = 0

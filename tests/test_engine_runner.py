@@ -17,6 +17,8 @@ from repro.engine.runner import (
     run_sweep,
 )
 from repro.engine.trace_store import TraceStore
+from repro.obs import events as obs_events
+from repro.obs.events import read_events
 
 
 @pytest.fixture
@@ -82,6 +84,24 @@ class TestRunSweep:
         run_sweep(small_sweep(), workers=2, store=store)
         for benchmark in ("gzip", "equake"):
             assert store.address_path(benchmark, "data", 2000, 2006).is_file()
+
+    def test_workers_never_generate_a_trace(self, tmp_path):
+        store = TraceStore(tmp_path / "empty-root", fsync=False)
+        log_path = tmp_path / "events.jsonl"
+        obs_events.configure(mode="events", log_path=log_path)
+        sweep = [
+            SweepJob(spec=spec, benchmark=benchmark, n=2000)
+            for spec in ("dm", "2way", "mf8_bas8")
+            for benchmark in ("gzip", "equake", "gcc")
+        ] + [SweepJob(spec="dm", benchmark="gzip", n=2000, with_kinds=True)]
+        parallel = run_sweep(sweep, workers=2, store=store)
+        records = list(read_events(log_path))
+        worker_pids = {r["pid"] for r in records if r["name"] == "job.run"}
+        assert worker_pids and os.getpid() not in worker_pids
+        misses = [r["pid"] for r in records if r["name"] == "trace_store.miss"]
+        assert not worker_pids & set(misses)
+        assert misses == [os.getpid()] * 4  # each trace once, by the parent
+        assert parallel == run_sweep(sweep, workers=1, store=store)
 
     def test_sanitize_forces_serial_and_matches(self, store):
         sweep = small_sweep()[:3]

@@ -323,7 +323,7 @@ class TestPersistentWorkers:
         assert len(runs) == 2
         assert os.getpid() not in runs
 
-    def test_corrupt_blob_bypasses_an_attached_segment(self, tmp_path, store):
+    def test_corrupt_blob_bypasses_a_warm_worker_lru(self, tmp_path, store):
         jobs = [
             SweepJob(spec=spec, benchmark="gzip", n=2000)
             for spec in ("dm", "2way", "4way", "8way", "mf8_bas8", "fa")
@@ -338,8 +338,8 @@ class TestPersistentWorkers:
         assert got == clean
         blob = store.address_path("gzip", "data", 2000, 2006).name
         assert (store.quarantine_root / blob).is_file()
-        # The faulted job ran on a worker that had already attached
-        # this trace's segment for an earlier job.
+        # The faulted job ran on a worker whose memory LRU already held
+        # this trace from an earlier job.
         label = job_label(jobs[5])
         [keys] = [keys for keys in self._runs_by_pid(log_path).values() if label in keys]
         assert keys.index(label) > 0

@@ -17,6 +17,8 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,9 @@ from repro.serve.admission import (
 )
 from repro.serve.singleflight import Singleflight
 from repro.stats.counters import CacheStats
+
+#: Blobs and entries written by an earlier build of the stores.
+FORMATS = Path(__file__).resolve().parent / "fixtures" / "formats"
 
 JOB = SweepJob(spec="mf8_bas8", benchmark="gcc", n=3000, with_kinds=True)
 SNAP = {"accesses": 3000, "misses": 412, "hits": 2588}
@@ -166,6 +171,19 @@ class TestResultCache:
         assert cache.put(other, SNAP) is False
         assert cache.snapshot()["stores"] == 1
         assert cache.get(other) == SNAP  # memory tier
+
+    def test_loads_and_rewrites_an_earlier_entry(self, tmp_path):
+        job = SweepJob(spec="dm", benchmark="gzip", n=16, size=1024)
+        name = "b7951acd552046eb450f3d9a78d4e374.json"
+        old = ResultCache(tmp_path / "old", fingerprint="format", fsync=False)
+        old.dir.mkdir(parents=True)
+        shutil.copy(FORMATS / name, old.dir / name)
+        stats = old.get_stats(job)
+        assert stats is not None and (stats.accesses, stats.misses) == (16, 12)
+        assert old.snapshot()["hits_disk"] == 1
+        new = ResultCache(tmp_path / "new", fingerprint="format", fsync=False)
+        assert new.put(job, stats.snapshot())
+        assert (new.dir / name).read_bytes() == (FORMATS / name).read_bytes()
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,13 @@
-"""Shared-memory trace segments: registry lifecycle and leak gates.
+"""Shared-memory leak scan and dead-owner reaping.
 
-The :class:`~repro.engine.shm.SharedTraceRegistry` owns every exported
-segment; workers only attach.  These tests pin the ownership contract:
-idempotent export and force-unlink, zero-copy read-only views,
-the store's memory → shared → disk tier order, and — the part chaos
-runs assert on — that no ``bcrepro-*`` segment survives a sweep, a
-fault-injected worker crash, or a shard-pool shutdown.
+The engine creates no shared-memory segments; :mod:`repro.engine.shm`
+keeps the ``bcrepro-*`` leak scan the serve and chaos gates assert on,
+and the reaper that unlinks segments whose owner pid is gone.  The
+sweep gates check that neither a parallel sweep nor a fault-injected
+one leaves a segment behind.
 """
 
 from __future__ import annotations
-
-import os
-import signal
 
 import pytest
 
@@ -19,7 +15,6 @@ from repro.engine import shm
 from repro.engine.faultinject import FaultPlan
 from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.engine.runner import SweepJob, run_sweep
-from repro.engine.shm import SharedTraceRegistry, attach_views, trace_key
 from repro.engine.trace_store import TraceStore
 
 
@@ -35,44 +30,8 @@ def no_leaks_before_or_after():
     assert shm.leaked_segments() == [], "this test leaked segments"
 
 
-class TestRegistryLifecycle:
-    def test_export_creates_named_segment(self, store):
-        with SharedTraceRegistry() as registry:
-            name, count = registry.export(store, "gzip", "data", 500, 1, False)
-            assert name.startswith(shm.SEGMENT_PREFIX)
-            assert count == 500
-            assert shm.leaked_segments() == [name]
-            assert len(registry) == 1
-
-    def test_export_is_idempotent_per_key(self, store):
-        with SharedTraceRegistry() as registry:
-            first = registry.export(store, "gzip", "data", 400, 1, False)
-            second = registry.export(store, "gzip", "data", 400, 1, False)
-            assert first == second
-            assert len(registry) == 1
-
-    def test_unlink_all_is_idempotent(self, store):
-        registry = SharedTraceRegistry()
-        registry.export(store, "gzip", "data", 300, 1, False)
-        registry.export(store, "gcc", "data", 300, 1, False)
-        assert registry.unlink_all() == 2
-        assert registry.unlink_all() == 0
-        assert shm.leaked_segments() == []
-
-    def test_manifest_is_picklable_shape(self, store):
-        import pickle
-
-        with SharedTraceRegistry() as registry:
-            registry.export(store, "gzip", "data", 200, 1, True)
-            manifest = registry.manifest()
-            assert pickle.loads(pickle.dumps(manifest)) == manifest
-            ((key, (name, count)),) = manifest.items()
-            assert key == ("gzip", "data", 200, 1, "acc")
-            assert isinstance(name, str) and count >= 200
-
-
 class TestStaleReaper:
-    """SIGKILLed owners cannot unlink; the next engine start must."""
+    """SIGKILLed owners cannot unlink; the reaper must."""
 
     def _fake_segment(self, pid: int) -> str:
         import pathlib
@@ -108,23 +67,6 @@ class TestStaleReaper:
         finally:
             pathlib.Path(shm.SHM_DIR, name).unlink()
 
-    def test_registry_init_heals_dead_owner_leftovers(self, store):
-        self._fake_segment(self._dead_pid())
-        with SharedTraceRegistry() as registry:  # __init__ reaps
-            registry.export(store, "gzip", "data", 100, 1, False)
-            assert len(shm.leaked_segments()) == 1  # only our own
-        assert shm.leaked_segments() == []
-
-    def test_run_sweep_heals_dead_owner_leftovers(self, store):
-        self._fake_segment(self._dead_pid())
-        stats = run_sweep(
-            [SweepJob(spec="dm", benchmark="gzip", n=1000)],
-            workers=1,
-            store=store,
-        )
-        assert stats[0].accesses == 1000
-        assert shm.leaked_segments() == []
-
     def test_unparseable_names_left_alone(self):
         import pathlib
 
@@ -136,73 +78,6 @@ class TestStaleReaper:
             assert name in shm.leaked_segments()
         finally:
             path.unlink()
-
-
-class TestAttachViews:
-    def test_zero_copy_readonly_columns(self, store):
-        with SharedTraceRegistry() as registry:
-            name, count = registry.export(store, "gzip", "data", 600, 1, False)
-            segment, addresses, kinds = attach_views(name, count, False)
-            try:
-                assert kinds is None
-                assert addresses.format == "Q" and addresses.readonly
-                assert list(addresses) == list(
-                    store.addresses("gzip", "data", 600, 1)
-                )
-                with pytest.raises(TypeError):
-                    addresses[0] = 1
-            finally:
-                del addresses
-                segment.close()
-
-    def test_kinds_flavour_carries_both_columns(self, store):
-        with SharedTraceRegistry() as registry:
-            name, count = registry.export(store, "gcc", "data", 400, 2, True)
-            segment, addresses, kinds = attach_views(name, count, True)
-            try:
-                expected_a, expected_k = store.accesses("gcc", "data", 400, 2)
-                assert list(addresses) == list(expected_a)
-                assert list(kinds) == list(expected_k)
-            finally:
-                del addresses, kinds
-                segment.close()
-
-    def test_vanished_segment_raises(self, store):
-        registry = SharedTraceRegistry()
-        name, count = registry.export(store, "gzip", "data", 300, 1, False)
-        registry.unlink_all()
-        with pytest.raises(FileNotFoundError):
-            attach_views(name, count, False)
-
-
-class TestStoreAdoption:
-    def test_adopted_manifest_serves_from_shared_tier(self, store, tmp_path):
-        with SharedTraceRegistry() as registry:
-            registry.export(store, "gzip", "data", 500, 1, False)
-            worker = TraceStore(tmp_path / "empty-root")
-            worker.adopt_manifest(registry.manifest())
-            blob = worker.addresses("gzip", "data", 500, 1)
-            assert list(blob) == list(store.addresses("gzip", "data", 500, 1))
-            assert worker.shared_hits == 1
-            assert worker.disk_hits == 0 and worker.disk_misses == 0
-            del blob  # drop the view so the mapping can actually close
-            worker.release_shared()
-
-    def test_vanished_segment_falls_back_to_generation(self, store, tmp_path):
-        registry = SharedTraceRegistry()
-        registry.export(store, "gzip", "data", 300, 1, False)
-        manifest = registry.manifest()
-        registry.unlink_all()
-        worker = TraceStore(tmp_path / "empty-root")
-        worker.adopt_manifest(manifest)
-        blob = worker.addresses("gzip", "data", 300, 1)
-        assert list(blob) == list(store.addresses("gzip", "data", 300, 1))
-        assert worker.shared_hits == 0  # shm gone; regenerated instead
-
-    def test_adopting_none_is_a_noop(self, store):
-        store.adopt_manifest(None)
-        store.adopt_manifest({})
-        assert store.shared_hits == 0
 
 
 class TestSweepLeakGates:
@@ -219,7 +94,7 @@ class TestSweepLeakGates:
         assert shm.leaked_segments() == []
 
     def test_faulted_workers_do_not_leak(self, store, tmp_path):
-        """SIGKILL-style worker deaths leave cleanup to the parent."""
+        """SIGKILL-style worker deaths leave nothing in /dev/shm."""
         plan = FaultPlan.parse("crash@0,flaky@1,corrupt_blob@2")
         config = ResilienceConfig(
             retry=RetryPolicy(max_attempts=3, base_delay=0.01),
@@ -237,29 +112,3 @@ class TestSweepLeakGates:
         )
         assert faulted == expected
         assert shm.leaked_segments() == []
-
-
-class TestShardPoolLeakGate:
-    def test_segments_unlinked_after_close(self, store):
-        from repro.serve.workers import ShardPool
-
-        job = SweepJob(spec="dm", benchmark="gzip", n=2000)
-        with ShardPool(2, store=store) as pool:
-            results = pool.run_batch_blocking(pool.shard_of(job), [job])
-            assert results[0][0] == "ok"
-            assert len(pool.supervisor._registry) == 1
-            assert shm.leaked_segments() != []
-        assert shm.leaked_segments() == []
-
-    def test_restarted_shard_gets_manifest_again(self, store):
-        from repro.serve.workers import ShardPool
-
-        job = SweepJob(spec="dm", benchmark="gzip", n=2000)
-        with ShardPool(1, store=store) as pool:
-            pool.run_batch_blocking(0, [job])
-            key = trace_key("gzip", "data", 2000, 2006, False)
-            assert key in pool.supervisor._workers[0].sent
-            os.kill(pool.snapshot()[0]["pid"], signal.SIGKILL)
-            pool.run_batch_blocking(0, [job])  # restart + re-send manifest
-            assert pool.snapshot()[0]["restarts"] == 1
-            assert key in pool.supervisor._workers[0].sent

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.engine.trace_store import (
@@ -12,6 +15,9 @@ from repro.engine.trace_store import (
     set_default_store,
 )
 from repro.workloads.spec2k import get_profile
+
+#: Blobs and entries written by an earlier build of the stores.
+FORMATS = Path(__file__).resolve().parent / "fixtures" / "formats"
 
 
 @pytest.fixture
@@ -188,6 +194,21 @@ class TestCorruptionHardening:
         fresh = TraceStore(tmp_path / "nofsync")
         assert fresh.addresses("gzip", "data", 60, 1) == blob
         assert fresh.disk_hits == 1
+
+
+class TestOnDiskFormat:
+    def test_loads_and_rewrites_an_earlier_blob(self, tmp_path):
+        name = "gzip_data_adr_n16_s2006.addr.u64"
+        old = TraceStore(tmp_path / "old")
+        old.root.mkdir()
+        shutil.copy(FORMATS / name, old.root / name)
+        assert list(old.addresses("gzip", "data", 16, 2006)) == list(
+            get_profile("gzip").data_addresses(16, 2006)
+        )
+        assert (old.disk_hits, old.disk_misses, old.quarantined) == (1, 0, 0)
+        new = TraceStore(tmp_path / "new", fsync=False)
+        new.ensure("gzip", "data", 16, 2006)
+        assert (new.root / name).read_bytes() == (FORMATS / name).read_bytes()
 
 
 class TestDefaultStore:
