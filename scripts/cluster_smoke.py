@@ -3,8 +3,8 @@
 Starts a real two-node ``bcache-serve`` fleet on Unix sockets and runs
 ``bcache-cluster`` against it twice:
 
-1. with ``node_down``/``node_flaky`` faults injected at dispatch —
-   the sweep must stay bit-identical to a serial local run
+1. with ``node_down``/``node_hang``/``node_flaky`` faults injected at
+   dispatch — the sweep must stay bit-identical to a serial local run
    (``--verify``) and must have re-dispatched at least one job
    (``--expect-redispatch``);
 2. against two endpoints that do not exist — every node is down, so
@@ -56,7 +56,7 @@ def main() -> int:
             code = run_leg(
                 "2-node fleet under node faults",
                 ["--connect", f"unix:{sock_a},unix:{sock_b}",
-                 "--inject-faults", "node_down@1,node_flaky@2",
+                 "--inject-faults", "node_down@1,node_hang@2,node_flaky@3",
                  "--verify", "--expect-redispatch", "1"],
             )
             if code == 0:

@@ -32,8 +32,7 @@ BCL010    engine code (``repro.engine``) must not swallow failures or
           spin-retry: no bare ``except:``, no ``except Exception:
           pass``, and retry loops (``while``/``for range(...)`` with an
           except-and-continue) must back off via a sleep/delay call
-BCL011    event-loop code (``repro.serve`` and the cluster coordinator
-          ``repro.engine.cluster``) must not block the loop: no
+BCL011    event-loop code (``repro.serve``) must not block the loop: no
           ``time.sleep``, synchronous file I/O (``open``,
           ``read_text``/``write_text``/…) or ``Future.result()``
           inside a coroutine — await, or offload via
@@ -54,13 +53,8 @@ BCL014    fork-safety: a function that runs in a worker process (a
 BCL016    columnar discipline: no ``Access`` object construction
           inside a batch-kernel loop (kernels consume address/kind
           columns directly)
-BCL017    cluster coroutines (``repro.engine.cluster``) must bound every
-          await on a node socket (``connect``/``request``/``sweep``/
-          ``status``/``read_frame``/…) with a deadline — wrap the call
-          in ``asyncio.wait_for(...)``; a hung node must never hang
-          the coordinator
-BCL019    trace propagation discipline: spans opened inside serve or
-          cluster coroutines (``span``/``stage_span``/``stage_event``)
+BCL019    trace propagation discipline: spans opened inside serve
+          coroutines (``span``/``stage_span``/``stage_event``)
           must thread the request context via ``trace=`` (an
           ambient-only span silently detaches from its waterfall the
           moment a task boundary drops the contextvar), and trace ids
@@ -104,17 +98,14 @@ RULES: dict[str, str] = {
     "BCL009": "AccessResult allocation inside a batch-kernel loop",
     "BCL010": "engine code swallows exceptions or retries without backoff",
     "BCL011": "blocking call (time.sleep / sync file I/O / Future.result) "
-    "inside a serve or cluster coroutine",
+    "inside a serve coroutine",
     "BCL012": "span() not used as a context manager, or metric name not "
     "matching ^repro_[a-z0-9_]+$",
     "BCL014": "fork-safety hazard: worker-reachable module state mutation, "
     "or dropped create_task",
     "BCL016": "Access object built in a batch-kernel loop",
-    "BCL017": "await on a node socket without a deadline in a cluster "
-    "coroutine (wrap in asyncio.wait_for)",
-    "BCL019": "trace discipline: span/stage_span/stage_event in a serve or "
-    "cluster coroutine without trace=, or a trace id minted from "
-    "clock/randomness",
+    "BCL019": "trace discipline: span/stage_span/stage_event in a serve "
+    "coroutine without trace=, or a trace id minted from clock/randomness",
 }
 
 #: Sub-packages of ``repro`` whose code runs once per simulated access.
@@ -134,33 +125,6 @@ BACKOFF_CALLS = frozenset({"sleep", "delay", "backoff", "wait"})
 #: coroutine there stalls every connection at once (BCL011).
 SERVE_PACKAGES = frozenset({"serve"})
 
-#: Coroutine call names that talk to a node socket in the cluster
-#: coordinator.  BCL017: every such await must sit inside a deadline
-#: wrapper, or one hung node hangs the whole sweep.
-NODE_SOCKET_CALLS = frozenset(
-    {
-        "connect",
-        "connect_with_backoff",
-        "request",
-        "simulate",
-        "sweep",
-        "status",
-        "drain",
-        "open_connection",
-        "open_unix_connection",
-        "read_frame",
-        "write_frame",
-    }
-)
-
-def _is_cluster_module(segments: tuple[str, ...]) -> bool:
-    """Is this file part of the cluster coordinator (BCL011/BCL017 scope)?"""
-    return (
-        len(segments) >= 2
-        and segments[0] in ENGINE_PACKAGES
-        and segments[-1].startswith("cluster")
-    )
-
 #: Method calls that do synchronous file I/O when issued on a ``Path``
 #: (or file object) inside a coroutine.
 BLOCKING_IO_METHODS = frozenset(
@@ -171,8 +135,8 @@ BLOCKING_IO_METHODS = frozenset(
 #: must satisfy the exposition contract (BCL012).
 METRIC_FACTORY_METHODS = frozenset({"counter", "gauge", "histogram"})
 
-#: Span-opening observability calls.  BCL019: inside serve/cluster
-#: coroutines each must thread the request's TraceContext explicitly —
+#: Span-opening observability calls.  BCL019: inside serve coroutines
+#: each must thread the request's TraceContext explicitly —
 #: relying on the ambient contextvar detaches the span from its
 #: waterfall as soon as a task boundary drops the context.
 TRACE_SPAN_CALLS = frozenset({"span", "stage_span", "stage_event"})
@@ -466,11 +430,7 @@ class _Linter(ast.NodeVisitor):
         self.hot = bool(segments) and segments[0] in HOT_PACKAGES
         self.geometry_module = bool(segments) and segments[0] in GEOMETRY_PACKAGES
         self.engine_module = bool(segments) and segments[0] in ENGINE_PACKAGES
-        self.cluster_module = _is_cluster_module(segments)
-        # The cluster coordinator runs on an event loop exactly like the
-        # serve package; it inherits the no-blocking-call rule (BCL011).
-        self.serve_package = bool(segments) and segments[0] in SERVE_PACKAGES
-        self.serve_module = self.serve_package or self.cluster_module
+        self.serve_module = bool(segments) and segments[0] in SERVE_PACKAGES
         self.violations: list[Violation] = []
         self._func_stack: list[str] = []
         self._async_stack: list[bool] = []  # "is coroutine" per frame
@@ -645,7 +605,7 @@ class _Linter(ast.NodeVisitor):
         # garbage-collected mid-flight, and its exception vanishes.
         value = node.value
         if (
-            self.serve_package
+            self.serve_module
             and isinstance(value, ast.Call)
             and isinstance(value.func, ast.Attribute)
             and value.func.attr in ("create_task", "ensure_future")
@@ -683,19 +643,6 @@ class _Linter(ast.NodeVisitor):
     def visit_Await(self, node: ast.Await) -> None:
         if isinstance(node.value, ast.Call):
             self._awaited_calls.add(node.value)
-            # BCL017: an awaited node-socket call must carry a deadline.
-            # The wrapped form (await asyncio.wait_for(client.sweep(...),
-            # t)) awaits wait_for, not sweep, so it passes; the bare
-            # form awaits the socket op directly and is flagged.
-            if self.cluster_module and self._in_coroutine:
-                name = _call_name(node.value)
-                if name in NODE_SOCKET_CALLS:
-                    self._add(
-                        node,
-                        "BCL017",
-                        f"await {name}() on a node socket without a deadline; "
-                        "wrap the call in asyncio.wait_for(...)",
-                    )
         self.generic_visit(node)
 
     # -- with-statements (BCL012 bookkeeping) --------------------------
@@ -908,7 +855,7 @@ class _Linter(ast.NodeVisitor):
             self._add(
                 node,
                 "BCL019",
-                f"{name}(...) in a serve/cluster coroutine must thread the "
+                f"{name}(...) in a serve coroutine must thread the "
                 "request context explicitly (trace=...); ambient context "
                 "does not survive task boundaries",
             )

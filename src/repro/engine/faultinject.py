@@ -29,18 +29,18 @@ Fault classes (``FAULT_KINDS``):
     ``os.replace`` leaves behind.  The job must not count as completed
     and must re-run on resume.
 
-Node-level classes (``NODE_KINDS``), consumed by the cluster
-coordinator (:mod:`repro.engine.cluster`) at dispatch time instead of
-inside a worker:
+Node-level classes (``NODE_KINDS``), fired parent-side by a fleet
+node worker (:class:`repro.engine.cluster.NodeWorker`) at dispatch
+time instead of inside a worker:
 
 ``node_down``
     The node serving the matched job dies permanently: its connection
-    drops, its circuit opens for good, and every in-flight job it held
+    drops, it is retired for the sweep, and every job of its batch
     must be re-dispatched elsewhere.
 ``node_hang``
     The dispatch deadline expires (a node that accepted the batch and
-    went silent); the batch is re-dispatched and the node is probed
-    before it gets more work.
+    went silent); the batch is re-dispatched and the node reconnects
+    and is probed before it gets more work.
 ``node_flaky``
     The node answers the matched dispatch with a transient error; the
     batch is re-dispatched and the node stays in rotation.
@@ -209,11 +209,10 @@ class FaultPlan:
     def node_kinds(self, job_index: int, attempt: int) -> tuple[str, ...]:
         """Node-level fault kinds for this dispatch, in NODE_KINDS order.
 
-        ``attempt`` counts *dispatches* of the job by the coordinator
-        (initial dispatch = 0, each re-dispatch or speculative steal
-        copy increments it), so the default ``kind@job`` form fires on
-        the first dispatch only and the recovery path gets a clean
-        retry — mirroring the worker-side semantics.
+        ``attempt`` counts *dispatches* of the job (initial dispatch =
+        0, each re-dispatch increments it), so the default ``kind@job``
+        form fires on the first dispatch only and the recovery path
+        gets a clean retry — mirroring the worker-side semantics.
         """
         hit = {
             spec.kind

@@ -69,7 +69,7 @@ def job_key(job: SweepJob) -> str:
 
 def run_resilient(
     jobs: Iterable[SweepJob],
-    workers: int,
+    workers: int | Supervisor,
     store: TraceStore,
     config: ResilienceConfig,
     sanitize: bool = False,
@@ -84,6 +84,9 @@ def run_resilient(
     there (an earlier run of the same id, killed or completed) are
     skipped and their stored stats returned bit-identically.  A job
     whose entry cannot be written fails the sweep with ``OSError``.
+
+    ``workers`` is a process count, or a supervisor the caller owns
+    (a fleet sweep passes one whose workers are ``bcache-serve`` nodes).
     """
     jobs = list(jobs)
     journal: ResultCache | None = None
@@ -108,7 +111,8 @@ def run_resilient(
             )
 
     with route_log, obs_events.span(
-        "engine.resilient_sweep", run_id=run_id or "", jobs=len(jobs), workers=workers
+        "engine.resilient_sweep", run_id=run_id or "", jobs=len(jobs),
+        workers=workers if isinstance(workers, int) else workers.size,
     ):
         stored = [journal.get_stats(job) if journal is not None else None for job in jobs]
         todo = [index for index, stats in enumerate(stored) if stats is None]
@@ -117,7 +121,10 @@ def run_resilient(
                 _obs.job_event(
                     "queued", job_label(jobs[index]), benchmark=jobs[index].benchmark
                 )
-        processes = 0 if sanitize or workers <= 1 or len(todo) <= 1 else workers
-        with Supervisor(min(processes, len(todo)), store, config, sanitize) as supervisor:
-            fresh = iter(supervisor.run(jobs, todo, fault_plan, commit))
+        if isinstance(workers, Supervisor):
+            fresh = iter(workers.run(jobs, todo, fault_plan, commit))
+        else:
+            processes = 0 if sanitize or workers <= 1 or len(todo) <= 1 else workers
+            with Supervisor(min(processes, len(todo)), store, config, sanitize) as supervisor:
+                fresh = iter(supervisor.run(jobs, todo, fault_plan, commit))
         return [stats if stats is not None else next(fresh) for stats in stored]

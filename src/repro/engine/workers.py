@@ -2,10 +2,18 @@
 
 Every parallel path in the repository runs on a :class:`Supervisor`:
 ``run_sweep(workers > 1)``, the journaled and fault-planned sweeps of
-:mod:`repro.engine.resilience`, and ``bcache-serve``'s shards
-(:class:`repro.serve.workers.ShardPool`).  A supervisor owns ``workers``
-long-lived processes.  Each runs :func:`_worker_entry`, a loop over one
-message shape:
+:mod:`repro.engine.resilience`, ``bcache-serve``'s shards
+(:class:`repro.serve.workers.ShardPool`) and fleet sweeps
+(:mod:`repro.engine.cluster`).  A supervisor owns one of two worker
+kinds:
+
+* ``workers`` long-lived **processes**.  Each runs :func:`_worker_entry`,
+  a loop over one message shape (below); a message carries one job.
+* remote **nodes** (:class:`repro.engine.cluster.NodeWorker`): a message
+  is one blocking ``sweep`` round trip to a ``bcache-serve`` endpoint,
+  carrying as many jobs as the node's throughput warrants.
+
+A process worker's message shapes are:
 
 * in: ``(jobs, trace contexts, fault kinds)``;
 * out: ``(results, metric deltas, span deltas)``.
@@ -23,12 +31,14 @@ side does, once for every caller:
   worker reads the CRC-checked blob into its own memory LRU, as a
   serial run does, and never generates one;
 * **a deadline** of ``ResilienceConfig.job_timeout`` per job a message
-  carries; a worker past it is killed;
-* **restart** of a dead or killed worker after a :class:`RetryPolicy`
-  backoff;
+  carries; a process past it is killed, a node's socket times out;
+* **restart** of a dead or killed process (a node: reconnect) after a
+  :class:`RetryPolicy` backoff;
 * **per-job retry** of failed attempts, with backoff (:meth:`Supervisor.run`);
-* **in-process fallback** once ``max_pool_failures`` consecutive worker
-  failures show the processes cannot make progress;
+* **in-process fallback** once ``max_pool_failures`` consecutive
+  failures show the processes cannot make progress, or once every node
+  has been retired (a node is retired after ``max_pool_failures``
+  consecutive failures of its own);
 * **merging** the workers' metric and span deltas into this process.
 
 Two entry points share that machinery.  :meth:`Supervisor.run` runs a
@@ -42,17 +52,18 @@ workers runs everything in-process through the same retry loop.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import heapq
 import logging
 import multiprocessing
 import threading
 import time
 import zlib
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from random import Random
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Protocol, Sequence
 
 from repro.engine.faultinject import (
     FaultPlan,
@@ -206,17 +217,109 @@ def _worker_entry(conn: Connection, store_root: str, obs_mode: str, obs_log: str
         conn.close()
 
 
-@dataclass(slots=True)
-class _Worker:
+class WorkerLost(Exception):
+    """A worker failed a round trip: it died, hung, or dropped the link.
+
+    ``retire`` marks a node that must get no more work this sweep.
+    """
+
+    def __init__(self, reason: str, retire: bool = False) -> None:
+        super().__init__(reason)
+        self.retire = retire
+
+
+#: A worker's answer to one message: outcomes, metric deltas, span deltas.
+Reply = tuple[list[Outcome], list[Any], list[dict[str, Any]]]
+
+
+class Worker(Protocol):
+    """What the supervisor needs of a worker, process or node."""
+
+    failures: int  # consecutive failures (restart backoff, node retirement)
+    batches: int
+    jobs: int
+    restarts: int
+    retired: bool  # a retired worker gets no more work this sweep
+
+    def batch_size(self) -> int:
+        """Jobs :meth:`Supervisor.run` hands this worker per message."""
+
+    def exchange(
+        self,
+        jobs: list[SweepJob],
+        traces: Sequence[str | None],
+        faults: Sequence[tuple[str, ...]],
+        deadline: float,
+    ) -> Reply:
+        """One round trip, bounded by ``deadline``; raises :class:`WorkerLost`."""
+
+    def kill(self) -> None:
+        """Drop a failed worker at once (kill the process, close the socket)."""
+
+    def start(self) -> None:
+        """Bring a killed worker back (spawn a process; a node reconnects lazily)."""
+
+    def hangup(self) -> None:
+        """Ask the worker to finish (first half of :meth:`Supervisor.close`)."""
+
+    def stop(self, timeout: float) -> None:
+        """Wait up to ``timeout`` for the worker to finish, then kill it."""
+
+    def snapshot(self) -> dict[str, Any]:
+        """Introspection for ``status`` responses and fleet summaries."""
+
+
+class _Process:
     """Parent-side handle of one worker process."""
 
-    proc: Any
-    conn: Any
-    started: float
-    failures: int = 0  # consecutive deaths/timeouts (restart backoff)
-    batches: int = 0
-    jobs: int = 0
-    restarts: int = 0
+    def __init__(self, spawn: Callable[[], tuple[Any, Connection]]) -> None:
+        self._spawn = spawn
+        self.failures = 0
+        self.batches = 0
+        self.jobs = 0
+        self.restarts = 0
+        self.retired = False  # a process is restarted, never retired
+        self.start()
+
+    def start(self) -> None:
+        self.proc, self.conn = self._spawn()
+        self.started = time.monotonic()
+
+    def batch_size(self) -> int:
+        return 1
+
+    def exchange(
+        self,
+        jobs: list[SweepJob],
+        traces: Sequence[str | None],
+        faults: Sequence[tuple[str, ...]],
+        deadline: float,
+    ) -> Reply:
+        try:
+            self.conn.send((jobs, list(traces), list(faults)))
+            if self.conn.poll(deadline):
+                reply: Reply = self.conn.recv()
+                return reply
+        except (EOFError, OSError):
+            self.kill()
+            raise WorkerLost(f"worker died (exit code {self.proc.exitcode})") from None
+        raise WorkerLost(f"hung: exceeded job_timeout={deadline / len(jobs):.1f}s")
+
+    def kill(self) -> None:
+        self.proc.kill()  # dead already, or past its deadline
+        self.stop(5.0)
+
+    def hangup(self) -> None:
+        with contextlib.suppress(OSError):
+            self.conn.send(None)
+
+    def stop(self, timeout: float) -> None:
+        self.proc.join(timeout=timeout)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join(timeout=timeout)
+        with contextlib.suppress(OSError):
+            self.conn.close()
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -230,10 +333,11 @@ class _Worker:
 
 
 class Supervisor:
-    """``workers`` persistent worker processes (zero: in-process only).
+    """Persistent workers: ``workers`` processes, or the given nodes.
 
     Args:
-        workers: process count; ``0`` runs every job in this process.
+        workers: process count (``0`` runs every job in this process),
+            or remote :class:`Worker` objects (fleet nodes).
         store: trace store whose root the workers share.
         config: deadline, retry, restart and fallback knobs.
         sanitize: shadow-check every access of in-process runs (the
@@ -242,7 +346,7 @@ class Supervisor:
 
     def __init__(
         self,
-        workers: int,
+        workers: int | Sequence[Worker],
         store: TraceStore,
         config: ResilienceConfig = ResilienceConfig(),
         sanitize: bool = False,
@@ -250,17 +354,25 @@ class Supervisor:
         self.store = store
         self.config = config
         self.sanitize = sanitize
-        self.fallback_batches = 0
+        self.fallback_batches = 0  # call() batches run in-process
+        self.fallback_jobs = 0  # run() jobs finished in-process after degrading
         self._rng = Random(config.backoff_seed)
         self._lock = threading.Lock()  # seeded backoff draws
         self._local = threading.Lock()  # one in-process job at a time
         self._closed = False
         self._ctx = multiprocessing.get_context()
-        self._workers = [self._spawn() for _ in range(workers)]
+        #: Nodes are retired, not restarted forever, and their traces
+        #: live in their own stores.
+        self.remote = not isinstance(workers, int)
+        self._workers: list[Worker] = (
+            [_Process(self._spawn) for _ in range(workers)]
+            if isinstance(workers, int)
+            else list(workers)
+        )
         self._locks = [threading.Lock() for _ in self._workers]
 
     # -- lifecycle -----------------------------------------------------
-    def _spawn(self) -> _Worker:
+    def _spawn(self) -> tuple[Any, Connection]:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_entry,
@@ -274,32 +386,28 @@ class Supervisor:
         )
         proc.start()
         child_conn.close()
-        return _Worker(proc=proc, conn=parent_conn, started=time.monotonic())
+        return proc, parent_conn
 
-    @staticmethod
-    def _stop(worker: _Worker, timeout: float) -> int | None:
-        """Join ``worker``, killing it after ``timeout``; its exit code."""
-        worker.proc.join(timeout=timeout)
-        if worker.proc.is_alive():
-            worker.proc.kill()
-            worker.proc.join(timeout=timeout)
-        with contextlib.suppress(OSError):
-            worker.conn.close()
-        exitcode: int | None = worker.proc.exitcode
-        return exitcode
+    def _restart(self, wid: int, lost: WorkerLost) -> None:
+        """Drop worker ``wid``; retire it, or restart it after a backoff.
 
-    def _restart(self, wid: int) -> int | None:
-        """Replace worker ``wid`` after a backoff; returns its exit code."""
+        A node is retired by ``node_down`` or after ``max_pool_failures``
+        consecutive failures; a process is always restarted.
+        """
         worker = self._workers[wid]
-        worker.proc.kill()  # dead already, or past its deadline
-        exitcode = self._stop(worker, 5.0)
-        if not self._closed:
-            worker.failures += 1
-            time.sleep(self.backoff(worker.failures - 1))
-            fresh = self._spawn()
-            worker.proc, worker.conn, worker.started = fresh.proc, fresh.conn, fresh.started
-            worker.restarts += 1
-        return exitcode
+        worker.kill()
+        if self._closed:
+            return
+        worker.failures += 1
+        if self.remote and (
+            lost.retire or worker.failures >= self.config.max_pool_failures
+        ):
+            worker.retired = True
+            log.warning("worker %d retired for the rest of the sweep: %s", wid, lost)
+            return
+        time.sleep(self.backoff(worker.failures - 1))
+        worker.start()
+        worker.restarts += 1
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop every worker (idempotent); kills stragglers."""
@@ -307,10 +415,9 @@ class Supervisor:
             return
         self._closed = True
         for worker in self._workers:
-            with contextlib.suppress(OSError):
-                worker.conn.send(None)
+            worker.hangup()
         for worker in self._workers:
-            self._stop(worker, timeout)
+            worker.stop(timeout)
 
     def __enter__(self) -> "Supervisor":
         return self
@@ -324,12 +431,23 @@ class Supervisor:
             return self.config.retry.delay(attempt, self._rng)
 
     # -- routing and introspection -------------------------------------
+    @property
+    def size(self) -> int:
+        """Worker count (processes or nodes)."""
+        return len(self._workers)
+
+    @property
+    def live(self) -> int:
+        """Workers not retired."""
+        return sum(1 for worker in self._workers if not worker.retired)
+
     def shard_of(self, job: SweepJob) -> int:
         """Worker index for ``job`` (trace-affinity routing)."""
         return trace_shard_key(job) % max(1, len(self._workers))
 
     def snapshot(self) -> list[dict[str, Any]]:
-        """Per-worker pid, liveness, uptime, message/job and restart counts."""
+        """Per-worker introspection (a process: pid, liveness, uptime,
+        message/job and restart counts)."""
         return [worker.snapshot() for worker in self._workers]
 
     # -- one message ---------------------------------------------------
@@ -342,25 +460,18 @@ class Supervisor:
     ) -> tuple[list[Outcome] | None, str]:
         """One round trip with worker ``wid`` (its lock held).
 
-        Returns ``(results, "")``, or ``(None, reason)`` after the
-        worker died or overran its deadline and was restarted.
+        The deadline is ``job_timeout`` per job.  Returns
+        ``(results, "")``, or ``(None, reason)`` after the worker failed
+        and was restarted or retired.
         """
         worker = self._workers[wid]
-        deadline = self.config.job_timeout * len(jobs)
         try:
-            worker.conn.send((jobs, list(traces), list(faults)))
-            if worker.conn.poll(deadline):
-                results, metrics, spans = worker.conn.recv()
-                reason = ""
-            else:
-                reason = f"hung: exceeded job_timeout={self.config.job_timeout:.1f}s"
-        except (EOFError, OSError):
-            reason = "died"
-        if reason:
-            exitcode = self._restart(wid)
-            if reason == "died":
-                reason = f"worker died (exit code {exitcode})"
-            return None, reason
+            results, metrics, spans = worker.exchange(
+                jobs, traces, faults, self.config.job_timeout * len(jobs)
+            )
+        except WorkerLost as lost:
+            self._restart(wid, lost)
+            return None, str(lost)
         worker.failures = 0
         worker.batches += 1
         worker.jobs += len(jobs)
@@ -422,27 +533,35 @@ class Supervisor:
         Returns the stats of the ``todo`` jobs, in ``todo`` order.
         A failed attempt is retried with backoff up to
         ``retry.max_attempts`` times, then the sweep raises
-        :class:`SweepFailure`.  ``commit`` sees each finished job once,
-        before ``run`` returns; an exception it raises fails the sweep.
-        ``plan`` injects faults by ``(job index, attempt)``.
+        :class:`SweepFailure`; a dispatch lost with a node does not
+        count against that budget.  ``commit`` sees each finished job
+        once, before ``run`` returns; an exception it raises fails the
+        sweep.  ``plan`` injects faults by ``(job index, attempt)``.
         """
         sweep = _Sweep(
             list(jobs), range(len(jobs)) if todo is None else todo,
             self, plan, commit,
         )
         if self._workers:
-            # Each distinct trace on disk before dispatch, so no worker
-            # generates one; a trace the store cannot build fails the
-            # attempts of its jobs instead.
-            traces = dict.fromkeys(
-                (job.benchmark, job.side, job.n, job.seed, job.with_kinds)
-                for job in (sweep.jobs[index] for index in sweep.todo)
-            )
-            for trace in traces:
-                with contextlib.suppress(OSError, ValueError, KeyError):
-                    self.store.ensure(*trace)
+            if not self.remote:
+                # Each distinct trace on disk before dispatch, so no
+                # worker generates one; a trace the store cannot build
+                # fails the attempts of its jobs instead.
+                traces = dict.fromkeys(
+                    (job.benchmark, job.side, job.n, job.seed, job.with_kinds)
+                    for job in (sweep.jobs[index] for index in sweep.todo)
+                )
+                for trace in traces:
+                    with contextlib.suppress(OSError, ValueError, KeyError):
+                        self.store.ensure(*trace)
+            # Each dispatcher runs in a copy of the caller's context, so
+            # a node's spans join the caller's trace.
             threads = [
-                threading.Thread(target=self._drain, args=(sweep, wid), daemon=True)
+                threading.Thread(
+                    target=contextvars.copy_context().run,
+                    args=(self._drain, sweep, wid),
+                    daemon=True,
+                )
                 for wid in range(len(self._workers))
             ]
             for thread in threads:
@@ -456,19 +575,31 @@ class Supervisor:
 
     def _drain(self, sweep: "_Sweep", wid: int | None) -> None:
         """Run sweep attempts on worker ``wid`` (``None``: in-process)."""
+        worker = None if wid is None else self._workers[wid]
         try:
-            while not self._closed and (entry := sweep.take(wid is not None)):
-                index, attempt = entry
-                job, kinds = sweep.prepare(index, attempt)
+            while not self._closed and not (worker is not None and worker.retired):
+                size = 1 if worker is None else worker.batch_size()
+                batch = sweep.take(worker is not None, size)
+                if not batch:
+                    break
+                prepared = [sweep.prepare(index, attempt) for index, attempt in batch]
+                jobs = [job for job, _ in prepared]
+                kinds = [job_kinds for _, job_kinds in prepared]
                 if wid is None:
-                    sweep.finish(index, attempt, self._run_local([job], [kinds])[0])
-                    continue
-                with self._locks[wid]:
-                    results, reason = self._exchange(wid, [job], [None], [kinds])
-                if results is None:
-                    sweep.worker_failed(index, attempt, reason)
+                    outcomes = self._run_local(jobs, kinds)
+                    if self._workers:
+                        self.fallback_jobs += sum(status == "ok" for status, _ in outcomes)
                 else:
-                    sweep.finish(index, attempt, results[0])
+                    with self._locks[wid]:
+                        results, reason = self._exchange(
+                            wid, jobs, [None] * len(jobs), kinds
+                        )
+                    if results is None:
+                        sweep.worker_failed(batch, reason)
+                        continue
+                    outcomes = results
+                for (index, attempt), outcome in zip(batch, outcomes):
+                    sweep.finish(index, attempt, outcome)
         except BaseException as exc:  # surfaced by run() on its thread
             sweep.fail(exc)
 
@@ -500,35 +631,48 @@ class _Sweep:
         self.retries: list[tuple[float, int, int]] = []
         self.remaining = len(self.todo)
         self.failures = 0  # consecutive worker failures
+        self.spent: Counter[int] = Counter()  # failed attempts per job
         self.degraded = False
         self.error: BaseException | None = None
         self.cond = threading.Condition()
 
-    def take(self, worker: bool) -> tuple[int, int] | None:
-        """The next ``(index, attempt)``: a due retry, then the next job;
-        ``None`` when done, failed, or (for a worker) degraded.  Blocks
-        while the rest is backed off or in flight elsewhere."""
+    def take(self, worker: bool, size: int = 1) -> list[tuple[int, int]]:
+        """Up to ``size`` next ``(index, attempt)`` pairs: due retries,
+        then the next jobs; empty when done, failed, or (for a worker)
+        degraded.  Blocks while the rest is backed off or in flight
+        elsewhere.
+
+        A batch is also capped at a fair share of the jobs not yet
+        handed out, so one node does not take the sweep's tail while
+        another idles.
+        """
         with self.cond:
             while True:
                 if self.error is not None or self.remaining == 0:
-                    return None
+                    return []
                 if worker and self.degraded:
-                    return None
+                    return []
+                unassigned = len(self.pending) + len(self.retries)
+                limit = min(size, -(-unassigned // max(1, self.supervisor.live)))
                 now = time.monotonic()
-                if self.retries and self.retries[0][0] <= now:
+                batch: list[tuple[int, int]] = []
+                while len(batch) < limit and self.retries and self.retries[0][0] <= now:
                     _, index, attempt = heapq.heappop(self.retries)
-                    return index, attempt
-                if self.pending:
-                    return self.pending.popleft(), 0
+                    batch.append((index, attempt))
+                while len(batch) < limit and self.pending:
+                    batch.append((self.pending.popleft(), 0))
+                if batch:
+                    return batch
                 self.cond.wait(self.retries[0][0] - now if self.retries else None)
 
     def prepare(self, index: int, attempt: int) -> tuple[SweepJob, tuple[str, ...]]:
-        """The job and the fault kinds its attempt fires."""
+        """The job and the fault kinds its attempt fires (a process
+        fires the worker-side kinds, a node the node-level ones)."""
         job = self.jobs[index]
         _obs.job_event("running", job_label(job), benchmark=job.benchmark, attempt=attempt)
         if self.plan is None:
             return job, ()
-        kinds = self.plan.child_kinds(index, attempt)
+        kinds = self.plan.child_kinds(index, attempt) + self.plan.node_kinds(index, attempt)
         if self.plan.matches("corrupt_blob", index, attempt):
             kinds += ("corrupt_blob",)
         return job, kinds
@@ -547,23 +691,42 @@ class _Sweep:
             self.remaining -= 1
             self.cond.notify_all()
 
-    def worker_failed(self, index: int, attempt: int, reason: str) -> None:
+    def worker_failed(self, batch: Sequence[tuple[int, int]], reason: str) -> None:
+        """A worker lost ``batch``: maybe degrade, then retry each job.
+
+        Processes degrade the sweep after ``max_pool_failures``
+        consecutive failures, nodes once every node is retired.
+        """
+        remote = self.supervisor.remote
         with self.cond:
             self.failures += 1
-            if self.failures >= self.config.max_pool_failures and not self.degraded:
+            exhausted = (
+                self.supervisor.live == 0 if remote
+                else self.failures >= self.config.max_pool_failures
+            )
+            if exhausted and not self.degraded:
                 self.degraded = True
                 log.warning(
                     "%d consecutive worker failures; degrading to serial "
                     "in-process execution for the remaining job(s)",
                     self.failures,
                 )
-        self.retry(index, attempt, reason)
+        for index, attempt in batch:
+            self.retry(index, attempt, reason, lost=remote)
 
-    def retry(self, index: int, attempt: int, reason: str) -> None:
-        """Queue the next attempt with backoff, or fail the sweep."""
+    def retry(self, index: int, attempt: int, reason: str, lost: bool = False) -> None:
+        """Queue the next attempt with backoff, or fail the sweep.
+
+        A dispatch ``lost`` with a node does not spend the job's budget:
+        the node retires instead, so its retries stay bounded.
+        """
         job = self.jobs[index]
         budget = self.config.retry.max_attempts
-        if attempt + 1 >= budget:
+        with self.cond:
+            if not lost:
+                self.spent[index] += 1
+            spent = self.spent[index]
+        if spent >= budget:
             _obs.job_event(
                 "failed", job_label(job), benchmark=job.benchmark,
                 attempt=attempt, reason=reason,

@@ -433,24 +433,15 @@ def gateway_backend_error(kind: str) -> None:
 # process, and the cluster-smoke CI gate reads these totals)
 # ----------------------------------------------------------------------
 def cluster_nodes_up(count: int) -> None:
-    """Nodes currently dispatchable (not declared dead for the sweep)."""
+    """Nodes not retired, at the start and the end of a fleet sweep."""
     default_registry().gauge(
         "repro_cluster_nodes_up",
         "Cluster nodes currently dispatchable",
     ).set(float(count))
 
 
-def cluster_steal(thief: str, victim: str, jobs: int) -> None:
-    """An idle node speculatively re-dispatched a peer's in-flight jobs."""
-    default_registry().counter(
-        "repro_cluster_steals_total",
-        "In-flight jobs speculatively stolen by idle nodes",
-    ).inc(jobs, node=thief)
-    events.emit("cluster.steal", thief=thief, victim=victim, jobs=jobs)
-
-
 def cluster_redispatch(node: str, jobs: int) -> None:
-    """A failed node's batch was re-queued for other nodes."""
+    """A failed node's batch was queued for retry elsewhere."""
     default_registry().counter(
         "repro_cluster_redispatch_total",
         "Jobs re-dispatched away from a failed or dead node",
@@ -458,20 +449,12 @@ def cluster_redispatch(node: str, jobs: int) -> None:
     events.emit("cluster.redispatch", node=node, jobs=jobs)
 
 
-def cluster_job_served(node: str) -> None:
-    """One job's result was merged from this node (first result wins)."""
+def cluster_job_served(node: str, jobs: int) -> None:
+    """This node answered a batch of ``jobs`` jobs."""
     default_registry().counter(
         "repro_cluster_jobs_total",
         "Jobs completed by the cluster, by serving node",
-    ).inc(node=node)
-
-
-def cluster_duplicate(node: str) -> None:
-    """A late duplicate result (lost steal race) was discarded."""
-    default_registry().counter(
-        "repro_cluster_duplicate_results_total",
-        "Late duplicate results discarded by job_key dedup",
-    ).inc(node=node)
+    ).inc(jobs, node=node)
 
 
 def cluster_fallback(jobs: int) -> None:

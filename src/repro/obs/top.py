@@ -320,9 +320,7 @@ def _poll_server(address: str) -> tuple[dict[str, Any], dict[str, Family] | None
 # ----------------------------------------------------------------------
 # Fleet mode: one row per node of a comma-separated --connect list
 # ----------------------------------------------------------------------
-def poll_fleet(
-    addresses: list[str],
-) -> list[tuple[str, dict[str, Any] | None, dict[str, Family] | None]]:
+def poll_fleet(addresses: list[str]) -> list[tuple[str, dict[str, Any] | None]]:
     """Poll every node with short deadlines; a dead node yields ``None``.
 
     Unlike single-server mode, an unreachable endpoint is a *row*, not
@@ -331,22 +329,16 @@ def poll_fleet(
     """
     from repro.serve.client import ServeClient
 
-    rows: list[tuple[str, dict[str, Any] | None, dict[str, Family] | None]] = []
+    rows: list[tuple[str, dict[str, Any] | None]] = []
     for address in addresses:
         try:
             with ServeClient.connect(
                 address, timeout=5.0, connect_timeout=2.0
             ) as client:
-                status = client.status()
-                response = client.request({"op": "metrics"})
+                rows.append((address, client.status()))
         except (OSError, ValueError) as exc:
             log_fleet_error(address, exc)
-            rows.append((address, None, None))
-            continue
-        families = None
-        if response.get("ok") and isinstance(response.get("metrics"), str):
-            families = parse_text(response["metrics"])
-        rows.append((address, status, families))
+            rows.append((address, None))
     return rows
 
 
@@ -356,33 +348,26 @@ def log_fleet_error(address: str, error: Exception) -> None:
 
 
 def render_fleet(
-    rows: list[tuple[str, dict[str, Any] | None, dict[str, Family] | None]],
-    width: int = 100,
+    rows: list[tuple[str, dict[str, Any] | None]], width: int = 100
 ) -> str:
-    """One fleet-mode frame: a per-node row plus aggregated totals.
-
-    ``steals`` reads the ``repro_cluster_steals_total`` series labelled
-    with the node's address when any polled endpoint exports it (a
-    coordinator scraped through its own ``/metrics``); plain serve
-    nodes don't carry that series, so the column renders ``-``.
-    """
+    """One fleet-mode frame: a per-node row plus aggregated totals."""
     lines: list[str] = []
-    up = sum(1 for _, status, _ in rows if status is not None)
+    up = sum(1 for _, status in rows if status is not None)
     lines.append(f"bcache-top — fleet  {up}/{len(rows)} node(s) up")
     header = (
         f"{'node':<28} {'state':>6} {'inflight':>9} {'completed':>10} "
-        f"{'restarts':>9} {'steals':>7} {'uptime':>8}"
+        f"{'restarts':>9} {'uptime':>8}"
     )
     lines.append(header[:width])
     lines.append("-" * min(width, len(header)))
     total_completed = 0
     total_inflight = 0
-    for address, status, families in rows:
+    for address, status in rows:
         name = address if len(address) <= 28 else "..." + address[-25:]
         if status is None:
             lines.append(
                 f"{name:<28} {'DOWN':>6} {'-':>9} {'-':>10} "
-                f"{'-':>9} {'-':>7} {'-':>8}"[:width]
+                f"{'-':>9} {'-':>8}"[:width]
             )
             continue
         server = status.get("server", {})
@@ -392,16 +377,9 @@ def render_fleet(
         restarts = int(server.get("shard_restarts_total", 0))
         total_inflight += inflight
         total_completed += completed
-        steals = None
-        if families is not None:
-            steals = _metric_value(
-                families, "repro_cluster_steals_total", node=address
-            )
-        steals_text = f"{steals:.0f}" if steals is not None else "-"
         lines.append(
             f"{name:<28} {state:>6} {inflight:>9} {completed:>10} "
-            f"{restarts:>9} {steals_text:>7} "
-            f"{server.get('uptime_s', 0.0):>7.0f}s"[:width]
+            f"{restarts:>9} {server.get('uptime_s', 0.0):>7.0f}s"[:width]
         )
     lines.append(
         f"totals   inflight {total_inflight}  completed {total_completed}"
@@ -546,7 +524,7 @@ def _run_fleet(args: argparse.Namespace) -> int:
         if args.once or (args.frames and frames >= args.frames):
             # Unlike single-server mode, a down node is a row, not an
             # exit — but an entirely-dead fleet still signals failure.
-            return 0 if any(status is not None for _, status, _ in rows) else 4
+            return 0 if any(status is not None for _, status in rows) else 4
         time.sleep(max(0.05, args.interval))
 
 

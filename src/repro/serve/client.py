@@ -19,17 +19,16 @@ Both flavours carry deadlines: ``connect(...)`` takes separate
 ``connect_timeout``/``timeout`` (read) knobs, every ``request`` accepts
 a per-call ``timeout=`` override, and a hung server surfaces as
 :class:`TimeoutError` instead of blocking the caller forever.
-:meth:`ServeClient.connect_with_backoff` retries a refused/unreachable
-endpoint under a seeded :class:`~repro.engine.resilience.RetryPolicy`.
+:meth:`ServeClient.sweep` takes its deadline as a required argument.
+Reconnecting is the caller's business: a fleet sweep's supervisor
+reconnects a failed node after its retry backoff.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-import time
 from dataclasses import asdict
-from random import Random
 from typing import Any, Sequence
 
 from repro.engine.runner import SweepJob
@@ -170,46 +169,6 @@ class ServeClient:
         sock.settimeout(timeout)
         return cls(sock, max_frame, timeout)
 
-    @classmethod
-    def connect_with_backoff(
-        cls,
-        address: str,
-        timeout: float | None = 30.0,
-        max_frame: int = MAX_FRAME_BYTES,
-        connect_timeout: float | None = None,
-        *,
-        attempts: int = 4,
-        base_delay: float = 0.05,
-        max_delay: float = 2.0,
-        seed: int = 2006,
-    ) -> "ServeClient":
-        """:meth:`connect`, retrying refused/unreachable endpoints.
-
-        Backoff follows the engine's seeded
-        :class:`~repro.engine.resilience.RetryPolicy` (exponential with
-        deterministic jitter), so reconnect storms from many clients
-        de-synchronise reproducibly.  Raises the last ``OSError`` once
-        ``attempts`` connection attempts have failed.
-        """
-        from repro.engine.resilience import RetryPolicy
-
-        policy = RetryPolicy(
-            max_attempts=attempts, base_delay=base_delay, max_delay=max_delay
-        )
-        rng = Random(seed)
-        last_error: OSError | None = None
-        for attempt in range(max(1, attempts)):
-            try:
-                return cls.connect(
-                    address, timeout, max_frame, connect_timeout=connect_timeout
-                )
-            except OSError as exc:
-                last_error = exc
-                if attempt + 1 < max(1, attempts):
-                    time.sleep(policy.delay(attempt, rng))
-        assert last_error is not None
-        raise last_error
-
     # -- low level -----------------------------------------------------
     def request(
         self, payload: dict[str, Any], timeout: float | None = None
@@ -242,15 +201,21 @@ class ServeClient:
     def sweep(
         self,
         jobs: Sequence[SweepJob | dict[str, Any]],
+        *,
+        timeout: float | None,
         trace: str | None = None,
     ) -> list[CacheStats]:
+        """Run a batch; ``timeout`` (required) is its read deadline.
+
+        ``None`` says the connection's own read deadline suffices.
+        """
         payload: dict[str, Any] = {
             "op": "sweep",
             "jobs": [_job_payload(job) for job in jobs],
         }
         if trace:
             payload["trace"] = trace
-        return _sweep_stats_from(self.request(payload))
+        return _sweep_stats_from(self.request(payload, timeout=timeout))
 
     def status(self) -> dict[str, Any]:
         response = self.request({"op": "status"})

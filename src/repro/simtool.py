@@ -122,9 +122,9 @@ def _run_specs(
             for spec in valid_specs
         ]
         if "," in args.connect:
-            # Comma-separated fleet: route through the fault-tolerant
-            # cluster coordinator (work-stealing, failover, local
-            # fallback) — same bit-identical statistics contract.
+            # Comma-separated fleet: each node is a supervisor worker
+            # (health probe, retry elsewhere, local fallback) — same
+            # bit-identical statistics contract.
             from repro.engine.cluster import run_cluster_sweep
 
             swept = run_cluster_sweep(sweep, args.connect.split(","))
@@ -133,7 +133,7 @@ def _run_specs(
             return results, errors, status
         try:
             with ServeClient.connect(args.connect) as client:
-                swept = client.sweep(sweep)
+                swept = client.sweep(sweep, timeout=None)
         except ServeError as exc:
             print(f"bcache-sim: server error: {exc}", file=sys.stderr)
             for spec in valid_specs:

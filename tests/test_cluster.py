@@ -1,18 +1,20 @@
-"""The fault-tolerant fleet coordinator (``repro.engine.cluster``).
+"""Fleet sweeps (``repro.engine.cluster``): nodes as supervisor workers.
 
-Unit classes cover the circuit breaker and coordinator bookkeeping;
-the e2e classes drive real ``bcache-serve`` subprocesses over Unix
-sockets and assert the tentpole guarantee — merged fleet results are
-bit-identical to a serial local run through node faults, a SIGKILLed
-node, an entirely-dead fleet (local fallback), and a SIGKILLed
-coordinator resumed from its journal.
+A unit class covers coordinator bookkeeping; the e2e classes drive
+real ``bcache-serve`` subprocesses over Unix sockets and assert the
+guarantee — merged fleet results are bit-identical to a serial local
+run through node faults, a SIGKILLed node, a node that accepts a
+connection and never answers, an entirely-dead fleet (local fallback),
+and a SIGKILLed coordinator resumed from its journal.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -22,10 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.engine.cluster import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
     ClusterConfig,
     ClusterCoordinator,
     main,
@@ -60,13 +58,8 @@ def small_sweep(n: int = 2000) -> list[SweepJob]:
 
 FAST = ClusterConfig(
     connect_timeout=2.0,
-    probe_timeout=2.0,
     request_timeout=60.0,
-    probe_interval=0.02,
-    idle_tick=0.01,
     max_node_failures=2,
-    breaker_failures=2,
-    breaker_reset=0.05,
     retry=RetryPolicy(max_attempts=4, base_delay=0.005, max_delay=0.02),
     fsync=False,
 )
@@ -105,6 +98,7 @@ def _stop(proc: subprocess.Popen) -> None:
         proc.wait(timeout=20)
     with contextlib.suppress(ProcessLookupError):
         proc.kill()
+    proc.stdout.close()
 
 
 @pytest.fixture
@@ -117,43 +111,6 @@ def fleet(tmp_path):
     finally:
         _stop(proc_a)
         _stop(proc_b)
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=10.0)
-        breaker.record_failure(1.0)
-        breaker.record_failure(2.0)
-        assert breaker.state == CLOSED
-        breaker.record_failure(3.0)
-        assert breaker.state == OPEN
-        assert not breaker.ready(3.1)
-
-    def test_half_open_after_reset_then_success_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0)
-        breaker.record_failure(0.0)
-        assert breaker.state == OPEN
-        assert breaker.ready(1.5)  # exactly one probe lets through
-        assert breaker.state == HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.failures == 0
-
-    def test_half_open_failure_reopens_immediately(self):
-        breaker = CircuitBreaker(failure_threshold=5, reset_timeout=1.0)
-        for _ in range(5):
-            breaker.record_failure(0.0)
-        assert breaker.ready(2.0) and breaker.state == HALF_OPEN
-        breaker.record_failure(2.0)  # one failure, well under threshold
-        assert breaker.state == OPEN
-        assert breaker.opened_at == 2.0
-
-    def test_success_resets_failure_count(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure(0.0)
-        breaker.record_success()
-        breaker.record_failure(1.0)
-        assert breaker.state == CLOSED
 
 
 class TestCoordinatorValidation:
@@ -199,6 +156,20 @@ class TestFleetSweep:
         # node_down kills exactly one node for the rest of the sweep.
         assert summary["nodes_up"] == 1
 
+    def test_node_hang_injection_redispatches_bit_identically(
+        self, fleet, tmp_path, store
+    ):
+        _, addresses = fleet
+        jobs = small_sweep()
+        plan = FaultPlan.parse("node_hang@0")
+        coordinator = ClusterCoordinator(addresses, config=FAST, store=store)
+        results = coordinator.run(jobs, fault_plan=plan)
+        assert results == run_sweep(jobs, workers=1, store=store)
+        summary = coordinator.summary()
+        assert summary["redispatch_total"] > 0
+        # A hang is transient: the node reconnects and stays in rotation.
+        assert summary["nodes_up"] == 2
+
     def test_sigkill_one_node_mid_sweep_stays_bit_identical(
         self, fleet, tmp_path, store
     ):
@@ -217,6 +188,62 @@ class TestFleetSweep:
         # Whether the kill landed mid-batch or between batches, the
         # merged statistics must match a serial run exactly.
         assert results == run_sweep(jobs, workers=1, store=store)
+
+
+class SilentNode:
+    """A Unix-socket listener that accepts connections and never answers."""
+
+    def __init__(self, path: Path) -> None:
+        self.address = f"unix:{path}"
+        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._listener.bind(str(path))
+        self._listener.listen(8)
+        self._listener.settimeout(0.05)
+        self._held: list[socket.socket] = []
+        self._stopping = threading.Event()
+        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._thread.start()
+
+    def _accept_loop(self) -> None:
+        while not self._stopping.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:  # the accept timeout, or a closed listener
+                continue
+            self._held.append(conn)
+
+    def close(self) -> None:
+        self._stopping.set()
+        self._thread.join(timeout=5)
+        self._listener.close()
+        for conn in self._held:
+            conn.close()
+
+
+class TestSilentNode:
+    def test_silent_node_is_bounded_by_the_deadline(self, tmp_path, store):
+        """A real hang, not an injected one: the deadline must catch it."""
+        proc, live = _start_server(tmp_path, "live")
+        silent = SilentNode(tmp_path / "silent.sock")
+        config = dataclasses.replace(FAST, request_timeout=1.0)
+        jobs = small_sweep()
+        try:
+            # The silent node comes first, so it takes the first batch.
+            coordinator = ClusterCoordinator(
+                [silent.address, live], config=config, store=store
+            )
+            start = time.monotonic()
+            results = coordinator.run(jobs)
+            elapsed = time.monotonic() - start
+        finally:
+            silent.close()
+            _stop(proc)
+        assert results == run_sweep(jobs, workers=1, store=store)
+        assert coordinator.summary()["redispatch_total"] > 0
+        # Each failure of the silent node costs one deadline, and it is
+        # retired after max_node_failures of them; the rest is slack
+        # for the live node's work and the restart backoff.
+        assert elapsed < config.max_node_failures * config.request_timeout + 10.0
 
 
 class TestLocalFallback:
@@ -290,9 +317,7 @@ jobs = [
     for benchmark in ("gzip", "equake", "mcf")
 ]
 config = ClusterConfig(
-    connect_timeout=1.0, probe_timeout=1.0, probe_interval=0.02,
-    idle_tick=0.01, max_node_failures=2, breaker_failures=2,
-    breaker_reset=0.05,
+    connect_timeout=1.0, max_node_failures=2,
     retry=RetryPolicy(max_attempts=4, base_delay=0.005, max_delay=0.02),
     fsync=False,
 )

@@ -168,8 +168,8 @@ class TestRenderFleet:
         status = _fake_status()
         status["server"]["shard_restarts_total"] = 2
         rows = [
-            ("unix:/tmp/a.sock", status, None),
-            ("unix:/tmp/b.sock", None, None),
+            ("unix:/tmp/a.sock", status),
+            ("unix:/tmp/b.sock", None),
         ]
         frame = render_fleet(rows)
         assert "1/2 node(s) up" in frame
@@ -183,31 +183,17 @@ class TestRenderFleet:
     def test_draining_node_renders_drain_state(self):
         status = _fake_status()
         status["server"]["draining"] = True
-        frame = render_fleet([("unix:/tmp/a.sock", status, None)])
+        frame = render_fleet([("unix:/tmp/a.sock", status)])
         assert "drain" in frame
-
-    def test_steals_column_reads_cluster_metric(self):
-        families = parse_text(
-            "# TYPE repro_cluster_steals_total counter\n"
-            'repro_cluster_steals_total{node="unix:/tmp/a.sock"} 7\n'
-        )
-        frame = render_fleet([("unix:/tmp/a.sock", _fake_status(), families)])
-        row = next(line for line in frame.splitlines() if "a.sock" in line)
-        assert " 7" in row
-
-    def test_plain_serve_node_renders_dash_for_steals(self):
-        frame = render_fleet([("unix:/tmp/a.sock", _fake_status(), None)])
-        row = next(line for line in frame.splitlines() if "a.sock" in line)
-        assert " -" in row
 
     def test_long_address_is_truncated(self):
         address = "unix:/" + "x" * 60 + "/serve.sock"
-        frame = render_fleet([(address, None, None)])
+        frame = render_fleet([(address, None)])
         assert "..." in frame
 
     def test_poll_fleet_marks_unreachable_nodes_down(self, tmp_path, capsys):
         rows = poll_fleet([f"unix:{tmp_path}/ghost.sock"])
-        assert rows == [(f"unix:{tmp_path}/ghost.sock", None, None)]
+        assert rows == [(f"unix:{tmp_path}/ghost.sock", None)]
         assert "cannot reach" in capsys.readouterr().err
 
 

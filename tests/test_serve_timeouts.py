@@ -3,8 +3,7 @@
 A tiny in-test TCP listener accepts connections and then goes silent —
 the pathological peer every deadline exists for.  The sync and async
 clients must both surface ``TimeoutError`` within the configured
-deadline, and ``connect_with_backoff`` must retry a refused endpoint
-with the engine's deterministic backoff.
+deadline.
 """
 
 from __future__ import annotations
@@ -82,34 +81,6 @@ class TestSyncClientDeadlines:
         )
         assert client._sock.gettimeout() == 15.0
         client.close()
-
-
-class TestConnectWithBackoff:
-    def test_refused_endpoint_retries_then_raises(self, tmp_path):
-        missing = f"unix:{tmp_path}/nobody.sock"
-        start = time.monotonic()
-        with pytest.raises(OSError):
-            ServeClient.connect_with_backoff(
-                missing, attempts=3, base_delay=0.01, max_delay=0.02
-            )
-        # Two backoff sleeps happened between the three attempts.
-        assert time.monotonic() - start >= 0.02
-
-    def test_connects_once_endpoint_is_up(self, hung_server):
-        client = ServeClient.connect_with_backoff(
-            hung_server.address, timeout=5.0, attempts=2, base_delay=0.01
-        )
-        client.close()
-
-    def test_backoff_schedule_is_deterministic(self, tmp_path):
-        """Same seed, same OSError — no wall-clock or pid in the path."""
-        missing = f"unix:{tmp_path}/nobody.sock"
-        for _ in range(2):
-            with pytest.raises(OSError) as excinfo:
-                ServeClient.connect_with_backoff(
-                    missing, attempts=2, base_delay=0.001, seed=7
-                )
-            assert excinfo.value.errno is not None
 
 
 class TestAsyncClientDeadlines:
