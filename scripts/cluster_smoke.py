@@ -5,8 +5,12 @@ Starts a real two-node ``bcache-serve`` fleet on Unix sockets and runs
 
 1. with ``node_down``/``node_hang``/``node_flaky`` faults injected at
    dispatch — the sweep must stay bit-identical to a serial local run
-   (``--verify``) and must have re-dispatched at least one job
-   (``--expect-redispatch``);
+   (``--verify``), must have re-dispatched at least one job
+   (``--expect-redispatch``), and every fault kind must have fired (its
+   ``injected`` line is in the coordinator's stderr).  The faults hit
+   successive dispatches of one job: a node fails the whole batch it
+   was handed, so faults on other jobs of that batch would arrive at
+   the next attempt and never fire;
 2. against two endpoints that do not exist — every node is down, so
    the coordinator must degrade to local in-process execution
    (``--expect-fallback``) and still verify bit-identical.
@@ -42,9 +46,25 @@ def start_server(sock_path: Path) -> subprocess.Popen:
     return proc
 
 
-def run_leg(title: str, argv: list[str]) -> int:
+#: One fault per dispatch of job 1: attempt 0 retires a node, the
+#: re-dispatches hang and then fail transiently on the survivor.
+FAULT_PLAN = "node_down@1,node_hang@1:1,node_flaky@1:2"
+
+
+def run_leg(title: str, argv: list[str], must_fire: tuple[str, ...] = ()) -> int:
+    """Run ``bcache-cluster``; fail unless each ``must_fire`` kind fired."""
     print(f"=== cluster-smoke: {title} ===", flush=True)
-    return subprocess.call([sys.executable, "-m", "repro.engine.cluster", *argv])
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.engine.cluster", *argv],
+        stderr=subprocess.PIPE, text=True,
+    )
+    sys.stderr.write(proc.stderr)
+    code = proc.returncode
+    for kind in must_fire:
+        if f"{kind}: injected" not in proc.stderr:
+            print(f"cluster-smoke: FAIL — {kind} never fired", file=sys.stderr)
+            code = code or 1
+    return code
 
 
 def main() -> int:
@@ -56,8 +76,9 @@ def main() -> int:
             code = run_leg(
                 "2-node fleet under node faults",
                 ["--connect", f"unix:{sock_a},unix:{sock_b}",
-                 "--inject-faults", "node_down@1,node_hang@2,node_flaky@3",
+                 "--inject-faults", FAULT_PLAN,
                  "--verify", "--expect-redispatch", "1"],
+                must_fire=("node_down", "node_hang", "node_flaky"),
             )
             if code == 0:
                 code = run_leg(

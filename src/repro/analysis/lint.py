@@ -39,9 +39,7 @@ BCL011    event-loop code (``repro.serve``) must not block the loop: no
           ``run_in_executor``
 BCL012    telemetry contract: ``span(...)`` must be used as a context
           manager (``with span(...):`` — never a bare call or manual
-          ``__enter__``, which loses the crash-safe exit event), and
-          metric names passed to ``counter``/``gauge``/``histogram``
-          must match ``^repro_[a-z0-9_]+$``
+          ``__enter__``, which loses the crash-safe exit event)
 BCL014    fork-safety: a function that runs in a worker process (a
           known entry point, a ``Process(target=)``, the callable handed
           to ``submit``/``apply_async`` or to a pool's ``map``/``imap``/
@@ -99,8 +97,7 @@ RULES: dict[str, str] = {
     "BCL010": "engine code swallows exceptions or retries without backoff",
     "BCL011": "blocking call (time.sleep / sync file I/O / Future.result) "
     "inside a serve coroutine",
-    "BCL012": "span() not used as a context manager, or metric name not "
-    "matching ^repro_[a-z0-9_]+$",
+    "BCL012": "span() not used as a context manager",
     "BCL014": "fork-safety hazard: worker-reachable module state mutation, "
     "or dropped create_task",
     "BCL016": "Access object built in a batch-kernel loop",
@@ -131,10 +128,6 @@ BLOCKING_IO_METHODS = frozenset(
     {"read_text", "write_text", "read_bytes", "write_bytes"}
 )
 
-#: Registry factory methods whose first argument is a metric name that
-#: must satisfy the exposition contract (BCL012).
-METRIC_FACTORY_METHODS = frozenset({"counter", "gauge", "histogram"})
-
 #: Span-opening observability calls.  BCL019: inside serve coroutines
 #: each must thread the request's TraceContext explicitly —
 #: relying on the ambient contextvar detaches the span from its
@@ -147,11 +140,6 @@ NONDET_TRACE_SOURCES = frozenset(
     {"uuid4", "urandom", "token_hex", "token_bytes", "getrandbits",
      "randbytes"}
 )
-
-#: Prometheus-safe, repo-prefixed metric names (mirrors
-#: ``repro.obs.metrics.METRIC_NAME_RE``; duplicated so the linter stays
-#: importable without the obs package).
-METRIC_NAME_PATTERN = re.compile(r"^repro_[a-z0-9_]+$")
 
 #: Modules where ``math.log2`` itself is banned (geometry must go
 #: through ``log2_exact``); the energy models legitimately need floats.
@@ -823,23 +811,6 @@ class _Linter(ast.NodeVisitor):
                 "BCL012",
                 "span(...) must be entered via a with-statement "
                 "(with span(...):) so the exit event is always emitted",
-            )
-
-        # BCL012: metric names feed the Prometheus exposition; reject a
-        # name that would fail the registry's contract at lint time
-        # rather than at first scrape.
-        if (
-            name in METRIC_FACTORY_METHODS
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-            and not METRIC_NAME_PATTERN.match(node.args[0].value)
-        ):
-            self._add(
-                node,
-                "BCL012",
-                f"metric name {node.args[0].value!r} does not match "
-                "^repro_[a-z0-9_]+$",
             )
 
         # BCL019 (a): a span opened on the request path must carry the

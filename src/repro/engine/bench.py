@@ -39,7 +39,6 @@ from repro.caches import columnar, make_cache
 from repro.engine.runner import SweepJob, available_cpus, run_sweep
 from repro.engine.trace_store import default_store
 from repro.obs import events as obs_events
-from repro.obs import instrument as _obs
 from repro.stats.counters import CacheStats
 
 SCHEMA = "bcache-bench/1"
@@ -177,7 +176,8 @@ def _timed_iteration(
     genuine regression) after the fact.
     """
     seconds = _timed_fresh(replay, spec, addresses, kinds)
-    _obs.bench_iteration(spec, flavor, iteration, seconds, len(addresses))
+    obs_events.emit("bench.iteration", spec=spec, flavor=flavor, iteration=iteration,
+                    dur_s=round(seconds, 6), refs=len(addresses))
     return seconds
 
 

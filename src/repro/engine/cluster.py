@@ -215,7 +215,7 @@ class NodeWorker:
                 )
         except (OSError, ProtocolError, ServeError, WorkerLost) as exc:
             self.redispatched += len(jobs)
-            _obs.cluster_redispatch(self.address, len(jobs))
+            obs_events.emit("cluster.redispatch", node=self.address, jobs=len(jobs))
             if isinstance(exc, WorkerLost):
                 raise
             raise WorkerLost(f"node {self.address}: {exc}") from exc
@@ -225,7 +225,6 @@ class NodeWorker:
             self.throughput = (
                 rate if self.throughput == 0.0 else 0.7 * self.throughput + 0.3 * rate
             )
-        _obs.cluster_job_served(self.address, len(jobs))
         return [("ok", entry.snapshot()) for entry in stats], [], []
 
     def kill(self) -> None:
@@ -310,7 +309,6 @@ class ClusterCoordinator:
             if job_list and obs_events.enabled()
             else None
         )
-        _obs.cluster_nodes_up(self.nodes_up())
         with obs_events.span(
             "cluster.sweep", trace=trace, jobs=len(job_list), nodes=len(self.nodes)
         ), Supervisor(self.nodes, store, config) as supervisor:
@@ -319,16 +317,20 @@ class ClusterCoordinator:
                 run_id=run_id, run_root=run_root, fault_plan=fault_plan,
             )
         if supervisor.fallback_jobs:
-            _obs.cluster_fallback(supervisor.fallback_jobs)
+            obs_events.emit("cluster.local_fallback", jobs=supervisor.fallback_jobs)
         self.fallback_jobs += supervisor.fallback_jobs
-        _obs.cluster_nodes_up(self.nodes_up())
         return results
 
     def nodes_up(self) -> int:
         return sum(1 for node in self.nodes if not node.retired)
 
     def summary(self) -> dict[str, Any]:
-        """Per-node accounting and cluster totals."""
+        """Per-node accounting and cluster totals.
+
+        This is the fleet's accounting: a coordinator exports no metric
+        registry, so nodes up, re-dispatches, fallback jobs and each
+        node's ``completed`` count are read here.
+        """
         return {
             "nodes": {node.address: node.snapshot() for node in self.nodes},
             "nodes_up": self.nodes_up(),

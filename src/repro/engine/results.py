@@ -43,8 +43,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.durable import atomic_write, quarantine
-from repro.obs import instrument as _obs
+from repro.obs import events as obs_events
 from repro.obs.events import cache_dir
+from repro.obs.instrument import record
 from repro.stats.counters import CacheStats
 
 if TYPE_CHECKING:  # the job type is only ever asked for its key()
@@ -194,7 +195,7 @@ class ResultCache:
                 return None
             self._memory.move_to_end(key)
             self.hits_memory += 1
-        _obs.resultcache_lookup("memory")
+        record("repro_resultcache_hits_total", tier="memory")
         return snapshot
 
     def _remember(self, key: str, snapshot: dict[str, Any]) -> None:
@@ -204,8 +205,8 @@ class ResultCache:
             while len(self._memory) > self.capacity:
                 self._memory.popitem(last=False)
                 self.evictions += 1
-                _obs.resultcache_evicted()
-            _obs.resultcache_entries(len(self._memory))
+                record("repro_resultcache_evictions_total")
+            record("repro_resultcache_entries", len(self._memory))
 
     # -- full lookup (executor threads) --------------------------------
     def get(self, job: SweepJob) -> dict[str, Any] | None:
@@ -227,12 +228,12 @@ class ResultCache:
             if isinstance(stats, dict):
                 with self._lock:
                     self.hits_disk += 1
-                _obs.resultcache_lookup("disk")
+                record("repro_resultcache_hits_total", tier="disk")
                 self._remember(key, stats)
                 return stats
         with self._lock:
             self.misses += 1
-        _obs.resultcache_lookup("miss")
+        record("repro_resultcache_misses_total")
         return None
 
     def get_stats(self, job: SweepJob) -> CacheStats | None:
@@ -269,7 +270,8 @@ class ResultCache:
         quarantine(path, self.quarantine_root)
         with self._lock:
             self.quarantined += 1
-        _obs.resultcache_quarantined(path.name, reason)
+        record("repro_resultcache_quarantined_total")
+        obs_events.emit("resultcache.quarantined", entry=path.name, reason=reason)
 
     # -- store ----------------------------------------------------------
     def put(self, job: SweepJob, snapshot: dict[str, Any]) -> bool:
@@ -293,7 +295,7 @@ class ResultCache:
             return False
         with self._lock:
             self.stores += 1
-        _obs.resultcache_stored()
+        record("repro_resultcache_stores_total")
         return True
 
     # -- invalidation ---------------------------------------------------
@@ -317,7 +319,8 @@ class ResultCache:
             shutil.rmtree(child, ignore_errors=True)
             removed += 1
         if removed:
-            _obs.resultcache_invalidated(removed)
+            record("repro_resultcache_invalidations_total", removed)
+            obs_events.emit("resultcache.invalidated", dirs=removed)
         return removed
 
     # -- introspection --------------------------------------------------

@@ -42,8 +42,9 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.engine.durable import atomic_write, quarantine
-from repro.obs import instrument as _obs
+from repro.obs import events as obs_events
 from repro.obs.events import cache_dir
+from repro.obs.instrument import record
 from repro.trace.access import access_columns
 from repro.workloads.spec2k import get_profile
 
@@ -168,7 +169,9 @@ class TraceStore:
         """
         quarantine(path, self.quarantine_root)
         self.quarantined += 1
-        _obs.trace_store_quarantined(path.name, reason)
+        if obs_events.enabled():
+            obs_events.emit("trace_store.quarantined", spec=path.name, reason=reason)
+            record("repro_trace_store_quarantined_total")
         log.warning("quarantined corrupt trace blob %s (%s)", path.name, reason)
 
     def _load_payload(self, path: Path, expected_size: int | None = None) -> bytes | None:
@@ -218,7 +221,9 @@ class TraceStore:
                 memory.popitem(last=False)
         else:
             memory.move_to_end(key)
-            _obs.trace_store_hit("memory", key[0])
+            if obs_events.enabled():
+                obs_events.emit("trace_store.hit", tier="memory", spec=key[0])
+                record("repro_trace_store_hits_total", tier="memory")
         return _readonly(value)
 
     def _materialise(self, key: Key) -> array | tuple[array, array]:
@@ -235,7 +240,9 @@ class TraceStore:
             value = None if payload is None else array("Q", payload)
         if value is not None:
             self.disk_hits += 1
-            _obs.trace_store_hit("disk", benchmark)
+            if obs_events.enabled():
+                obs_events.emit("trace_store.hit", tier="disk", spec=benchmark)
+                record("repro_trace_store_hits_total", tier="disk")
             return value
         self.disk_misses += 1
         started = time.monotonic()
@@ -243,7 +250,11 @@ class TraceStore:
             value = self._generate_accesses(benchmark, side, n, seed)
         else:
             value = self._generate_addresses(benchmark, side, n, seed)
-        _obs.trace_store_miss(benchmark, time.monotonic() - started)
+        if obs_events.enabled():
+            seconds = time.monotonic() - started
+            obs_events.emit("trace_store.miss", spec=benchmark, dur_s=round(seconds, 6))
+            record("repro_trace_store_misses_total")
+            record("repro_trace_store_regen_seconds", seconds)
         return value
 
     def clear_memory(self) -> None:

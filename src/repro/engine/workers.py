@@ -75,6 +75,7 @@ from repro.engine.runner import SweepJob, execute_job, job_label
 from repro.engine.trace_store import TraceStore, set_default_store
 from repro.obs import events as obs_events
 from repro.obs import instrument as _obs
+from repro.obs.instrument import record
 from repro.obs.metrics import default_registry
 from repro.obs.tracectx import TraceContext
 from repro.stats.counters import CacheStats
@@ -202,9 +203,9 @@ def _worker_entry(conn: Connection, store_root: str, obs_mode: str, obs_log: str
             results.append(_attempt(job, kinds, store))
             ctx = TraceContext.from_wire(wire) if wire else None
             if ctx is not None and ctx.sampled and obs_events.enabled():
-                spans.append(_obs.stage_record(
-                    "kernel", ctx, time.monotonic() - started,
-                    benchmark=job.benchmark,
+                spans.append(_obs.stage_record_for(
+                    "kernel", ctx.child("stage.kernel"),
+                    time.monotonic() - started, benchmark=job.benchmark,
                 ))
         metrics = (
             default_registry().drain_deltas() if obs_events.metrics_enabled() else []
@@ -516,9 +517,11 @@ class Supervisor:
                 results, _reason = self._exchange(wid, jobs, wires, faults)
                 if results is not None:
                     return results
-                _obs.serve_shard_restarted(wid)
+                record("repro_serve_shard_restarts_total", shard=wid)
+                obs_events.emit("serve.shard_restart", shard=wid)
         self.fallback_batches += 1
-        _obs.serve_fallback_batch(wid)
+        record("repro_serve_fallback_batches_total", shard=wid)
+        obs_events.emit("serve.fallback_batch", shard=wid)
         return self._run_local(jobs, faults)
 
     def run(

@@ -7,7 +7,9 @@ A dependency-free observability layer shared by every subsystem:
 * :mod:`repro.obs.exposition` — Prometheus text format writer/parser;
 * :mod:`repro.obs.events` — ``span``/``emit`` tracing onto a crash-safe
   JSONL event log, tiered by ``REPRO_OBS=off|events|full``;
-* :mod:`repro.obs.instrument` — the pre-named hooks hot paths call;
+* :mod:`repro.obs.instrument` — the metric catalogue (one row per
+  series) and ``record``, its one writer, plus the stage, kernel and
+  job-event helpers;
 * :mod:`repro.obs.tracectx` — deterministic distributed trace contexts
   (W3C ``traceparent``, head sampling keyed by ``hash(trace_id)``);
 * :mod:`repro.obs.traceview` — the ``bcache-trace`` waterfall analyzer;

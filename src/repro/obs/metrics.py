@@ -3,8 +3,9 @@
 A :class:`MetricsRegistry` holds named metric families; every family
 supports label sets (``counter.inc(1, shard="0")``), so one family
 renders as many Prometheus series.  Names are validated against
-``^repro_[a-z0-9_]+$`` (rule BCL012) at registration time — a typo'd
-metric name fails fast instead of silently forking a new series.
+``^repro_[a-z0-9_]+$`` at registration time — a typo'd metric name
+fails fast instead of silently forking a new series.  The repo's own
+series are declared in :data:`repro.obs.instrument.CATALOGUE`.
 
 Histograms use **fixed log-scale buckets** (geometric boundaries, see
 :func:`log_buckets`): cache-kernel timings and batch sizes both span
@@ -35,7 +36,7 @@ from repro.stats.latency import rank_position
 
 _M = TypeVar("_M", bound="_Metric")
 
-#: Metric names must match this (enforced here and by lint rule BCL012).
+#: Metric names must match this (enforced when a family is created).
 METRIC_NAME_RE = re.compile(r"^repro_[a-z0-9_]+$")
 
 #: Canonical label key for one series: sorted ``(key, value)`` pairs.

@@ -48,7 +48,8 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.obs import instrument as _obs
+from repro.obs import events as obs_events
+from repro.obs.instrument import record
 
 #: Client identity used when a connection offers none.
 ANONYMOUS = "anon"
@@ -215,13 +216,15 @@ class AdmissionController:
             retry_after = bucket.try_acquire(float(jobs), self._clock())
             if retry_after > 0.0:
                 self.rate_limited += 1
-                _obs.admission_shed("rate_limited", client)
+                record("repro_admission_shed_total", reason="rate_limited")
+                obs_events.emit("admission.shed", reason="rate_limited", client=client)
                 raise RateLimited(client, retry_after)
         if self._fits(jobs) and not self._queues:
             self._inflight += jobs
             return
         if self.queue_depth <= 0:
-            _obs.admission_shed("budget", client)
+            record("repro_admission_shed_total", reason="budget")
+            obs_events.emit("admission.shed", reason="budget", client=client)
             raise AdmissionOverload(
                 f"in-flight job budget ({self.max_pending}) exhausted"
             )
@@ -231,7 +234,8 @@ class AdmissionController:
             self._queues[client] = queue
         if len(queue) >= self.queue_depth:
             self.shed_queue_full += 1
-            _obs.admission_shed("queue_full", client)
+            record("repro_admission_shed_total", reason="queue_full")
+            obs_events.emit("admission.shed", reason="queue_full", client=client)
             if not queue:
                 self._queues.pop(client, None)
             raise AdmissionOverload(
@@ -248,14 +252,15 @@ class AdmissionController:
         except (asyncio.TimeoutError, TimeoutError):
             self._discard(client, waiter)
             self.shed_timeout += 1
-            _obs.admission_shed("timeout", client)
+            record("repro_admission_shed_total", reason="timeout")
+            obs_events.emit("admission.shed", reason="timeout", client=client)
             raise AdmissionOverload(
                 f"no capacity within {self.queue_timeout:g}s"
             ) from None
         except asyncio.CancelledError:
             self._discard(client, waiter)
             raise
-        _obs.admission_waited(self._clock() - started)
+        record("repro_admission_wait_seconds", self._clock() - started)
 
     def release(self, jobs: int) -> None:
         """Return ``jobs`` worth of budget and grant queued waiters."""

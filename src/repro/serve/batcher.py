@@ -38,6 +38,7 @@ from typing import Any
 from repro.engine.runner import SweepJob
 from repro.obs import events as obs_events
 from repro.obs import instrument as _obs
+from repro.obs.instrument import record
 from repro.obs.tracectx import TraceContext
 from repro.serve.workers import ShardPool
 
@@ -188,7 +189,10 @@ class MicroBatcher:
         self.metrics.batches += 1
         self.metrics.batched_jobs += len(entries)
         # Registry-only telemetry: no file I/O on the event loop (BCL011).
-        _obs.serve_batch_observed(len(entries), self.max_batch, shard)
+        record("repro_serve_batch_size", len(entries))
+        record("repro_serve_window_occupancy",
+               len(entries) / self.max_batch if self.max_batch > 0 else 0.0)
+        record("repro_serve_batches_total", shard=shard)
         flush_start = time.monotonic()
         flushed = [len(entry.waiters) for entry in entries]
         shard_ctxs = [self._close_windows(entry, flush_start)

@@ -57,6 +57,7 @@ from repro.obs import events as obs_events
 from repro.obs import instrument as _obs
 from repro.obs import tracectx
 from repro.obs.exposition import CONTENT_TYPE, render
+from repro.obs.instrument import record
 from repro.obs.metrics import default_registry
 from repro.obs.tracectx import TraceContext
 from repro.serve.client import AsyncServeClient
@@ -344,7 +345,7 @@ class BackendPool:
         try:
             client = await self._lease()
         except (OSError, asyncio.TimeoutError) as exc:
-            _obs.gateway_backend_error("connect")
+            record("repro_gateway_backend_errors_total", kind="connect")
             raise HttpError(502, f"backend unreachable: {exc}") from exc
         done = False
         try:
@@ -352,10 +353,10 @@ class BackendPool:
             done = True
             return response
         except (asyncio.TimeoutError, TimeoutError) as exc:
-            _obs.gateway_backend_error("timeout")
+            record("repro_gateway_backend_errors_total", kind="timeout")
             raise HttpError(504, "backend deadline exceeded") from exc
         except (ConnectionError, ProtocolError, OSError) as exc:
-            _obs.gateway_backend_error("transport")
+            record("repro_gateway_backend_errors_total", kind="transport")
             raise HttpError(502, f"backend connection failed: {exc}") from exc
         finally:
             if done:
@@ -554,9 +555,9 @@ class Gateway:
             self._active -= 1
             if self._active == 0:
                 self._idle.set()
-            _obs.gateway_request(
-                request.path, status, time.monotonic() - started
-            )
+            record("repro_gateway_requests_total", route=request.path, code=status)
+            record("repro_gateway_request_seconds", time.monotonic() - started,
+                   route=request.path)
         return keep_alive
 
     def _trace_for(self, request: HttpRequest) -> TraceContext | None:
@@ -691,7 +692,7 @@ class Gateway:
             for task in tasks:
                 if not task.done():
                     task.cancel()
-            _obs.gateway_streamed(len(jobs))
+            record("repro_gateway_streamed_results_total", len(jobs))
         return 200
 
     # -- helpers -------------------------------------------------------

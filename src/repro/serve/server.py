@@ -64,7 +64,7 @@ from repro.obs import events as obs_events
 from repro.obs import instrument as _obs
 from repro.obs import tracectx
 from repro.obs.exposition import CONTENT_TYPE, render
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Counter, default_registry
 from repro.obs.tracectx import TraceContext
 from repro.serve.admission import (
     ANONYMOUS,
@@ -637,19 +637,17 @@ class SimServer:
 
         Per-shard entries carry ``restarts`` and ``uptime_s`` so a
         single crash-looping shard is visible instead of hiding inside
-        an aggregate; restart counts come from the obs registry (the
-        same series ``/metrics`` exports as
-        ``repro_serve_shard_restarts_total``).
+        an aggregate; restart counts are read through the metric
+        catalogue's ``repro_serve_shard_restarts_total`` row, the series
+        ``/metrics`` exports.
         """
         metrics = self.metrics
         assert self.batcher is not None and self.pool is not None
         shards = self.pool.snapshot()
-        restart_counter = default_registry().counter(
-            "repro_serve_shard_restarts_total",
-            "Shard worker processes restarted after a crash or timeout",
-        )
+        restart_counter = _obs.family("repro_serve_shard_restarts_total")
+        assert isinstance(restart_counter, Counter)
         for shard_id, entry in enumerate(shards):
-            entry["restarts"] = int(restart_counter.value(shard=str(shard_id)))
+            entry["restarts"] = int(restart_counter.value(shard=shard_id))
         return {
             "server": {
                 "draining": self._draining,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Awaitable, Callable
 
-from repro.obs import instrument as _obs
+from repro.obs.instrument import record
 
 
 class Singleflight:
@@ -51,7 +51,7 @@ class Singleflight:
         shared = task is not None
         if shared:
             self.waits += 1
-            _obs.resultcache_singleflight()
+            record("repro_resultcache_singleflight_total")
         else:
             task = asyncio.get_running_loop().create_task(supplier())
             self._inflight[key] = task

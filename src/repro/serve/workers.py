@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro.engine.runner import SweepJob
 from repro.engine.trace_store import TraceStore, default_store
 from repro.engine.workers import Outcome, ResilienceConfig, Supervisor
-from repro.obs import instrument as _obs
+from repro.obs.instrument import record
 
 if TYPE_CHECKING:  # annotation only; the pool works without a cache
     from repro.engine.results import ResultCache
@@ -113,7 +113,7 @@ class ShardPool:
         misses = [index for index, entry in enumerate(results) if entry is None]
         if misses:
             self._inflight[shard_id] += 1
-            _obs.serve_queue_depth(shard_id, self._inflight[shard_id])
+            record("repro_serve_queue_depth", self._inflight[shard_id], shard=shard_id)
             try:
                 fresh = self.supervisor.call(
                     shard_id,
@@ -122,7 +122,7 @@ class ShardPool:
                 )
             finally:
                 self._inflight[shard_id] -= 1
-                _obs.serve_queue_depth(shard_id, self._inflight[shard_id])
+                record("repro_serve_queue_depth", self._inflight[shard_id], shard=shard_id)
             for index, outcome in zip(misses, fresh):
                 results[index] = outcome
                 if cache is not None and outcome[0] == "ok":

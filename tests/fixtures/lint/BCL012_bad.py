@@ -1,4 +1,3 @@
 # lint-path: src/repro/experiments/example.py
-def run(registry):
+def run():
     span("job.run", key="k")
-    registry.counter("jobs_total")

@@ -1,4 +1,4 @@
 # lint-path: src/repro/experiments/example.py
-def run(registry):
+def run():
     with span("job.run", key="k"):
-        registry.counter("repro_engine_jobs_total")
+        pass

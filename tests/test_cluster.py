@@ -148,11 +148,16 @@ class TestFleetSweep:
         _, addresses = fleet
         jobs = small_sweep()
         plan = FaultPlan.parse("node_down@0,node_flaky@1")
-        coordinator = ClusterCoordinator(addresses, config=FAST, store=store)
+        # One job per dispatch, so each fault fails its own batch: in a
+        # shared batch the second fault would arrive at attempt 1 and
+        # never fire.
+        config = dataclasses.replace(FAST, max_batch=1)
+        coordinator = ClusterCoordinator(addresses, config=config, store=store)
         results = coordinator.run(jobs, fault_plan=plan)
         assert results == run_sweep(jobs, workers=1, store=store)
         summary = coordinator.summary()
-        assert summary["redispatch_total"] > 0
+        # Both faults fired: one single-job batch each was re-dispatched.
+        assert summary["redispatch_total"] == 2
         # node_down kills exactly one node for the rest of the sweep.
         assert summary["nodes_up"] == 1
 

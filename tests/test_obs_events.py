@@ -173,15 +173,6 @@ class TestBenchIterationEvents:
         assert first["refs"] == 400
         assert first["dur_s"] >= 0.0
 
-    def test_full_tier_also_records_histogram(self, tmp_path):
-        from repro.obs.instrument import bench_iteration
-        from repro.obs.metrics import default_registry
-
-        obs_events.configure(mode="full", log_path=tmp_path / "e.jsonl")
-        bench_iteration("dm", "batch", 0, 0.01, 1000)
-        hist = default_registry().histogram("repro_bench_iteration_seconds")
-        assert hist.count(spec="dm", flavor="batch") == 1
-
 
 # ----------------------------------------------------------------------
 # Zero-overhead contract: REPRO_OBS=off must not change results
