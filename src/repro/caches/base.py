@@ -130,8 +130,10 @@ class Cache(abc.ABC):
         self.num_sets = num_sets
         self.name = name or type(self).__name__
         self.stats = CacheStats(num_sets=num_sets)
-        #: Which kernel flavour the last access_trace batch ran on
-        #: ("stdlib" or "numpy"); telemetry-only, never affects stats.
+        #: Which kernel flavour the last access_trace batch ran on:
+        #: "numpy" for the vectorised direct-mapped kernel, "stdlib" for
+        #: every Python loop (whose columns may still come from numpy);
+        #: telemetry-only, never affects stats.
         self.last_kernel = "stdlib"
 
     # ------------------------------------------------------------------

@@ -3,41 +3,42 @@
 The batch kernels in :mod:`repro.caches` operate on flat integer
 columns: the ``array('Q')``/``memoryview`` address blob handed out by
 the trace store flows straight into ``_batch_trace`` with no per-access
-object materialised anywhere between disk and kernel.  This module adds
-the optional **numpy fast path** on top of that representation:
+object materialised anywhere between disk and kernel.  This module
+holds the numpy side of that representation:
 
 * :func:`dm_batch` — a fully vectorised direct-mapped kernel
   (tag/index extraction, hit detection via a stable per-set sort,
   writeback algebra over residency segments, ``np.bincount`` per-set
   counters) that is bit-identical to the scalar replay;
-* :func:`index_tag_columns` / :func:`row_pi_tag_columns` — column
-  preparation for the set-associative and B-Cache kernels, whose
-  replacement-policy state is inherently sequential: the address math
-  and the static per-set access counters vectorise, the policy loop
-  stays in pure Python.
+* :func:`block_columns` / :func:`shifted_blocks` — column preparation
+  for the set-associative and B-Cache kernels, whose replacement-policy
+  state is inherently sequential: the address math and the static
+  per-set access counters vectorise, the policy loop stays in Python.
 
-The pure-stdlib path remains canonical: numpy is probed once per
-process (:func:`get_numpy`), ``REPRO_NUMPY=off`` disables it, and every
-vectorised kernel falls back to the stdlib loop whenever one of its
-preconditions (sequence length, set count, address width) does not
-hold.  Equivalence across all factory specs is property-tested in
-``tests/test_columnar_kernels.py``.
+numpy is a required dependency.  The direct-mapped kernel still has a
+Python loop beside :func:`dm_batch`, which declines short batches,
+caches with more than :data:`MAX_VECTOR_SETS` sets and addresses at or
+above 2**63.  Batch ≡ per-access equivalence across all factory specs
+is tested in ``tests/test_columnar_kernels.py``.
+
+Importing numpy costs a process about 14 MB of resident memory and
+0.2 s (2-vCPU x86-64 host, numpy 2.4), so the kernel modules import
+this one on their first batch: a process that replays no batch, such
+as the gateway or the serve front end while its shard workers are up,
+never loads numpy.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.caches.direct_mapped import DirectMappedCache
 
-#: Environment switch: any of these values disables the numpy path.
-ENV_NUMPY = "REPRO_NUMPY"
-_OFF_VALUES = frozenset({"0", "off", "no", "false"})
-
-#: Below this batch length the vectorisation setup costs more than the
-#: stdlib loop saves.
+#: Below this batch length the vectorisation setup of :func:`dm_batch`
+#: costs more than the direct-mapped loop saves.
 MIN_VECTOR_LEN = 1024
 
 #: The stable argsort is radix sort for 1- and 2-byte keys (fast) but
@@ -50,65 +51,34 @@ MAX_VECTOR_SETS = 1 << 16
 #: real tag is then strictly below the all-ones pattern.
 _INVALID = (1 << 64) - 1
 
-_numpy: Any = None
-_numpy_probed = False
-
-
-def _probe_numpy() -> Any:
-    """Import numpy and sanity-check the operations the kernels rely on."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    try:
-        probe = numpy.frombuffer(
-            (123).to_bytes(8, "little"), dtype=numpy.dtype("<u8")
-        )
-        if int(probe[0]) != 123:
-            return None
-        numpy.argsort(numpy.zeros(2, dtype=numpy.uint16), kind="stable")
-        numpy.bincount(numpy.zeros(2, dtype=numpy.intp), minlength=4)
-    except Exception:
-        return None
-    return numpy
-
 
 def get_numpy() -> Any:
-    """The numpy module, or ``None`` (absent, broken, or disabled).
+    """The numpy module; kept as an accessor for callers outside the
+    package (the benchmark's environment record reads its version)."""
+    return np
 
-    The import is probed once per process; the ``REPRO_NUMPY``
-    environment gate is consulted on every call so tests can exercise
-    both kernel paths in one process.
+
+def address_column(addresses: Sequence[int]) -> Any:
+    """``addresses`` as a uint64 ndarray.
+
+    Buffers are read by their item type: an ``array('Q')`` or its
+    ``memoryview`` is shared without a copy, a narrower buffer
+    (``array('I')``, ``array('H')``) and a list are converted by value.
     """
-    global _numpy, _numpy_probed
-    if os.environ.get(ENV_NUMPY, "").strip().lower() in _OFF_VALUES:
-        return None
-    if not _numpy_probed:
-        _numpy = _probe_numpy()
-        _numpy_probed = True
-    return _numpy
+    return np.asarray(addresses, dtype=np.uint64)
 
 
-def numpy_enabled() -> bool:
-    """Whether the vectorised kernels are available right now."""
-    return get_numpy() is not None
-
-
-def address_column(np: Any, addresses: Sequence[int]) -> Any:
-    """``addresses`` as a uint64 ndarray — zero-copy for buffer-backed
-    sequences (``array('Q')``, ``memoryview``), one copy for lists."""
+def kind_column(kinds: Sequence[int]) -> Any:
+    """``kinds`` as a uint8 ndarray: a 1-byte buffer (``bytes``,
+    ``array('B')``, their ``memoryview``) without a copy, anything
+    else converted by value."""
     try:
-        return np.frombuffer(addresses, dtype=np.uint64)  # type: ignore[arg-type]
-    except TypeError:
-        return np.asarray(addresses, dtype=np.uint64)
-
-
-def kind_column(np: Any, kinds: Sequence[int]) -> Any:
-    """``kinds`` as a uint8 ndarray (zero-copy where possible)."""
-    try:
-        return np.frombuffer(kinds, dtype=np.uint8)  # type: ignore[arg-type]
+        view = memoryview(kinds)  # type: ignore[arg-type]
     except TypeError:
         return np.asarray(kinds, dtype=np.uint8)
+    if view.itemsize == 1:
+        return np.frombuffer(view, dtype=np.uint8)
+    return np.asarray(view, dtype=np.uint8)
 
 
 def block_columns(
@@ -116,49 +86,37 @@ def block_columns(
     offset_bits: int,
     index_mask: int,
     num_sets: int,
-) -> tuple[list[int], Any] | None:
+) -> tuple[list[int], Any]:
     """Vectorised address math for the set-associative loop.
 
     Returns ``(block column, per-set access counts)`` — the block
-    numbers as a plain Python list plus a bincount ndarray — or
-    ``None`` when the numpy path is unavailable or not worthwhile.
-    The caller's loop then consumes a pre-shifted column instead of
+    numbers as a plain Python list plus a bincount ndarray.  The
+    caller's loop then consumes a pre-shifted column instead of
     shifting every address itself, and skips per-access set counting
     entirely.
     """
-    np = get_numpy()
-    if np is None or len(addresses) < MIN_VECTOR_LEN:
-        return None
-    blocks = address_column(np, addresses) >> np.uint64(offset_bits)
+    blocks = address_column(addresses) >> np.uint64(offset_bits)
     counts = np.bincount(
         (blocks & np.uint64(index_mask)).astype(np.intp), minlength=num_sets
     )
     return blocks.tolist(), counts
 
 
-def shifted_blocks(
-    addresses: Sequence[int], offset_bits: int
-) -> list[int] | None:
+def shifted_blocks(addresses: Sequence[int], offset_bits: int) -> list[int]:
     """Vectorised block-number extraction for the B-Cache loop.
 
     The B-Cache's set index depends on the programmable-decoder state,
     so neither per-set counters nor hit detection vectorise; only the
     offset shift does.  Returns the block numbers as a plain Python
-    list, or ``None`` when the numpy path is unavailable.
+    list.
     """
-    np = get_numpy()
-    if np is None or len(addresses) < MIN_VECTOR_LEN:
-        return None
-    return (address_column(np, addresses) >> np.uint64(offset_bits)).tolist()
+    return (address_column(addresses) >> np.uint64(offset_bits)).tolist()
 
 
 def add_set_counts(counters: list[int], counts: Any) -> list[int]:
     """Accumulate a bincount ndarray into a per-set counter list;
     returns the indices it added to (the sets the batch touched)."""
-    np = get_numpy()
-    if np is None:  # pragma: no cover - callers hold a counts array
-        return []
-    touched = np.flatnonzero(counts).tolist()
+    touched: list[int] = np.flatnonzero(counts).tolist()
     for index in touched:
         counters[index] += int(counts[index])
     return touched
@@ -174,7 +132,7 @@ def dm_batch(
     Returns ``True`` when the batch was fully applied (statistics and
     cache state updated bit-identically to the scalar replay), or
     ``False`` when a precondition fails and the caller must run the
-    stdlib loop instead.
+    direct-mapped loop instead.
 
     The algorithm sorts references by set index (stable, so order
     within a set stays chronological), detects hits by comparing each
@@ -183,11 +141,10 @@ def dm_batch(
     resolves writebacks with prefix sums of the write flags over
     residency segments.
     """
-    np = get_numpy()
     n = len(addresses)
-    if np is None or n < MIN_VECTOR_LEN or cache.num_sets > MAX_VECTOR_SETS:
+    if n < MIN_VECTOR_LEN or cache.num_sets > MAX_VECTOR_SETS:
         return False
-    column = address_column(np, addresses)
+    column = address_column(addresses)
     if int(column.max()) >= 1 << 63:
         # Tags must stay clear of the all-ones invalid sentinel.
         return False
@@ -204,7 +161,7 @@ def dm_batch(
         init = np.asarray(cache._tags, dtype=np.int64)
     except OverflowError:
         # A prior batch of >=2**63 addresses left wider-than-int64
-        # resident tags; only the stdlib loop handles those.
+        # resident tags; only the direct-mapped loop handles those.
         return False
     init_u = np.where(init < 0, np.uint64(_INVALID), init.astype(np.uint64))
     init_dirty = np.asarray(cache._dirty, dtype=bool)
@@ -226,7 +183,7 @@ def dm_batch(
         prefix = None
         writes = 0
     else:
-        write_flags = kind_column(np, kinds) == 1
+        write_flags = kind_column(kinds) == 1
         write_s = write_flags[order]
         prefix = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(write_s, dtype=np.int64, out=prefix[1:])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.caches import columnar
 from repro.caches.base import (
     DEMAND,
     WRITEBACK,
@@ -59,16 +58,21 @@ class DirectMappedCache(Cache):
     ) -> CacheStats:
         """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
 
-        A ``next_level`` stream always takes the stdlib loop, which
-        emits on its miss path; the vectorised kernel has no output.
+        The loop below runs what ``columnar.dm_batch`` declines (short
+        batches, over 2**16 sets, addresses at or above 2**63) and
+        every ``next_level`` stream: only the loop emits.
         """
         if type(self)._access_block is not DirectMappedCache._access_block:
             # A subclass customises per-access behaviour; let the generic
             # kernel drive its _access_block override instead of this one.
             return super()._batch_trace(addresses, kinds, next_level)
-        if next_level is None and columnar.dm_batch(self, addresses, kinds):
-            self.last_kernel = "numpy"
-            return self.stats
+        if next_level is None:
+            # Imported per batch, not per module: see repro.caches.columnar.
+            from repro.caches import columnar
+
+            if columnar.dm_batch(self, addresses, kinds):
+                self.last_kernel = "numpy"
+                return self.stats
         stats = self.stats
         tags = self._tags
         dirty = self._dirty

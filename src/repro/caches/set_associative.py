@@ -8,10 +8,8 @@ baseline and chooses a victim among N blocks per set.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.caches import columnar
 from repro.caches.base import (
     DEMAND,
     WRITEBACK,
@@ -129,41 +127,24 @@ class SetAssociativeCache(Cache):
             kinds = bytes(n)  # all reads
         ways = self.ways
         num_blocks = self.num_blocks
-        # Hits dominate: the hot loop only bumps per-set misses; per-set
-        # hits are reconstructed from the deltas afterwards (final
-        # statistics stay bit-identical to per-access replay).
-        accesses_before = set_accesses.copy()
-        misses_before = set_misses.copy()
-        # Column preparation: the address math vectorises even though
-        # the replacement-policy state is inherently sequential.  The
-        # stdlib fallback builds the same column with a comprehension.
-        columns = columnar.block_columns(
+        # Column preparation: the address math and the per-set access
+        # counts vectorise even though the replacement-policy state is
+        # inherently sequential.  Imported per batch, not per module:
+        # see repro.caches.columnar.
+        from repro.caches import columnar
+
+        block_column, counts = columnar.block_columns(
             addresses, offset_bits, index_mask, num_sets
         )
-        emit = next_level.emit if next_level is not None else None
-        hit_way_counts: list[int] | None = None
         # The sets this batch references: only their state is flattened
         # and written back, which keeps a short batch on a large cache
         # (an L2 replay) from paying for every set.
-        sets: Iterable[int] = range(num_sets)
-        if columns is not None:
-            block_column, counts = columns
-            sets = columnar.add_set_counts(set_accesses, counts)
-        else:
-            block_column = [a >> offset_bits for a in addresses]
-            if n < num_blocks:
-                sets = {block & index_mask for block in block_column}
-            if lru_fast and not prediction:
-                # The LRU loop below counts hits per way slot; together
-                # with the per-set miss counts that recovers per-set
-                # accesses without a separate whole-column masking pass
-                # (which costs ~25% of the stdlib kernel).
-                hit_way_counts = [0] * num_blocks
-            else:
-                for set_index, count in Counter(
-                    b & index_mask for b in block_column
-                ).items():
-                    set_accesses[set_index] += count
+        sets = columnar.add_set_counts(set_accesses, counts)
+        # Hits dominate: the hot loop only bumps per-set misses; per-set
+        # hits are reconstructed from the counts afterwards (final
+        # statistics stay bit-identical to per-access replay).
+        misses_before = [set_misses[index] for index in sets]
+        emit = next_level.emit if next_level is not None else None
         # Flattened state, indexed by global way id ``set * ways + way``:
         # one {block: global way} map resolves a reference with a single
         # hash probe, so the hit path never derives index or tag at all.
@@ -196,45 +177,7 @@ class SetAssociativeCache(Cache):
         stamp = 0
         misses = writes = evictions = writebacks = 0
         slow_hits = slow_hit_cycles = 0
-        if ts_flat is not None and hit_way_counts is not None:
-            # Same loop as below plus the one-store hit count; kept as
-            # a separate variant so the numpy-assisted path (whose
-            # per-set counts already came from bincount) pays nothing.
-            for block, kind in zip(block_column, kinds):
-                try:
-                    way = lookup[block]
-                    hit_way_counts[way] += 1
-                    stamp += 1
-                    ts_flat[way] = stamp
-                    if kind == 1:
-                        writes += 1
-                        dirty_flat[way] = True
-                except KeyError:
-                    index = block & index_mask
-                    misses += 1
-                    set_misses[index] += 1
-                    base = index * ways
-                    segment = ts_flat[base:base + ways]
-                    way = base + segment.index(min(segment))
-                    stamp += 1
-                    ts_flat[way] = stamp
-                    if emit is not None:
-                        emit(stamp - 1, addresses[stamp - 1], DEMAND)
-                    resident = resident_blocks[way]
-                    if resident >= 0:
-                        evictions += 1
-                        if dirty_flat[way]:
-                            writebacks += 1
-                            if emit is not None:
-                                emit(stamp - 1, resident << offset_bits, WRITEBACK)
-                        del lookup[resident]
-                    lookup[block] = way
-                    resident_blocks[way] = block
-                    is_write = kind == 1
-                    if is_write:
-                        writes += 1
-                    dirty_flat[way] = is_write
-        elif ts_flat is not None and prediction:
+        if ts_flat is not None and prediction:
             # psa: the predicted way is ``_mru[set]``, kept in place; a
             # hit elsewhere pays its position in the probe order
             # [predicted] + the other ways in way order.  pam: a hit is
@@ -378,18 +321,8 @@ class SetAssociativeCache(Cache):
                 base = index * ways
                 segment = ts_flat[base:base + ways]
                 policies[index]._order.sort(key=segment.__getitem__, reverse=True)
-        for index in sets:
-            miss_delta = set_misses[index] - misses_before[index]
-            if hit_way_counts is not None:
-                # accesses = hits (counted per way slot) + misses
-                # (counted per set); folding both in here keeps the
-                # set_hits reconstruction oblivious to how counting
-                # happened.
-                base = index * ways
-                set_accesses[index] += sum(hit_way_counts[base:base + ways]) + miss_delta
-            delta = set_accesses[index] - accesses_before[index]
-            if delta:
-                set_hits[index] += delta - miss_delta
+        for index, missed_before in zip(sets, misses_before):
+            set_hits[index] += int(counts[index]) - (set_misses[index] - missed_before)
         hits = n - misses
         stats.accesses += n
         stats.reads += n - writes

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.caches import columnar
 from repro.caches.base import (
     DEMAND,
     WRITEBACK,
@@ -201,10 +200,11 @@ class BCache(Cache):
             kinds = bytes(n)  # all reads
         # Column preparation: only the offset shift vectorises — the
         # set index depends on decoder state, so hit detection and the
-        # per-set counters stay sequential.
+        # per-set counters stay sequential.  Imported per batch, not per
+        # module: see repro.caches.columnar.
+        from repro.caches import columnar
+
         block_column = columnar.shifted_blocks(addresses, offset_bits)
-        if block_column is None:
-            block_column = [a >> offset_bits for a in addresses]
         # One-cycle hits (PD hit + tag match) resolve with a single
         # probe of a {block: set index} map built from the decoder and
         # tag state; row and cluster fall out of the set index

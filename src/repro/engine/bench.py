@@ -26,16 +26,15 @@ stops being bit-identical.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import platform
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.caches import columnar, make_cache
+from repro.caches import make_cache
 from repro.engine.runner import SweepJob, available_cpus, run_sweep
 from repro.engine.trace_store import default_store
 from repro.obs import events as obs_events
@@ -76,37 +75,19 @@ def _replay_batch(
     return time.perf_counter() - start
 
 
-@contextlib.contextmanager
-def _numpy_disabled() -> Iterator[None]:
-    """Force the pure-stdlib kernels for the duration of the block."""
-    previous = os.environ.get(columnar.ENV_NUMPY)
-    os.environ[columnar.ENV_NUMPY] = "off"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[columnar.ENV_NUMPY]
-        else:
-            os.environ[columnar.ENV_NUMPY] = previous
-
-
 def bench_hot_loop(
     n: int, repeats: int, benchmark: str = "gcc", seed: int = 2006
 ) -> dict:
     """Time scalar vs batch replay per spec; verify identical stats.
 
-    Both kernel flavours are measured: the pure-stdlib batch loop
-    (under ``REPRO_NUMPY=off``) always, and the vectorised numpy kernel
-    whenever the capability probe passes.  ``batch_s``/``speedup``
-    describe the default path (what ``access_trace`` actually runs);
-    ``stdlib_s``/``stdlib_speedup`` pin the canonical fallback.
+    ``kernel`` names the batch flavour ``access_trace`` ran on (the
+    vectorised dm kernel reports ``"numpy"``).
     """
     addresses, kinds = default_store().accesses(benchmark, "data", n, seed)
     results = {}
-    numpy_path = columnar.numpy_enabled()
     for spec in HOT_SPECS:
         scalar_cache = make_cache(spec)
-        scalar_times, stdlib_times, batch_times = [], [], []
+        scalar_times, batch_times = [], []
         # The flavours take turns, so a slow spell of the host lands on
         # both sides of a speedup ratio instead of on all the repeats
         # of one side.
@@ -114,38 +95,22 @@ def bench_hot_loop(
             scalar_times.append(
                 _timed_iteration(_replay_scalar, spec, "scalar", i, addresses, kinds)
             )
-            with _numpy_disabled():
-                stdlib_times.append(
-                    _timed_iteration(_replay_batch, spec, "stdlib", i, addresses, kinds)
-                )
-            if numpy_path:
-                batch_times.append(
-                    _timed_iteration(_replay_batch, spec, "batch", i, addresses, kinds)
-                )
+            batch_times.append(
+                _timed_iteration(_replay_batch, spec, "batch", i, addresses, kinds)
+            )
         scalar_time = min(scalar_times)
-        stdlib_time = min(stdlib_times)
-        batch_time = min(batch_times) if numpy_path else stdlib_time
+        batch_time = min(batch_times)
         # Correctness gate: one final replay of each flavour, compared
         # field-for-field (including the per-set counters).
         _replay_scalar(scalar_cache, addresses, kinds)
         batch_cache = make_cache(spec)
         _replay_batch(batch_cache, addresses, kinds)
-        with _numpy_disabled():
-            stdlib_cache = make_cache(spec)
-            _replay_batch(stdlib_cache, addresses, kinds)
-        identical = (
-            scalar_cache.stats == batch_cache.stats == stdlib_cache.stats
-        )
         results[spec] = {
             "scalar_s": scalar_time,
-            "stdlib_s": stdlib_time,
             "batch_s": batch_time,
             "kernel": batch_cache.last_kernel,
             "speedup": scalar_time / batch_time if batch_time > 0 else 0.0,
-            "stdlib_speedup": (
-                scalar_time / stdlib_time if stdlib_time > 0 else 0.0
-            ),
-            "identical_stats": identical,
+            "identical_stats": scalar_cache.stats == batch_cache.stats,
         }
     return results
 
@@ -245,7 +210,6 @@ def run_benchmarks(
         "platform": platform.platform(),
         "cpus": os.cpu_count() or 1,
         "cpus_usable": available_cpus(),
-        "numpy": columnar.numpy_enabled(),
         "hot_loop": bench_hot_loop(hot_n, repeats, seed=seed),
         "sweep": bench_sweep(sweep_n, job_counts, seed=seed, repeats=3),
     }
@@ -260,33 +224,21 @@ def check_against_baseline(
     only fires when the machine actually has as many usable CPUs as the
     sweep used workers: on a 1-CPU CI runner a 4-worker sweep *cannot*
     beat serial, so the ratio is recorded but not judged there.
-
-    Speedups are compared like-for-like: in a ``REPRO_NUMPY=off`` run
-    the default path *is* the stdlib kernel, so its ``speedup`` is
-    judged against the baseline's ``stdlib_speedup`` rather than the
-    vectorised number a numpy-present baseline records.
     """
     failures = []
-    numpy_run = bool(report.get("numpy", True))
     for spec, entry in report["hot_loop"].items():
         if not entry["identical_stats"]:
             failures.append(f"{spec}: batch stats diverge from per-access stats")
         base = baseline.get("hot_loop", {}).get(spec)
-        if base is None:
+        if base is None or "speedup" not in base:
             continue
-        for key in ("speedup", "stdlib_speedup"):
-            base_key = key
-            if key == "speedup" and not numpy_run:
-                base_key = "stdlib_speedup"
-            if key not in entry or base_key not in base:
-                continue
-            floor = base[base_key] * tolerance
-            if entry[key] < floor:
-                failures.append(
-                    f"{spec}: hot-loop {key} {entry[key]:.2f}x fell below "
-                    f"{floor:.2f}x ({tolerance:.0%} of baseline "
-                    f"{base_key} {base[base_key]:.2f}x)"
-                )
+        floor = base["speedup"] * tolerance
+        if entry["speedup"] < floor:
+            failures.append(
+                f"{spec}: hot-loop speedup {entry['speedup']:.2f}x fell below "
+                f"{floor:.2f}x ({tolerance:.0%} of baseline "
+                f"speedup {base['speedup']:.2f}x)"
+            )
     cpus_usable = int(report.get("cpus_usable", 1))
     for count, entry in report["sweep"]["workers"].items():
         if not entry["identical_stats"]:
@@ -346,8 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{spec:<10} scalar {entry['scalar_s'] * 1e3:8.1f} ms   "
             f"batch[{entry['kernel']}] {entry['batch_s'] * 1e3:8.1f} ms   "
-            f"speedup {entry['speedup']:5.2f}x   "
-            f"(stdlib {entry['stdlib_speedup']:5.2f}x){flag}"
+            f"speedup {entry['speedup']:5.2f}x{flag}"
         )
     sweep = report["sweep"]
     print(f"sweep      {sweep['jobs_total']} jobs serial "

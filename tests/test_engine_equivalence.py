@@ -32,6 +32,7 @@ from repro.caches import (
     make_cache,
 )
 from repro.caches.base import WRITEBACK, NextLevelStream
+from repro.caches.columnar import MIN_VECTOR_LEN
 
 #: Every spec family the factory understands (see make_cache's docs).
 ALL_SPECS = (
@@ -70,6 +71,27 @@ KERNEL_CASES = (
     ("psa2", "lru"),
     ("psa4", "lru"),
 )
+
+#: Length of the streams :data:`KERNEL_CASES` replay.
+KERNEL_LEN = 4000
+
+
+def kernel_lengths():
+    """Every :data:`KERNEL_CASES` spec at :data:`KERNEL_LEN` and at
+    lengths below the dm vector threshold, where the set-associative and
+    B-Cache kernels still build their columns with numpy (empty batches
+    included); plain 4-way adds the exact-LRU and generic-policy loops
+    of the set-associative kernel."""
+    params = [
+        pytest.param(spec, policy, KERNEL_LEN, id=f"{spec}-{policy}")
+        for spec, policy in KERNEL_CASES
+    ]
+    params += [
+        pytest.param(spec, policy, length, id=f"{spec}-{policy}-{length}")
+        for spec, policy in KERNEL_CASES + (("4way", "lru"), ("4way", "random"))
+        for length in (0, 1, MIN_VECTOR_LEN - 1)
+    ]
+    return params
 
 
 @pytest.fixture
@@ -120,6 +142,18 @@ class CountingOPD(OrderedDict):
         return super().popitem(last)
 
 
+def policy_states(policies) -> list[dict]:
+    """Each replacement policy's attributes (a random policy's RNG as
+    its state)."""
+    states = []
+    for policy in policies:
+        state = dict(vars(policy))
+        if "_rng" in state:
+            state["_rng"] = state["_rng"].getstate()
+        states.append(state)
+    return states
+
+
 def model_state(cache) -> dict:
     """Everything a batch kernel may mutate besides the statistics."""
     if isinstance(cache, GroupAssociativeCache):
@@ -145,23 +179,17 @@ def model_state(cache) -> dict:
         return {
             "tags": cache._tags,
             "dirty": cache._dirty,
-            "orders": [policy.recency_order() for policy in cache._policies],
+            "policies": policy_states(cache._policies),
             "mru": getattr(cache, "_mru", None),
         }
     if hasattr(cache, "decoder"):
-        policies = []
-        for policy in cache._policies:
-            state = dict(vars(policy))
-            if "_rng" in state:
-                state["_rng"] = state["_rng"].getstate()
-            policies.append(state)
         return {
             "tags": cache._tags,
             "dirty": cache._dirty,
             "pd_values": cache.decoder._values,
             "programs": cache.decoder.programs,
             "searches": cache.decoder.searches,
-            "policies": policies,
+            "policies": policy_states(cache._policies),
         }
     if hasattr(cache, "_buffer"):
         return {
@@ -258,10 +286,10 @@ class TestBatchEquivalence:
         assert batch.stats == scalar.stats
         assert batch.stats.slow_hits == scalar.stats.slow_hits > 0
 
-    @pytest.mark.parametrize(("spec", "policy"), KERNEL_CASES)
-    def test_final_state_matches(self, spec, policy, real_kernels):
+    @pytest.mark.parametrize(("spec", "policy", "length"), kernel_lengths())
+    def test_final_state_matches(self, spec, policy, length, real_kernels):
         """The kernels leave the model exactly as per-access replay does."""
-        addresses, kinds = mixed_trace(4000, seed=19)
+        addresses, kinds = mixed_trace(length, seed=19)
         scalar = make_cache(spec, policy=policy, seed=4)
         for address, kind in zip(addresses, kinds):
             scalar.access(address, kind == 1)
@@ -270,10 +298,10 @@ class TestBatchEquivalence:
         assert batch.stats == scalar.stats
         assert model_state(batch) == model_state(scalar)
 
-    @pytest.mark.parametrize(("spec", "policy"), KERNEL_CASES)
-    def test_next_level_stream_matches(self, spec, policy, real_kernels):
+    @pytest.mark.parametrize(("spec", "policy", "length"), kernel_lengths())
+    def test_next_level_stream_matches(self, spec, policy, length, real_kernels):
         """A kernel's next-level output is the per-access recording."""
-        addresses, kinds = mixed_trace(4000, seed=29)
+        addresses, kinds = mixed_trace(length, seed=29)
         scalar = make_cache(spec, policy=policy, seed=6)
         expected = NextLevelStream()
         access = expected.recording(scalar.access, addresses)
@@ -282,7 +310,8 @@ class TestBatchEquivalence:
         batch = make_cache(spec, policy=policy, seed=6)
         out = NextLevelStream()
         batch.access_trace(addresses, kinds, out)
-        assert WRITEBACK in expected.kinds
+        if length == KERNEL_LEN:
+            assert WRITEBACK in expected.kinds
         assert out.positions == expected.positions
         assert out.addresses == expected.addresses
         assert out.kinds == expected.kinds

@@ -158,18 +158,15 @@ class TestBenchIterationEvents:
     def test_hot_loop_emits_one_event_per_sample(self, events_log):
         from repro.engine.bench import HOT_SPECS, bench_hot_loop
 
-        from repro.caches import columnar
-
         bench_hot_loop(n=400, repeats=2, benchmark="gzip")
         samples = [
             e for e in read_events(events_log) if e["name"] == "bench.iteration"
         ]
-        # repeats × flavours per spec, every raw sample kept: scalar and
-        # stdlib always, plus the numpy batch when the probe passes.
-        flavours = 3 if columnar.numpy_enabled() else 2
-        assert len(samples) == len(HOT_SPECS) * 2 * flavours
+        # repeats × flavours (scalar, batch) per spec, every raw sample
+        # kept.
+        assert len(samples) == len(HOT_SPECS) * 2 * 2
+        assert {e["flavor"] for e in samples} == {"scalar", "batch"}
         first = samples[0]
-        assert first["flavor"] in ("scalar", "stdlib", "batch")
         assert first["refs"] == 400
         assert first["dur_s"] >= 0.0
 
