@@ -350,12 +350,14 @@ class ShadowChecker:
         if isinstance(cache, BCache):
             self._check_bcache_structure(cache)
         elif isinstance(cache, SetAssociativeCache):
-            for index, tags in enumerate(cache._tags):
+            ways = cache.ways
+            for index in range(cache.num_sets):
+                tags = cache._tags[index * ways:(index + 1) * ways]
                 valid = [t for t in tags if t >= 0]
                 if len(valid) != len(set(valid)):
                     self._fail(f"duplicate (tag, set) residents in set {index}")
                 for way, tag in enumerate(tags):
-                    if tag < 0 and cache._dirty[index][way]:
+                    if tag < 0 and cache._dirty[index * ways + way]:
                         self._fail(
                             f"dirty bit set on invalid line (set {index}, "
                             f"way {way})"

@@ -11,15 +11,12 @@ holds the numpy side of that representation:
   writeback algebra over residency segments, ``np.bincount`` per-set
   counters) that is bit-identical to the scalar replay;
 * :func:`block_columns` / :func:`shifted_blocks` — column preparation
-  for the set-associative and B-Cache kernels, whose replacement-policy
-  state is inherently sequential: the address math and the static
-  per-set access counters vectorise, the policy loop stays in Python.
+  for the set-associative and B-Cache loops under random, fifo and
+  plru (exact LRU is compiled, :mod:`repro.caches.native`).
 
-numpy is a required dependency.  The direct-mapped kernel still has a
-Python loop beside :func:`dm_batch`, which declines short batches,
-caches with more than :data:`MAX_VECTOR_SETS` sets and addresses at or
-above 2**63.  Batch ≡ per-access equivalence across all factory specs
-is tested in ``tests/test_columnar_kernels.py``.
+The direct-mapped kernel keeps a Python loop beside :func:`dm_batch`,
+which declines short batches, caches with more than
+:data:`MAX_VECTOR_SETS` sets and addresses at or above 2**63.
 
 Importing numpy costs a process about 14 MB of resident memory and
 0.2 s (2-vCPU x86-64 host, numpy 2.4), so the kernel modules import
@@ -87,14 +84,9 @@ def block_columns(
     index_mask: int,
     num_sets: int,
 ) -> tuple[list[int], Any]:
-    """Vectorised address math for the set-associative loop.
-
-    Returns ``(block column, per-set access counts)`` — the block
-    numbers as a plain Python list plus a bincount ndarray.  The
-    caller's loop then consumes a pre-shifted column instead of
-    shifting every address itself, and skips per-access set counting
-    entirely.
-    """
+    """``(block numbers as a list, per-set access counts as a bincount
+    ndarray)`` for the set-associative loop, which then skips per-access
+    shifting and set counting."""
     blocks = address_column(addresses) >> np.uint64(offset_bits)
     counts = np.bincount(
         (blocks & np.uint64(index_mask)).astype(np.intp), minlength=num_sets
@@ -103,13 +95,8 @@ def block_columns(
 
 
 def shifted_blocks(addresses: Sequence[int], offset_bits: int) -> list[int]:
-    """Vectorised block-number extraction for the B-Cache loop.
-
-    The B-Cache's set index depends on the programmable-decoder state,
-    so neither per-set counters nor hit detection vectorise; only the
-    offset shift does.  Returns the block numbers as a plain Python
-    list.
-    """
+    """The block numbers as a list, for the B-Cache loop (whose set
+    index depends on decoder state, so only the shift vectorises)."""
     return (address_column(addresses) >> np.uint64(offset_bits)).tolist()
 
 

@@ -20,6 +20,8 @@ so the latency comparison experiment can quantify that argument.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.caches.base import AccessResult
 from repro.caches.set_associative import SetAssociativeCache
 
@@ -36,7 +38,7 @@ class PartialAddressMatchingCache(SetAssociativeCache):
 
     #: A multiple or wrong PAD match costs one extra cycle.
     has_slow_hits = True
-    #: The batch kernel's rule for this class's ``_access_block``.
+    #: The compiled kernel's rule for this class's ``_access_block``.
     way_prediction = "pam"
 
     def __init__(
@@ -62,7 +64,8 @@ class PartialAddressMatchingCache(SetAssociativeCache):
         index = block & self._index_mask
         tag = block >> self.index_bits
         partial = tag & self._pad_mask
-        tags = self._tags[index]
+        base = index * self.ways
+        tags = self._tags[base:base + self.ways]
         pad_matches = [
             way
             for way in range(self.ways)
@@ -84,7 +87,7 @@ class PredictiveSequentialCache(SetAssociativeCache):
 
     #: A hit outside the predicted way costs its extra probes.
     has_slow_hits = True
-    #: The batch kernel's rule for this class's ``_access_block``.
+    #: The compiled kernel's rule for this class's ``_access_block``.
     way_prediction = "psa"
 
     def __init__(
@@ -100,42 +103,25 @@ class PredictiveSequentialCache(SetAssociativeCache):
             size, line_size, ways=ways, policy=policy, seed=seed,
             name=name or f"PSA-{size // 1024}kB-{ways}way",
         )
-        # Way 0 is also where an LRU policy's recency order starts
-        # (``_order[0]``), so under LRU the prediction is always the
-        # set's most recently used way.  The exact-LRU batch kernel
-        # updates this list in place, hit for hit.
-        self._mru = [0] * self.num_sets
 
     def _access_block(self, block: int, is_write: bool) -> AccessResult:
         index = block & self._index_mask
-        tag = block >> self.index_bits
+        base = index * self.ways
         predicted = self._mru[index]
-        tags = self._tags[index]
-        hit_way = None
-        for way in range(self.ways):
-            if tags[way] == tag:
-                hit_way = way
-                break
         result = super()._access_block(block, is_write)
-        if result.hit:
-            assert hit_way is not None
-            self._mru[index] = hit_way
-            if hit_way != predicted:
-                # Probe order: predicted way first, then the others in
-                # way order — each probe before the hit way is a cycle.
-                order = [predicted] + [w for w in range(self.ways) if w != predicted]
-                return AccessResult(
-                    hit=True, set_index=index, extra_cycles=order.index(hit_way)
-                )
-        else:
-            # Refill goes to whichever way the base class chose; it is
-            # now the MRU way.
-            for way in range(self.ways):
-                if tags[way] == tag:
-                    self._mru[index] = way
-                    break
+        # Hit or refill, the block's way is now the set's MRU way.
+        way = self._tags.index(block >> self.index_bits, base, base + self.ways) - base
+        self._mru[index] = way
+        if result.hit and way != predicted:
+            # Probe order: predicted way first, then the others in way
+            # order — each probe before the hit way is a cycle.
+            order = [predicted] + [w for w in range(self.ways) if w != predicted]
+            return AccessResult(hit=True, set_index=index, extra_cycles=order.index(way))
         return result
 
     def _flush_state(self) -> None:
         super()._flush_state()
-        self._mru = [0] * self.num_sets
+        # Way 0 is also the most recent way of a fresh LRU order, so
+        # under LRU the prediction is always the set's most recently
+        # used way.  The compiled kernel updates this column in place.
+        self._mru = array("q", [0]) * self.num_sets

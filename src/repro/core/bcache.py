@@ -22,24 +22,25 @@ The three PD scenarios of Section 2.3 are implemented faithfully:
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
-from repro.caches.base import (
-    DEMAND,
-    WRITEBACK,
-    AccessResult,
-    Cache,
-    NextLevelStream,
-)
+from repro.caches.base import AccessResult, Cache, NextLevelStream
 from repro.core.config import BCacheGeometry
 from repro.core.decoder import ProgrammableDecoderBank
 from repro.replacement import ReplacementPolicy, make_policy
-from repro.replacement.lru import LRUPolicy
 from repro.stats.counters import CacheStats
 
 
 class BCache(Cache):
     """Balanced cache with programmable decoders.
+
+    State is kept in flat columns indexed by physical set: ``_tags``
+    (``-1`` for an invalid block) and ``_dirty``, beside the decoder's
+    PD column.  Exact LRU keeps one recency stamp per set in
+    ``_stamps``, the value of ``_clock`` at the set's last touch, and
+    builds no policy objects; the other policies keep one object per
+    row in ``_policies``.
 
     Args:
         geometry: validated design point (size, line, MF, BAS).
@@ -71,37 +72,55 @@ class BCache(Cache):
         self.decoder = ProgrammableDecoderBank(
             geometry.num_rows, geometry.num_clusters, geometry.pi_bits
         )
-        # Stored tag per physical set (reduced by log2(MF) bits vs the
-        # baseline); -1 = invalid block.
-        self._tags = [-1] * geometry.num_sets
-        self._dirty = [False] * geometry.num_sets
-        # One replacement domain per row, across the BAS clusters.
-        self._policies: list[ReplacementPolicy] = [
-            make_policy(policy, geometry.num_clusters, seed=seed + row)
-            for row in range(geometry.num_rows)
-        ]
+        self._flush_state()
 
     # ------------------------------------------------------------------
-    def _evicted_address(self, row: int, cluster: int) -> tuple[int | None, bool]:
-        """Reconstruct the (address, dirty) of the block in (row, cluster)."""
-        set_index = self.geometry.set_index(row, cluster)
-        tag = self._tags[set_index]
-        if tag < 0:
-            return None, False
-        pd_value = self.decoder.value_at(row, cluster)
-        assert pd_value is not None, "valid block without a programmed PD entry"
-        block = self.geometry.compose_block(row, pd_value, tag)
-        return block << self.offset_bits, self._dirty[set_index]
+    def _touch(self, row: int, cluster: int) -> None:
+        """Record a reference to (row, cluster), a hit or a fill."""
+        if self._policies:
+            self._policies[row].touch(cluster)
+        else:
+            self._clock += 1
+            self._stamps[self.geometry.set_index(row, cluster)] = self._clock
 
-    def _fill(
-        self, row: int, cluster: int, pi: int, tag: int, is_write: bool
-    ) -> None:
+    def _victim(self, row: int, candidates: list[int]) -> int:
+        """The cluster the policy evicts next, among ``candidates`` if any."""
+        if self._policies:
+            policy = self._policies[row]
+            return policy.victim_among(candidates) if candidates else policy.victim()
+        rows = self.geometry.num_rows
+        stamps = self._stamps[row::rows]
+        return min(candidates or range(len(stamps)), key=stamps.__getitem__)
+
+    def recency_order(self, row: int) -> tuple[int, ...]:
+        """Row ``row``'s clusters under exact LRU, most recently used first."""
+        stamps = self._stamps[row::self.geometry.num_rows]
+        return tuple(sorted(range(len(stamps)), key=lambda cluster: -stamps[cluster]))
+
+    def _replace(
+        self, row: int, cluster: int, pi: int, tag: int, is_write: bool, pd_hit: bool
+    ) -> AccessResult:
+        """A miss that fills (row, cluster), evicting its valid block."""
         set_index = self.geometry.set_index(row, cluster)
+        evicted = None
+        if self._tags[set_index] >= 0:
+            pd_value = self.decoder.value_at(row, cluster)
+            assert pd_value is not None, "valid block without a programmed PD entry"
+            block = self.geometry.compose_block(row, pd_value, self._tags[set_index])
+            evicted = block << self.offset_bits
+        result = AccessResult(
+            hit=False,
+            set_index=set_index,
+            evicted=evicted,
+            evicted_dirty=evicted is not None and bool(self._dirty[set_index]),
+            pd_hit=pd_hit,
+        )
         self._tags[set_index] = tag
         self._dirty[set_index] = is_write
         if self.decoder.value_at(row, cluster) != pi:
             self.decoder.program(row, cluster, pi)
-        self._policies[row].touch(cluster)
+        self._touch(row, cluster)
+        return result
 
     def _access_block(self, block: int, is_write: bool) -> AccessResult:
         geometry = self.geometry
@@ -114,41 +133,20 @@ class BCache(Cache):
             set_index = geometry.set_index(row, cluster)
             if self._tags[set_index] == tag:
                 # One-cycle hit: exactly one word line fired.
-                self._policies[row].touch(cluster)
+                self._touch(row, cluster)
                 if is_write:
                     self._dirty[set_index] = True
                 return AccessResult(hit=True, set_index=set_index)
             # Scenario 2: PD hit but tag mismatch.  The matching set is
             # the only legal victim (Section 2.3: replacing elsewhere
             # would force a double eviction to keep decoding unique).
-            evicted, evicted_dirty = self._evicted_address(row, cluster)
-            self._fill(row, cluster, pi, tag, is_write)
-            return AccessResult(
-                hit=False,
-                set_index=set_index,
-                evicted=evicted,
-                evicted_dirty=evicted_dirty,
-                pd_hit=True,
-            )
+            return self._replace(row, cluster, pi, tag, is_write, pd_hit=True)
 
         # Scenario 1/3: PD miss — the miss is predetermined; choose the
         # victim from all BAS clusters (invalid PD entries first, then
         # the replacement policy).
-        invalid = self.decoder.invalid_clusters(row)
-        if invalid:
-            cluster = self._policies[row].victim_among(invalid)
-        else:
-            cluster = self._policies[row].victim()
-        set_index = geometry.set_index(row, cluster)
-        evicted, evicted_dirty = self._evicted_address(row, cluster)
-        self._fill(row, cluster, pi, tag, is_write)
-        return AccessResult(
-            hit=False,
-            set_index=set_index,
-            evicted=evicted,
-            evicted_dirty=evicted_dirty,
-            pd_hit=False,
-        )
+        cluster = self._victim(row, self.decoder.invalid_clusters(row))
+        return self._replace(row, cluster, pi, tag, is_write, pd_hit=False)
 
     def _batch_trace(
         self,
@@ -156,200 +154,148 @@ class BCache(Cache):
         kinds: Sequence[int] | None,
         next_level: NextLevelStream | None = None,
     ) -> CacheStats:
-        """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
+        """Batch kernel (see :meth:`Cache.access_trace`).
 
-        The one-cycle-hit path (Scenario: PD hit + tag match) is fully
-        inlined — no ``PDMatch``, no ``AccessResult``, no tuple from
-        ``decompose_block``.  Under exact LRU the three miss scenarios
-        of Section 2.3 are inlined too: the victim comes from the
-        recency stamps, the tag and dirty bit are written in place and
-        only a reprogramming goes through ``decoder.program`` (which
-        keeps its range and uniqueness checks); the miss path fills a
-        ``next_level`` stream, the recency stamp giving the position.
-        Other policies reuse :meth:`_fill` and the policy objects.
+        Exact LRU runs the compiled kernel (:mod:`repro.caches.native`),
+        which also fills ``next_level``.  Other policies run the loop
+        below on plain batches: the one-cycle-hit path (PD hit + tag
+        match) is inlined, with no ``PDMatch``, no ``AccessResult`` and
+        no tuple from ``decompose_block``; misses update the state
+        inline and the policy objects.
         """
         if type(self)._access_block is not BCache._access_block:
             # A subclass customises per-access behaviour; let the generic
             # kernel drive its _access_block override instead of this one.
             return super()._batch_trace(addresses, kinds, next_level)
-        policies = self._policies
-        lru_fast = all(type(p) is LRUPolicy for p in policies)
-        if next_level is not None and not lru_fast:
-            # Only the exact-LRU loop carries a position stamp to emit.
-            return super()._batch_trace(addresses, kinds, next_level)
         geometry = self.geometry
-        stats = self.stats
         decoder = self.decoder
-        lookup = decoder._lookup  # per-row CAM reverse maps
-        values = decoder._values  # per-row CAM entries, -1 = invalid
-        tags = self._tags
-        dirty = self._dirty
-        num_rows = geometry.num_rows
-        num_sets = geometry.num_sets
-        num_clusters = geometry.num_clusters
-        row_mask = num_rows - 1
-        row_bits = num_rows.bit_length() - 1
+        if not self._policies:
+            # Imported per batch, not per module: see repro.caches.native.
+            from repro.caches import native
+
+            counters = native.replay(
+                self,
+                "bcache_lru",
+                (
+                    self.offset_bits, geometry.npi_bits, geometry.pi_bits,
+                    geometry.num_clusters, self._tags, self._dirty,
+                    self._stamps, decoder._values,
+                ),
+                addresses, kinds, next_level,
+            )
+            if counters is not None:
+                # The per-access path performs one CAM search per reference.
+                decoder.searches += len(addresses)
+                decoder.programs += counters[native.PROGRAMS]
+                return self.stats
+        if next_level is not None or not self._policies:
+            return super()._batch_trace(addresses, kinds, next_level)
+        policies, values, tags, dirty = self._policies, decoder._values, self._tags, self._dirty
+        num_rows, num_clusters = geometry.num_rows, geometry.num_clusters
+        row_mask, row_bits = num_rows - 1, num_rows.bit_length() - 1
         npi_bits = geometry.npi_bits
         pi_mask = (1 << geometry.pi_bits) - 1
         tag_shift = npi_bits + geometry.pi_bits
-        offset_bits = self.offset_bits
-        set_accesses = stats.set_accesses
-        set_misses = stats.set_misses
+        pd_field = (1 << tag_shift) - 1
+        set_accesses, set_misses = self.stats.set_accesses, self.stats.set_misses
         n = len(addresses)
-        if kinds is None:
-            kinds = bytes(n)  # all reads
-        # Column preparation: only the offset shift vectorises — the
-        # set index depends on decoder state, so hit detection and the
-        # per-set counters stay sequential.  Imported per batch, not per
-        # module: see repro.caches.columnar.
+        # Imported per batch, not per module: see repro.caches.columnar.
         from repro.caches import columnar
 
-        block_column = columnar.shifted_blocks(addresses, offset_bits)
+        block_column = columnar.shifted_blocks(addresses, self.offset_bits)
         # One-cycle hits (PD hit + tag match) resolve with a single
-        # probe of a {block: set index} map built from the decoder and
-        # tag state; row and cluster fall out of the set index
-        # (``set_index = cluster * num_rows + row``).
+        # probe of a {block: set index} map, and PD searches with one
+        # probe of a {(PI, row): cluster} map, both built from the
+        # decoder and tag state; row and cluster fall out of the set
+        # index (``set_index = cluster * num_rows + row``).
+        pd_map: dict[int, int] = {}
         hit_map: dict[int, int] = {}
-        resident_blocks = [-1] * num_sets
-        for row in range(num_rows):
-            for pi_value, cluster in lookup[row].items():
+        for entry, value in enumerate(values):
+            if value >= 0:
+                row, cluster = divmod(entry, num_clusters)
+                pd_map[(value << npi_bits) | row] = cluster
                 set_index = cluster * num_rows + row
-                resident_tag = tags[set_index]
-                if resident_tag >= 0:
-                    resident = geometry.compose_block(row, pi_value, resident_tag)
-                    hit_map[resident] = set_index
-                    resident_blocks[set_index] = resident
-        # Exact LRU is the paper's default policy; its touch() is pure
-        # recency maintenance with no RNG, so it runs on a flat
-        # timestamp column indexed by set (the recency lists are
-        # rebuilt bit-identically from the stamps after the loop).
-        ts_flat: list[int] | None = None
-        if lru_fast:
-            ts_flat = [0] * num_sets
-            for row, policy in enumerate(policies):
-                for position, cluster in enumerate(policy._order):
-                    ts_flat[cluster * num_rows + row] = -position
+                if tags[set_index] >= 0:
+                    hit_map[(tags[set_index] << tag_shift)
+                            | (value << npi_bits) | row] = set_index
         # Hits dominate: the hot loop only bumps per-set accesses and
         # misses; _commit_batch reconstructs per-set hits.
         accesses_before = set_accesses.copy()
         misses_before = set_misses.copy()
-        emit = next_level.emit if next_level is not None else None
-        stamp = 0
-        misses = writes = 0
-        pd_miss = evictions = writebacks = 0
+        misses = writes = pd_miss = evictions = writebacks = 0
         hit_set = hit_map.get
-        for block, kind in zip(block_column, kinds):
+        for block, kind in zip(block_column, bytes(n) if kinds is None else kinds):
             set_index = hit_set(block, -1)
             if set_index >= 0:
                 # One-cycle hit: exactly one word line fired.
                 set_accesses[set_index] += 1
-                if ts_flat is not None:
-                    stamp += 1
-                    ts_flat[set_index] = stamp
-                else:
-                    policies[set_index & row_mask].touch(set_index >> row_bits)
+                policies[set_index & row_mask].touch(set_index >> row_bits)
                 if kind == 1:
                     writes += 1
                     dirty[set_index] = True
-            else:
-                row = block & row_mask
-                pi = (block >> npi_bits) & pi_mask
-                tag = block >> tag_shift
-                # Scenario 2: PD hit, tag mismatch — the matching set is
-                # the forced victim.
-                cluster = lookup[row].get(pi)
-                if cluster is None:
-                    # Scenario 1/3: PD miss — victim from all BAS
-                    # clusters (invalid PD entries first, then LRU).
-                    pd_miss += 1
-                    if ts_flat is None:
-                        invalid = decoder.invalid_clusters(row)
-                        policy = policies[row]
-                        cluster = (
-                            policy.victim_among(invalid)
-                            if invalid
-                            else policy.victim()
-                        )
-                    else:
-                        segment = ts_flat[row::num_rows]
-                        row_values = values[row]
-                        if -1 in row_values:
-                            # Cold start: the least recent invalid entry.
-                            cluster = row_values.index(-1)
-                            oldest = segment[cluster]
-                            for candidate in range(cluster + 1, num_clusters):
-                                if (
-                                    row_values[candidate] < 0
-                                    and segment[candidate] < oldest
-                                ):
-                                    oldest = segment[candidate]
-                                    cluster = candidate
-                        else:
-                            cluster = segment.index(min(segment))
-                set_index = cluster * num_rows + row
-                misses += 1
-                set_accesses[set_index] += 1
-                set_misses[set_index] += 1
-                is_write = kind == 1
-                if is_write:
-                    writes += 1
-                if emit is not None:
-                    emit(stamp, addresses[stamp], DEMAND)
-                resident = resident_blocks[set_index]
-                if resident >= 0:
-                    evictions += 1
-                    if dirty[set_index]:
-                        writebacks += 1
-                        if emit is not None:
-                            emit(stamp, resident << offset_bits, WRITEBACK)
-                    del hit_map[resident]
-                if ts_flat is None:
-                    self._fill(row, cluster, pi, tag, is_write)
-                else:
-                    # _fill without the recency touch: the stamp is the
-                    # recency, and _order is rebuilt from it below.
-                    tags[set_index] = tag
-                    dirty[set_index] = is_write
-                    if values[row][cluster] != pi:
-                        decoder.program(row, cluster, pi)
-                    stamp += 1
-                    ts_flat[set_index] = stamp
-                hit_map[block] = set_index
-                resident_blocks[set_index] = block
-        if ts_flat is not None:
-            for row, policy in enumerate(policies):
-                segment = ts_flat[row::num_rows]
-                policy._order.sort(key=segment.__getitem__, reverse=True)
-        # The per-access path performs one CAM search per reference.
+                continue
+            row = block & row_mask
+            pi = (block >> npi_bits) & pi_mask
+            # Scenario 2: PD hit, tag mismatch — the matching set is the
+            # forced victim; scenarios 1/3: PD miss.
+            cluster = pd_map.get(block & pd_field, -1)
+            if cluster < 0:
+                pd_miss += 1
+                invalid = decoder.invalid_clusters(row)
+                policy = policies[row]
+                cluster = policy.victim_among(invalid) if invalid else policy.victim()
+            set_index = cluster * num_rows + row
+            old_pi = values[row * num_clusters + cluster]
+            misses += 1
+            set_accesses[set_index] += 1
+            set_misses[set_index] += 1
+            resident_tag = tags[set_index]
+            if resident_tag >= 0:
+                evictions += 1
+                writebacks += dirty[set_index]
+                del hit_map[(resident_tag << tag_shift) | (old_pi << npi_bits) | row]
+            if old_pi != pi:
+                pd_map.pop((old_pi << npi_bits) | row, None)
+                pd_map[block & pd_field] = cluster
+                decoder.program(row, cluster, pi)
+            tags[set_index] = block >> tag_shift
+            dirty[set_index] = kind == 1
+            writes += kind == 1
+            policies[row].touch(cluster)
+            hit_map[block] = set_index
         decoder.searches += n
         return self._commit_batch(
-            n,
-            accesses_before,
-            misses_before,
-            misses,
-            writes,
-            evictions,
-            writebacks,
-            pd_miss=pd_miss,
+            n, accesses_before, misses_before, misses, writes, evictions,
+            writebacks, pd_miss=pd_miss,
         )
 
     # ------------------------------------------------------------------
     def _probe_block(self, block: int) -> bool:
         row, pi, tag = self.geometry.decompose_block(block)
-        cluster = self.decoder._lookup[row].get(pi)
+        cluster = self.decoder.find(row, pi)
         if cluster is None:
             return False
         return self._tags[self.geometry.set_index(row, cluster)] == tag
 
     def _flush_state(self) -> None:
         geometry = self.geometry
-        self._tags = [-1] * geometry.num_sets
-        self._dirty = [False] * geometry.num_sets
+        self._tags = array("q", [-1]) * geometry.num_sets
+        self._dirty = bytearray(geometry.num_sets)
         self.decoder.flush()
-        self._policies = [
-            make_policy(self.policy_name, geometry.num_clusters, seed=self._seed + row)
-            for row in range(geometry.num_rows)
-        ]
+        # A fresh LRU order lists the clusters in order (cluster 0 most
+        # recent); set_index = cluster * num_rows + row.
+        self._stamps = array("q", [
+            -(set_index // geometry.num_rows) for set_index in range(geometry.num_sets)
+        ])
+        self._clock = 0
+        self._policies: list[ReplacementPolicy] = (
+            []
+            if self.policy_name.lower() == "lru"
+            else [
+                make_policy(self.policy_name, geometry.num_clusters, seed=self._seed + row)
+                for row in range(geometry.num_rows)
+            ]
+        )
 
     # ------------------------------------------------------------------
     @property

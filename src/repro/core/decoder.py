@@ -14,6 +14,7 @@ after a PD miss, with a value no valid entry in the row holds.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 
@@ -32,9 +33,11 @@ class PDMatch:
 class ProgrammableDecoderBank:
     """All PD entries of a B-Cache: ``rows x clusters`` CAM cells.
 
-    Each entry is a ``pi_bits``-wide value plus a valid bit.  Searches
-    are by (row, value); programming enforces the per-row uniqueness
-    invariant.
+    Each entry is a ``pi_bits``-wide value, or ``-1`` when invalid, in
+    one flat ``_values`` column indexed ``row * clusters + cluster``
+    (the compiled B-Cache kernel searches and programs it in place).
+    Searches are by (row, value); programming enforces the per-row
+    uniqueness invariant.
     """
 
     def __init__(self, num_rows: int, num_clusters: int, pi_bits: int) -> None:
@@ -45,34 +48,37 @@ class ProgrammableDecoderBank:
         self.num_rows = num_rows
         self.num_clusters = num_clusters
         self.pi_bits = pi_bits
-        self._values: list[list[int]] = [
-            [-1] * num_clusters for _ in range(num_rows)
-        ]
-        # Reverse map per row for O(1) CAM search: value -> cluster.
-        self._lookup: list[dict[int, int]] = [dict() for _ in range(num_rows)]
+        self._values = array("q", [-1]) * (num_rows * num_clusters)
         self.searches = 0
         self.programs = 0
 
     # ------------------------------------------------------------------
+    def find(self, row: int, value: int) -> int | None:
+        """The cluster of ``row`` holding ``value`` (no search counted)."""
+        base = row * self.num_clusters
+        values = self._values[base:base + self.num_clusters]
+        return values.index(value) if value in values else None
+
     def search(self, row: int, value: int) -> PDMatch:
         """CAM search: which cluster's entry matches ``value`` in ``row``?"""
         self.searches += 1
-        cluster = self._lookup[row].get(value)
+        cluster = self.find(row, value)
         if cluster is None:
             return PDMatch(hit=False)
         return PDMatch(hit=True, cluster=cluster)
 
     def value_at(self, row: int, cluster: int) -> int | None:
         """Programmed value of one entry, or None if invalid."""
-        value = self._values[row][cluster]
+        value = self._values[row * self.num_clusters + cluster]
         return None if value < 0 else value
 
     def is_valid(self, row: int, cluster: int) -> bool:
-        return self._values[row][cluster] >= 0
+        return self._values[row * self.num_clusters + cluster] >= 0
 
     def invalid_clusters(self, row: int) -> list[int]:
         """Clusters of ``row`` whose PD entry is still invalid (cold)."""
-        values = self._values[row]
+        base = row * self.num_clusters
+        values = self._values[base:base + self.num_clusters]
         return [c for c in range(self.num_clusters) if values[c] < 0]
 
     # ------------------------------------------------------------------
@@ -86,43 +92,33 @@ class ProgrammableDecoderBank:
         """
         if not 0 <= value < (1 << self.pi_bits):
             raise ValueError(f"value {value} does not fit in {self.pi_bits} bits")
-        lookup = self._lookup[row]
-        holder = lookup.get(value)
+        holder = self.find(row, value)
         if holder is not None and holder != cluster:
             raise DecoderIntegrityError(
                 f"row {row}: value {value:#x} already programmed in cluster {holder}"
             )
-        old = self._values[row][cluster]
-        if old >= 0:
-            del lookup[old]
-        self._values[row][cluster] = value
-        lookup[value] = cluster
+        self._values[row * self.num_clusters + cluster] = value
         self.programs += 1
 
     def invalidate(self, row: int, cluster: int) -> None:
         """Mark one entry invalid (used at flush and for fault injection)."""
-        old = self._values[row][cluster]
-        if old >= 0:
-            del self._lookup[row][old]
-            self._values[row][cluster] = -1
+        self._values[row * self.num_clusters + cluster] = -1
 
     def flush(self) -> None:
         """Invalidate every entry (cache cold start)."""
-        for row in range(self.num_rows):
-            self._values[row] = [-1] * self.num_clusters
-            self._lookup[row].clear()
+        self._values = array("q", [-1]) * (self.num_rows * self.num_clusters)
 
     # ------------------------------------------------------------------
     def check_integrity(self) -> None:
         """Verify the uniqueness invariant over the whole bank.
 
         Used by tests; raises :class:`DecoderIntegrityError` on any
-        duplicated valid value within a row or on a stale reverse map.
+        duplicated valid value within a row.
         """
         for row in range(self.num_rows):
             seen: dict[int, int] = {}
             for cluster in range(self.num_clusters):
-                value = self._values[row][cluster]
+                value = self._values[row * self.num_clusters + cluster]
                 if value < 0:
                     continue
                 if value in seen:
@@ -131,15 +127,8 @@ class ProgrammableDecoderBank:
                         f"both hold {value:#x}"
                     )
                 seen[value] = cluster
-            if seen != self._lookup[row]:
-                raise DecoderIntegrityError(f"row {row}: reverse map out of sync")
 
     def occupancy(self) -> float:
         """Fraction of PD entries that are valid."""
-        valid = sum(
-            1
-            for row in range(self.num_rows)
-            for c in range(self.num_clusters)
-            if self._values[row][c] >= 0
-        )
-        return valid / (self.num_rows * self.num_clusters)
+        valid = sum(1 for value in self._values if value >= 0)
+        return valid / len(self._values)

@@ -81,7 +81,8 @@ def bench_hot_loop(
     """Time scalar vs batch replay per spec; verify identical stats.
 
     ``kernel`` names the batch flavour ``access_trace`` ran on (the
-    vectorised dm kernel reports ``"numpy"``).
+    compiled exact-LRU kernels report ``"native"``, the vectorised dm
+    kernel ``"numpy"``).
     """
     addresses, kinds = default_store().accesses(benchmark, "data", n, seed)
     results = {}

@@ -9,9 +9,10 @@ result list is order-aligned with the job list and every job runs
 
 ``workers <= 1`` (and every sanitized run) is a plain in-process loop.
 ``workers > 1`` runs on the worker supervisor
-(:class:`repro.engine.workers.Supervisor`): persistent processes that
-read each trace from the store as a serial run does, with per-job
-deadlines, restarts, retries and in-process fallback.
+(:class:`repro.engine.workers.Supervisor`): persistent processes, kept
+from one sweep to the next, that read each trace from the store as a
+serial run does, with per-job deadlines, restarts, retries and
+in-process fallback.
 
 A sanitized run replays serially, per access, with invariant checks
 (see ``docs/analysis.md``): the sanitizer's value is the invariant
@@ -227,7 +228,6 @@ def run_sweep(
     ):
         if sanitize or workers <= 1 or len(jobs) <= 1:
             return [execute_job(job, store=store, sanitize=sanitize) for job in jobs]
-        from repro.engine.workers import Supervisor
+        from repro.engine.workers import shared_supervisor
 
-        with Supervisor(min(workers, len(jobs)), store) as supervisor:
-            return supervisor.run(jobs)
+        return shared_supervisor(min(workers, len(jobs)), store).run(jobs)

@@ -51,11 +51,13 @@ workers runs everything in-process through the same retry loop.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import contextvars
 import heapq
 import logging
 import multiprocessing
+import os
 import threading
 import time
 import zlib
@@ -270,6 +272,15 @@ class Worker(Protocol):
         """Introspection for ``status`` responses and fleet summaries."""
 
 
+#: Once a process's seconds per job are known (an EWMA over its
+#: replies), a sweep hands it about this much work per message, so
+#: short jobs share one pipe round trip and long ones go one at a time;
+#: never more than PROCESS_MAX_BATCH jobs, nor (``_Sweep.take``) more
+#: than a fair share of the jobs not yet handed out.
+PROCESS_BATCH_SECONDS = 0.02
+PROCESS_MAX_BATCH = 8
+
+
 class _Process:
     """Parent-side handle of one worker process."""
 
@@ -280,6 +291,7 @@ class _Process:
         self.jobs = 0
         self.restarts = 0
         self.retired = False  # a process is restarted, never retired
+        self.job_seconds = 0.0  # EWMA per job; 0 before the first reply
         self.start()
 
     def start(self) -> None:
@@ -287,7 +299,10 @@ class _Process:
         self.started = time.monotonic()
 
     def batch_size(self) -> int:
-        return 1
+        if self.job_seconds <= 0.0:
+            return 1
+        size = int(PROCESS_BATCH_SECONDS / self.job_seconds)
+        return max(1, min(PROCESS_MAX_BATCH, size))
 
     def exchange(
         self,
@@ -296,10 +311,16 @@ class _Process:
         faults: Sequence[tuple[str, ...]],
         deadline: float,
     ) -> Reply:
+        started = time.monotonic()
         try:
             self.conn.send((jobs, list(traces), list(faults)))
             if self.conn.poll(deadline):
                 reply: Reply = self.conn.recv()
+                per_job = (time.monotonic() - started) / len(jobs)
+                self.job_seconds = (
+                    per_job if self.job_seconds <= 0.0
+                    else 0.7 * self.job_seconds + 0.3 * per_job
+                )
                 return reply
         except (EOFError, OSError):
             self.kill()
@@ -605,6 +626,38 @@ class Supervisor:
                     sweep.finish(index, attempt, outcome)
         except BaseException as exc:  # surfaced by run() on its thread
             sweep.fail(exc)
+
+
+#: The pools of :func:`shared_supervisor`, by (setting, worker count).
+_shared: dict[tuple[tuple[object, ...], int], Supervisor] = {}
+
+
+def shared_supervisor(workers: int, store: TraceStore) -> Supervisor:
+    """This process's pool of ``workers`` processes for plain parallel
+    sweeps (``run_sweep``).
+
+    Kept from one sweep to the next, so a run of many sweeps spawns its
+    workers once and they keep their trace LRUs warm.  The pools are
+    replaced when the store or the telemetry settings change (or in a
+    forked child), and closed at exit.  Workers fork when their pool is
+    first used, so state the parent changes later does not reach them.
+    """
+    setting = (os.getpid(), id(store), obs_events.mode(),
+               str(obs_events.active_log_path()))
+    if any(key[0] != setting for key in _shared):
+        _close_shared()
+    supervisor = _shared.get((setting, workers))
+    if supervisor is None or supervisor._closed:
+        supervisor = _shared[(setting, workers)] = Supervisor(workers, store)
+    return supervisor
+
+
+@atexit.register
+def _close_shared() -> None:
+    for (setting, _), supervisor in _shared.items():
+        if setting[0] == os.getpid():
+            supervisor.close()
+    _shared.clear()
 
 
 class _Sweep:

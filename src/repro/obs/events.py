@@ -64,14 +64,15 @@ ENV_LOG = "REPRO_OBS_LOG"
 MODES = ("off", "events", "full")
 
 
-def cache_dir(env: str, leaf: str) -> Path:
+def cache_dir(env: str | None, leaf: str) -> Path:
     """``$<env>`` if set, else ``$XDG_CACHE_HOME/bcache-repro/<leaf>``.
 
     The one resolution of every on-disk root (trace store, run root,
-    result cache); ``XDG_CACHE_HOME`` defaults to ``~/.cache``.  It
-    lives here because obs is the leaf every tier already imports.
+    result cache, compiled kernels); ``XDG_CACHE_HOME`` defaults to
+    ``~/.cache``.  It lives here because obs is the leaf every tier
+    already imports.
     """
-    override = os.environ.get(env)
+    override = os.environ.get(env) if env else None
     if override:
         return Path(override)
     xdg = os.environ.get("XDG_CACHE_HOME")

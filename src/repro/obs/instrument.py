@@ -57,7 +57,8 @@ _ROWS = (
            "Request-path wall time attributed per pipeline stage", ("stage",)),
     # Library hot paths (REPRO_OBS=full only).
     Series("repro_kernel_batch_seconds", "histogram",
-           "Wall time of one Cache.access_trace batch",
+           "Wall time of one Cache.access_trace batch, by kernel path "
+           "(native, numpy or stdlib)",
            ("cache", "path"), gated=True),
     Series("repro_kernel_batch_refs_total", "counter",
            "Memory references simulated by access_trace batches",
@@ -184,8 +185,9 @@ def observe_kernel(
 ) -> None:
     """Record one ``Cache.access_trace`` batch (paired with kernel_clock).
 
-    ``path`` names the kernel flavour that ran ("stdlib" or "numpy") so
-    a perf investigation can tell the two apart per batch.
+    ``path`` names the kernel flavour that ran (``Cache.last_kernel``:
+    "native", "numpy" or "stdlib") so a perf investigation can tell
+    them apart per batch.
     """
     if start == 0.0 or not events.enabled():
         return

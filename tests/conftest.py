@@ -52,6 +52,24 @@ def _isolated_trace_store(tmp_path_factory: pytest.TempPathFactory):
 
 
 @pytest.fixture(scope="session", autouse=True)
+def _isolated_cache_home(tmp_path_factory: pytest.TempPathFactory):
+    """Point ``XDG_CACHE_HOME`` at a per-session temp dir.
+
+    Every default on-disk root resolves under it (``obs.events.
+    cache_dir``), the compiled kernels' build included, so a test run
+    builds them once for itself and writes nothing to the user's
+    ``~/.cache``.
+    """
+    previous = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("cache-home"))
+    yield
+    if previous is None:
+        os.environ.pop("XDG_CACHE_HOME", None)
+    else:
+        os.environ["XDG_CACHE_HOME"] = previous
+
+
+@pytest.fixture(scope="session", autouse=True)
 def _isolated_run_root(tmp_path_factory: pytest.TempPathFactory):
     """Point the resilience journal root at a per-session temp dir.
 

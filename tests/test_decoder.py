@@ -95,13 +95,7 @@ class TestIntegrity:
         bank.program(0, 0, 1)
         bank.program(0, 1, 2)
         # Corrupt internals directly to simulate a fault.
-        bank._values[0][1] = 1
-        with pytest.raises(DecoderIntegrityError):
-            bank.check_integrity()
-
-    def test_stale_reverse_map_detected(self, bank):
-        bank.program(0, 0, 1)
-        bank._lookup[0][5] = 1
+        bank._values[0 * bank.num_clusters + 1] = 1
         with pytest.raises(DecoderIntegrityError):
             bank.check_integrity()
 

@@ -8,17 +8,23 @@ counters — must equal a per-access ``Cache.access`` replay exactly.
 The global test sanitizer reroutes ``access_trace`` through the checked
 per-access path, which would make these tests vacuous; the
 ``real_kernels`` fixture temporarily uninstalls it so the actual batch
-kernels run.
+kernels run.  Exact LRU runs the compiled kernels of
+:mod:`repro.caches.native` where a C compiler exists;
+:class:`TestFallbackEquivalence` runs every test again with the loader
+returning ``None``, the path a host without one takes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 from collections import OrderedDict
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.caches import native
 from repro.analysis.sanitizer import (
     SanitizedCache,
     global_sanitizer_installed,
@@ -33,6 +39,8 @@ from repro.caches import (
 )
 from repro.caches.base import WRITEBACK, NextLevelStream
 from repro.caches.columnar import MIN_VECTOR_LEN
+from repro.core.bcache import BCache
+from repro.core.config import BCacheGeometry
 
 #: Every spec family the factory understands (see make_cache's docs).
 ALL_SPECS = (
@@ -70,6 +78,13 @@ KERNEL_CASES = (
     ("pam4", "lru"),
     ("psa2", "lru"),
     ("psa4", "lru"),
+    ("2way", "lru"),
+    ("8way", "lru"),
+    ("32way", "lru"),
+    ("mf2_bas8", "lru"),
+    ("mf16_bas4", "lru"),
+    ("4way", "fifo"),
+    ("4way", "plru"),
 )
 
 #: Length of the streams :data:`KERNEL_CASES` replay.
@@ -179,6 +194,8 @@ def model_state(cache) -> dict:
         return {
             "tags": cache._tags,
             "dirty": cache._dirty,
+            "stamps": cache._stamps,
+            "clock": cache._clock,
             "policies": policy_states(cache._policies),
             "mru": getattr(cache, "_mru", None),
         }
@@ -186,6 +203,8 @@ def model_state(cache) -> dict:
         return {
             "tags": cache._tags,
             "dirty": cache._dirty,
+            "stamps": cache._stamps,
+            "clock": cache._clock,
             "pd_values": cache.decoder._values,
             "programs": cache.decoder.programs,
             "searches": cache.decoder.searches,
@@ -209,6 +228,36 @@ def model_state(cache) -> dict:
         "last_touch": cache._last_touch,
         "clock": cache._clock,
     }
+
+
+def assert_replays_match(cache, oracle, addresses, kinds, batches=1):
+    """``cache`` replaying ``addresses`` in ``batches`` batch calls ends
+    like ``oracle`` replaying them one access at a time: statistics,
+    model state and next-level stream."""
+    expected = NextLevelStream()
+    access = expected.recording(oracle.access, addresses)
+    for address, kind in zip(addresses, kinds):
+        access(address, kind == 1)
+    out = NextLevelStream()
+    bounds = [len(addresses) * part // batches for part in range(batches + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        part = NextLevelStream()
+        cache.access_trace(addresses[start:stop], kinds[start:stop], part)
+        for position, address, kind in zip(part.positions, part.addresses, part.kinds):
+            out.emit(position + start, address, kind)
+    assert cache.stats == oracle.stats
+    assert model_state(cache) == model_state(oracle)
+    assert out.positions == expected.positions
+    assert out.addresses == expected.addresses
+    assert out.kinds == expected.kinds
+
+
+def kernel_path(fallback: bool):
+    """Within it, batches take the compiled kernels or, with
+    ``fallback``, the path of a host without them."""
+    if fallback:
+        return mock.patch.object(native, "load", lambda: None)
+    return contextlib.nullcontext()
 
 
 def scalar_stats(spec: str, addresses, kinds, **kwargs):
@@ -411,8 +460,9 @@ class TestBatchEquivalence:
                 "skew4",
             )
         ),
+        fallback=st.booleans(),
     )
-    def test_property_equivalence(self, data, spec):
+    def test_property_equivalence(self, data, spec, fallback):
         """Batch == scalar for arbitrary streams, any factory spec."""
         was_installed = global_sanitizer_installed()
         uninstall_global_sanitizer()
@@ -421,10 +471,115 @@ class TestBatchEquivalence:
             kinds = [kind for _, kind in data]
             expected = scalar_stats(spec, addresses, kinds)
             cache = make_cache(spec)
-            assert cache.access_trace(addresses, kinds) == expected
+            with kernel_path(fallback):
+                assert cache.access_trace(addresses, kinds) == expected
         finally:
             if was_installed:
                 install_global_sanitizer(check_interval=256)
+
+
+    @pytest.mark.parametrize("spec", ("4way", "mf8_bas8", "pam4", "psa4"))
+    def test_fifty_way_split_matches(self, spec, real_kernels):
+        """Fifty batches carry the LRU stamps and clock across calls."""
+        addresses, kinds = mixed_trace(KERNEL_LEN, seed=59)
+        assert_replays_match(
+            make_cache(spec, seed=2), make_cache(spec, seed=2), addresses, kinds,
+            batches=50,
+        )
+
+    def test_invalidated_pd_entries_match(self, real_kernels):
+        """After PD entries are invalidated (fault injection drops the
+        line with its entry), a PD miss prefers the least recent invalid
+        entry over older valid ones, in the batch as per access."""
+        addresses, kinds = mixed_trace(KERNEL_LEN, seed=67)
+        caches = [make_cache("mf8_bas8"), make_cache("mf8_bas8")]
+        for cache in caches:
+            cache.access_trace(addresses[:2000], kinds[:2000])
+            geometry = cache.geometry
+            for row in range(0, geometry.num_rows, 3):
+                cluster = row % geometry.num_clusters
+                cache.decoder.invalidate(row, cluster)
+                cache._tags[geometry.set_index(row, cluster)] = -1
+                cache._dirty[geometry.set_index(row, cluster)] = False
+        assert_replays_match(*caches, addresses[2000:], kinds[2000:])
+
+    @pytest.mark.parametrize("spec", ("2way", "8way", "mf8_bas8", "psa2"))
+    def test_addresses_above_two_to_the_63(self, spec, real_kernels):
+        """Addresses at and above 2**63 keep their high bits, both in
+        the cache state and in the writebacks sent below."""
+        addresses, kinds = mixed_trace(KERNEL_LEN, seed=61)
+        addresses = [
+            address | (1 << 63) if i % 3 else address
+            for i, address in enumerate(addresses)
+        ]
+        addresses[7] = (1 << 64) - 1
+        assert_replays_match(
+            make_cache(spec), make_cache(spec), addresses, kinds, batches=3
+        )
+
+    @given(
+        data=st.data(),
+        line_bits=st.integers(2, 6),
+        set_bits=st.integers(0, 7),
+        ways_bits=st.integers(0, 4),
+        mf_bits=st.integers(0, 4),
+        prediction=st.sampled_from(("", "pam", "psa")),
+        batches=st.integers(1, 5),
+        fallback=st.booleans(),
+    )
+    def test_property_geometries(
+        self, data, line_bits, set_bits, ways_bits, mf_bits, prediction, batches,
+        fallback,
+    ):
+        """Batch == per-access over random geometries: set-associative
+        size, line and ways (with either way prediction), and B-Cache
+        MF and BAS; statistics, final state and next-level stream."""
+        size = 1 << (line_bits + set_bits + ways_bits)
+        if data.draw(st.booleans(), label="bcache"):
+            geometry = BCacheGeometry(
+                size, 1 << line_bits, mapping_factor=1 << mf_bits,
+                associativity=1 << ways_bits,
+            )
+
+            def build():
+                return BCache(geometry)
+        else:
+            spec = f"{prediction}{1 << ways_bits}" if prediction else f"{1 << ways_bits}way"
+
+            def build():
+                return make_cache(spec, size=size, line_size=1 << line_bits)
+        refs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, size << 3), st.integers(0, 2)),
+                max_size=200,
+            ),
+            label="refs",
+        )
+        was_installed = global_sanitizer_installed()
+        uninstall_global_sanitizer()
+        try:
+            with kernel_path(fallback):
+                assert_replays_match(
+                    build(), build(), [a for a, _ in refs], [k for _, k in refs],
+                    batches=batches,
+                )
+        finally:
+            if was_installed:
+                install_global_sanitizer(check_interval=256)
+
+
+class TestFallbackEquivalence(TestBatchEquivalence):
+    """Every batch-equivalence test again, on a host without the
+    compiled kernels: exact LRU then replays per access."""
+
+    @pytest.fixture(autouse=True)
+    def no_compiled_kernels(self, monkeypatch):
+        monkeypatch.setattr(native, "load", lambda: None)
+
+    # The property tests draw the kernel path themselves (hypothesis
+    # runs one test function under one class only).
+    test_property_equivalence = None  # type: ignore[assignment]
+    test_property_geometries = None  # type: ignore[assignment]
 
 
 class TestSanitizerComposability:

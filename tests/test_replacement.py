@@ -202,3 +202,31 @@ class TestFactory:
     def test_invalid_ways(self):
         with pytest.raises(ValueError):
             make_policy("lru", 0)
+
+
+class TestLRUStamps:
+    """The caches keep exact LRU as recency stamps, not LRUPolicy
+    objects; the order the stamps give is the order an LRUPolicy per
+    set (or B-Cache row) keeps when touched on every hit and fill."""
+
+    @pytest.mark.parametrize("spec", ("4way", "32way", "mf8_bas8", "mf2_bas4"))
+    def test_recency_order_matches_lru_policy(self, spec, rng):
+        from repro.caches import make_cache
+
+        cache = make_cache(spec)
+        bcache = hasattr(cache, "geometry")
+        domains = cache.geometry.num_rows if bcache else cache.num_sets
+        ways = cache.geometry.num_clusters if bcache else cache.ways
+        reference = [LRUPolicy(ways) for _ in range(domains)]
+        for _ in range(3000):
+            address = rng.randrange(1 << 16)
+            result = cache.access(address)
+            block = address >> cache.offset_bits
+            if bcache:
+                reference[result.set_index % domains].touch(result.set_index // domains)
+            else:
+                base = result.set_index * ways
+                line = cache._tags.index(block >> cache.index_bits, base, base + ways)
+                reference[result.set_index].touch(line - base)
+        for domain, policy in enumerate(reference):
+            assert cache.recency_order(domain) == policy.recency_order()

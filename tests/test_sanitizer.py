@@ -224,9 +224,9 @@ class TestDetection:
         for address, is_write in random_stream(200):
             wrapped.access(address, is_write)
         victim_set = next(
-            i for i, tags in enumerate(cache._tags) if min(tags) >= 0
+            i for i in range(cache.num_sets) if min(cache._tags[2 * i:2 * i + 2]) >= 0
         )
-        cache._tags[victim_set][1] = cache._tags[victim_set][0]
+        cache._tags[2 * victim_set + 1] = cache._tags[2 * victim_set]
         with pytest.raises(SanitizerError, match="duplicate"):
             wrapped.checker.check_structure()
 
@@ -244,14 +244,16 @@ class TestDetection:
         wrapped = SanitizedCache(cache, check_interval=1)
         for address, is_write in random_stream(3000):
             wrapped.access(address, is_write)
+        decoder = cache.decoder
         row = next(
             r
             for r in range(headline_geometry.num_rows)
-            if len(cache.decoder._lookup[r]) >= 2
+            if len(decoder.invalid_clusters(r)) <= decoder.num_clusters - 2
         )
-        values = cache.decoder._values[row]
-        clusters = [c for c, v in enumerate(values) if v >= 0][:2]
-        values[clusters[1]] = values[clusters[0]]  # break CAM uniqueness
+        base = row * decoder.num_clusters
+        values = decoder._values
+        clusters = [c for c in range(decoder.num_clusters) if values[base + c] >= 0][:2]
+        values[base + clusters[1]] = values[base + clusters[0]]  # break CAM uniqueness
         with pytest.raises(SanitizerError, match="decoder integrity"):
             wrapped.checker.check_structure()
 
@@ -347,8 +349,10 @@ class TestGlobalHook:
         cache = SetAssociativeCache(512, 32, ways=2)
         for address, is_write in random_stream(300):
             cache.access(address, is_write)
-        target = next(i for i, tags in enumerate(cache._tags) if min(tags) >= 0)
-        cache._tags[target][1] = cache._tags[target][0]
+        target = next(
+            i for i in range(cache.num_sets) if min(cache._tags[2 * i:2 * i + 2]) >= 0
+        )
+        cache._tags[2 * target + 1] = cache._tags[2 * target]
         # Probe a different set so the access cannot repair the
         # corruption before the periodic structural scan sees it.
         with pytest.raises(SanitizerError, match="duplicate"):

@@ -122,11 +122,12 @@ def test_corrupted_set_associative_always_detected(stream):
     # was empty (making a phantom duplicate) or it held a different
     # block (now a duplicated resident) — both corrupt.
     target = next(
-        (i for i, tags in enumerate(cache._tags) if max(tags) >= 0), None
+        (i for i in range(cache.num_sets) if max(cache._tags[2 * i:2 * i + 2]) >= 0),
+        None,
     )
     assume(target is not None)
-    valid_way = 0 if cache._tags[target][0] >= 0 else 1
-    cache._tags[target][1 - valid_way] = cache._tags[target][valid_way]
+    valid_way = 0 if cache._tags[2 * target] >= 0 else 1
+    cache._tags[2 * target + 1 - valid_way] = cache._tags[2 * target + valid_way]
     with pytest.raises(SanitizerError):
         wrapped.checker.check_structure()
 
@@ -151,17 +152,19 @@ def test_corrupted_pd_always_detected(geometry, stream):
     wrapped = SanitizedCache(cache, check_interval=1)
     for address, is_write in stream:
         wrapped.access(address, is_write)
+    decoder = cache.decoder
     row = next(
         (
             r
             for r in range(geometry.num_rows)
-            if len(cache.decoder._lookup[r]) >= 2
+            if len(decoder.invalid_clusters(r)) <= decoder.num_clusters - 2
         ),
         None,
     )
     assume(row is not None)
-    values = cache.decoder._values[row]
-    first, second = [c for c, v in enumerate(values) if v >= 0][:2]
-    values[second] = values[first]
+    base = row * decoder.num_clusters
+    values = decoder._values
+    first, second = [c for c in range(decoder.num_clusters) if values[base + c] >= 0][:2]
+    values[base + second] = values[base + first]
     with pytest.raises(SanitizerError):
         wrapped.checker.check_structure()
