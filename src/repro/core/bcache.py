@@ -88,9 +88,8 @@ class BCache(Cache):
         if self._policies:
             policy = self._policies[row]
             return policy.victim_among(candidates) if candidates else policy.victim()
-        rows = self.geometry.num_rows
-        stamps = self._stamps[row::rows]
-        return min(candidates or range(len(stamps)), key=stamps.__getitem__)
+        stamps = self._stamps[row::self.geometry.num_rows]
+        return min(candidates or range(len(stamps)), key=lambda cluster: stamps[cluster])
 
     def recency_order(self, row: int) -> tuple[int, ...]:
         """Row ``row``'s clusters under exact LRU, most recently used first."""
