@@ -26,7 +26,8 @@ bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-engine:
-	PYTHONPATH=src $(PYTHON) -m repro.engine.bench --check BENCH_engine.json
+	PYTHONPATH=src $(PYTHON) -m repro.engine.bench --out BENCH_engine_current.json \
+		--check BENCH_engine.json
 
 chaos:
 	PYTHONPATH=src $(PYTHON) -m repro.engine.faultinject --workers 2 \

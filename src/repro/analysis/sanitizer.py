@@ -45,12 +45,12 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
+from array import array
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.analysis.reference import ReferenceSetAssociativeLRU, reference_for
 from repro.caches.base import AccessResult, Cache, NextLevelStream
 from repro.caches.direct_mapped import DirectMappedCache
-from repro.caches.fully_associative import FullyAssociativeCache
 from repro.caches.set_associative import SetAssociativeCache
 from repro.core.bcache import BCache
 from repro.core.config import BCacheGeometry
@@ -114,7 +114,7 @@ def strict_capable(cache: Cache) -> bool:
     """
     return isinstance(
         cache,
-        (DirectMappedCache, SetAssociativeCache, FullyAssociativeCache, BCache),
+        (DirectMappedCache, SetAssociativeCache, BCache),
     )
 
 
@@ -362,8 +362,6 @@ class ShadowChecker:
                             f"dirty bit set on invalid line (set {index}, "
                             f"way {way})"
                         )
-        elif isinstance(cache, FullyAssociativeCache):
-            self._check_fa_structure(cache)
         else:
             self._check_flat_tags(cache)
 
@@ -371,25 +369,13 @@ class ShadowChecker:
         """Generic dirty-on-invalid check for flat ``_tags``/``_dirty``."""
         tags = getattr(cache, "_tags", None)
         dirty = getattr(cache, "_dirty", None)
-        if not isinstance(tags, list) or not isinstance(dirty, list):
+        if not (isinstance(tags, (list, array)) and isinstance(dirty, (list, bytearray))):
             return
         if len(tags) != len(dirty) or (tags and not isinstance(tags[0], int)):
             return
         for index, (tag, is_dirty) in enumerate(zip(tags, dirty)):
             if tag < 0 and is_dirty:
                 self._fail(f"dirty bit set on invalid line (set {index})")
-
-    def _check_fa_structure(self, cache: FullyAssociativeCache) -> None:
-        valid = [t for t in cache._tags if t >= 0]
-        if len(valid) != len(set(valid)):
-            self._fail("duplicate resident blocks in fully associative array")
-        for way, tag in enumerate(cache._tags):
-            if tag < 0 and cache._dirty[way]:
-                self._fail(f"dirty bit set on invalid line (way {way})")
-            if tag >= 0 and cache._where.get(tag) != way:
-                self._fail(f"reverse map out of sync for way {way}")
-        if len(cache._where) != len(valid):
-            self._fail("reverse map size disagrees with valid entry count")
 
     def _check_bcache_structure(self, cache: BCache) -> None:
         try:

@@ -131,11 +131,9 @@ class Cache(abc.ABC):
         self.name = name or type(self).__name__
         self.stats = CacheStats(num_sets=num_sets)
         #: Which kernel flavour the last access_trace batch ran on:
-        #: "native" for the compiled exact-LRU kernels
-        #: (repro.caches.native), "numpy" for the vectorised
-        #: direct-mapped kernel, "stdlib" for every Python loop (whose
-        #: columns may still come from numpy); telemetry-only, never
-        #: affects stats.
+        #: "native" for the compiled kernels (repro.caches.native),
+        #: "stdlib" for the generic per-access loop; telemetry-only,
+        #: never affects stats.
         self.last_kernel = "stdlib"
 
     # ------------------------------------------------------------------
@@ -233,8 +231,6 @@ class Cache(abc.ABC):
     def _commit_batch(
         self,
         n: int,
-        accesses_before: list[int] | None,
-        misses_before: list[int] | None,
         misses: int,
         writes: int,
         evictions: int,
@@ -243,28 +239,12 @@ class Cache(abc.ABC):
         slow_hits: int = 0,
         slow_hit_cycles: int = 0,
     ) -> CacheStats:
-        """Flush a batch kernel's local counters into :attr:`stats`.
-
-        For kernels whose loop bumps only the per-set access and miss
-        counters (hits dominate): ``accesses_before``/``misses_before``
-        are copies taken before the loop, and a set's hits are its
-        access delta minus its miss delta.  That costs O(sets) per
-        call, so kernels that may run as many short batches (an L2
-        with slow hits replays one batch per same-source run) bump
-        ``set_hits`` themselves and pass ``None``.  Misses not counted
-        in ``pd_miss`` are PD hits, as a fixed decoder always selects
-        a set.
+        """Flush a batch kernel's aggregate counters into :attr:`stats`
+        (the kernel bumps the per-set counters itself).  Misses not
+        counted in ``pd_miss`` are PD hits, as a fixed decoder always
+        selects a set.
         """
         stats = self.stats
-        if accesses_before is not None and misses_before is not None:
-            set_hits = stats.set_hits
-            set_misses = stats.set_misses
-            for set_index, accesses in enumerate(stats.set_accesses):
-                delta = accesses - accesses_before[set_index]
-                if delta:
-                    set_hits[set_index] += delta - (
-                        set_misses[set_index] - misses_before[set_index]
-                    )
         stats.accesses += n
         stats.reads += n - writes
         stats.writes += writes
@@ -291,8 +271,9 @@ class Cache(abc.ABC):
 
         Still pays one :class:`AccessResult` per reference (produced by
         the subclass), but skips the per-access wrapper and
-        ``stats.record`` call.  Organisations with a hot inner loop
-        override this with an allocation-free kernel; overrides must
+        ``stats.record`` call.  Organisations with a compiled kernel
+        (:mod:`repro.caches.native`) override this and fall back to it
+        on a host without one; overrides must
         update statistics exactly like :meth:`access` does, and fill
         ``next_level`` exactly like :meth:`NextLevelStream.recording`.
         """
@@ -332,8 +313,6 @@ class Cache(abc.ABC):
                     writebacks += 1
         return self._commit_batch(
             n,
-            None,
-            None,
             misses,
             writes,
             evictions,

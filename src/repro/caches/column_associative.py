@@ -14,16 +14,10 @@ keeping all hits at one cycle.
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
-from repro.caches.base import (
-    DEMAND,
-    WRITEBACK,
-    AccessResult,
-    Cache,
-    NextLevelStream,
-    log2_exact,
-)
+from repro.caches.base import AccessResult, Cache, NextLevelStream, log2_exact
 from repro.stats.counters import CacheStats
 
 
@@ -39,11 +33,7 @@ class ColumnAssociativeCache(Cache):
         self.index_bits = log2_exact(num_sets, "number of sets")
         self._index_mask = num_sets - 1
         self._flip = 1 << (self.index_bits - 1)
-        # Store whole block addresses: after swaps a block may live at
-        # either of its two legal sets, so a bare tag is ambiguous.
-        self._blocks = [-1] * num_sets
-        self._dirty = [False] * num_sets
-        self._rehash = [False] * num_sets
+        self._flush_state()
 
     def _primary_index(self, block: int) -> int:
         return block & self._index_mask
@@ -55,7 +45,7 @@ class ColumnAssociativeCache(Cache):
         block = self._blocks[index]
         if block < 0:
             return None, False
-        return block << self.offset_bits, self._dirty[index]
+        return block << self.offset_bits, bool(self._dirty[index])
 
     def _access_block(self, block: int, is_write: bool) -> AccessResult:
         first = self._primary_index(block)
@@ -117,99 +107,24 @@ class ColumnAssociativeCache(Cache):
         kinds: Sequence[int] | None,
         next_level: NextLevelStream | None = None,
     ) -> CacheStats:
-        """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
+        """Batch kernel (see :meth:`Cache.access_trace`): the compiled
+        kernel (:mod:`repro.caches.native`), which also fills
+        ``next_level``.  Every outcome resolves at the first-choice set."""
+        if type(self)._access_block is ColumnAssociativeCache._access_block:
+            # Imported per batch, not per module: see repro.caches.native.
+            from repro.caches import native
 
-        The four outcomes of :meth:`_access_block` are inlined: a
-        first-probe hit, a rehash-bit replacement, a second-probe swap
-        (a slow hit) and a full miss that rehashes the displaced block
-        into the alternate slot.  Every outcome resolves at the
-        first-choice set.
-        """
-        if type(self)._access_block is not ColumnAssociativeCache._access_block:
-            # A subclass customises per-access behaviour; let the generic
-            # kernel drive its _access_block override instead of this one.
-            return super()._batch_trace(addresses, kinds, next_level)
-        stats = self.stats
-        blocks = self._blocks
-        dirty = self._dirty
-        rehash = self._rehash
-        index_mask = self._index_mask
-        flip = self._flip
-        offset_bits = self.offset_bits
-        set_accesses = stats.set_accesses
-        set_hits = stats.set_hits
-        set_misses = stats.set_misses
-        n = len(addresses)
-        if kinds is None:
-            kinds = bytes(n)  # all reads
-        misses = writes = evictions = writebacks = slow_hits = 0
-        emit = None if next_level is None else next_level.emit
-        for position, address, kind in zip(range(n), addresses, kinds):
-            block = address >> offset_bits
-            first = block & index_mask
-            set_accesses[first] += 1
-            is_write = kind == 1
-            if is_write:
-                writes += 1
-            if blocks[first] == block:
-                set_hits[first] += 1
-                if is_write:
-                    dirty[first] = True
-                continue
-            if rehash[first]:
-                # Rehash-bit replacement: the first-choice slot holds a
-                # rehashed block, which leaves the cache.
-                out_slot = first
-            else:
-                second = first ^ flip
-                if blocks[second] == block:
-                    # Second-probe hit: swap into the first-choice slot
-                    # (whose rehash bit is already clear on this path).
-                    set_hits[first] += 1
-                    slow_hits += 1
-                    displaced = blocks[first]
-                    blocks[first] = block
-                    blocks[second] = displaced
-                    dirty[first], dirty[second] = (
-                        is_write or dirty[second],
-                        dirty[first],
-                    )
-                    rehash[second] = displaced >= 0
-                    continue
-                # Full miss: the alternate slot's occupant leaves, the
-                # displaced first-choice block is rehashed into it.
-                out_slot = second
-            misses += 1
-            set_misses[first] += 1
-            if emit is not None:
-                emit(position, address, DEMAND)
-            out_block = blocks[out_slot]
-            if out_block >= 0:
-                evictions += 1
-                if dirty[out_slot]:
-                    writebacks += 1
-                    if emit is not None:
-                        emit(position, out_block << offset_bits, WRITEBACK)
-            if out_slot != first:
-                displaced = blocks[first]
-                blocks[out_slot] = displaced
-                dirty[out_slot] = dirty[first]
-                rehash[out_slot] = displaced >= 0
-            blocks[first] = block
-            dirty[first] = is_write
-            rehash[first] = False
-        # Each slow hit costs one extra cycle.
-        return self._commit_batch(
-            n,
-            None,
-            None,
-            misses,
-            writes,
-            evictions,
-            writebacks,
-            slow_hits=slow_hits,
-            slow_hit_cycles=slow_hits,
-        )
+            if native.replay(
+                self,
+                "column_associative",
+                (
+                    self.offset_bits, self.index_bits, self._flip, self._blocks,
+                    self._dirty, self._rehash,
+                ),
+                addresses, kinds, next_level,
+            ) is not None:
+                return self.stats
+        return super()._batch_trace(addresses, kinds, next_level)
 
     def _probe_block(self, block: int) -> bool:
         return (
@@ -218,6 +133,8 @@ class ColumnAssociativeCache(Cache):
         )
 
     def _flush_state(self) -> None:
-        self._blocks = [-1] * self.num_sets
-        self._dirty = [False] * self.num_sets
-        self._rehash = [False] * self.num_sets
+        # Store whole block addresses: after swaps a block may live at
+        # either of its two legal sets, so a bare tag is ambiguous.
+        self._blocks = array("q", [-1]) * self.num_sets
+        self._dirty = bytearray(self.num_sets)
+        self._rehash = bytearray(self.num_sets)

@@ -1,7 +1,6 @@
 """Fully associative cache.
 
-Used directly as the victim buffer's storage (Section 2.1 / 6.6) and as
-the limiting case of the B-Cache: a fully associative cache "uses the
+The limiting case of the B-Cache: a fully associative cache "uses the
 whole tag as the decoding index" (Section 2.3), i.e. its decoder is
 entirely programmable (the HAC of Section 6.7 is the subarray-
 partitioned version of the same idea).
@@ -9,11 +8,10 @@ partitioned version of the same idea).
 
 from __future__ import annotations
 
-from repro.caches.base import AccessResult, Cache
-from repro.replacement import ReplacementPolicy, make_policy
+from repro.caches.set_associative import SetAssociativeCache
 
 
-class FullyAssociativeCache(Cache):
+class FullyAssociativeCache(SetAssociativeCache):
     """A single set holding every block; any block can live anywhere."""
 
     def __init__(
@@ -25,58 +23,7 @@ class FullyAssociativeCache(Cache):
         name: str = "",
     ) -> None:
         num_blocks = size // line_size
-        super().__init__(size, line_size, 1, name or f"FA-{num_blocks}entry")
-        self.ways = num_blocks
-        self.policy_name = policy
-        self._seed = seed
-        self._tags: list[int] = [-1] * num_blocks
-        self._dirty: list[bool] = [False] * num_blocks
-        self._where: dict[int, int] = {}
-        self._policy: ReplacementPolicy = make_policy(policy, num_blocks, seed=seed)
-
-    def _access_block(self, block: int, is_write: bool) -> AccessResult:
-        way = self._where.get(block)
-        if way is not None:
-            self._policy.touch(way)
-            if is_write:
-                self._dirty[way] = True
-            return AccessResult(hit=True, set_index=0)
-        way = self._policy.victim()
-        evicted = None
-        evicted_dirty = False
-        old = self._tags[way]
-        if old >= 0:
-            evicted = old << self.offset_bits
-            evicted_dirty = self._dirty[way]
-            del self._where[old]
-        self._tags[way] = block
-        self._dirty[way] = is_write
-        self._where[block] = way
-        self._policy.touch(way)
-        return AccessResult(
-            hit=False, set_index=0, evicted=evicted, evicted_dirty=evicted_dirty
+        super().__init__(
+            size, line_size, ways=num_blocks, policy=policy, seed=seed,
+            name=name or f"FA-{num_blocks}entry",
         )
-
-    def _probe_block(self, block: int) -> bool:
-        return block in self._where
-
-    def invalidate_block_address(self, address: int) -> bool:
-        """Remove the block containing ``address``; True if it was present.
-
-        Needed by the victim-buffer combination, which swaps blocks
-        between the main cache and the buffer.
-        """
-        block = address >> self.offset_bits
-        way = self._where.pop(block, None)
-        if way is None:
-            return False
-        self._tags[way] = -1
-        self._dirty[way] = False
-        self._policy.invalidate(way)
-        return True
-
-    def _flush_state(self) -> None:
-        self._tags = [-1] * self.ways
-        self._dirty = [False] * self.ways
-        self._where.clear()
-        self._policy = make_policy(self.policy_name, self.ways, seed=self._seed)

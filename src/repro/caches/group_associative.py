@@ -307,8 +307,6 @@ class GroupAssociativeCache(Cache):
         # Each relocated hit costs two extra cycles.
         return self._commit_batch(
             n,
-            None,
-            None,
             misses,
             writes,
             evictions,

@@ -1,15 +1,15 @@
-"""Compiled exact-LRU batch kernels (``lru_kernels.c``), built on first use.
+"""Compiled batch kernels (``kernels.c``), built on first use.
 
-:func:`load` compiles the source with ``cc -O2 -shared -fPIC`` into
+:func:`load` compiles the source with ``cc -O3 -shared -fPIC`` into
 ``$XDG_CACHE_HOME/bcache-repro/native/<key>.so``, keyed by the sha256
 of the source, the flags and the platform tag, and loads it with
 ``ctypes``.  The build writes a temporary file and renames it into
 place, so processes building at once each load a whole library.  With
 no ``cc`` on ``PATH``, an unwritable cache directory or a failed build
-it logs once and returns ``None``, and exact LRU replays through the
-per-access ``Cache._batch_trace``.  Like :mod:`repro.caches.columnar`,
-this module is imported per batch: a process that replays no batch
-never loads ``ctypes`` or the library.
+it logs once and returns ``None``, and every organisation replays
+through the per-access ``Cache._batch_trace``.  Like
+:mod:`repro.caches.columnar`, this module is imported per batch: a
+process that replays no batch never loads ``ctypes`` or the library.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import shutil
 import subprocess
 import tempfile
 from array import array
+from operator import add, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -37,9 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 log = logging.getLogger("repro.caches.native")
 
-SOURCE = Path(__file__).with_name("lru_kernels.c")
-FLAGS = ("-O2", "-shared", "-fPIC")
-KERNELS = ("set_associative_lru", "bcache_lru")
+SOURCE = Path(__file__).with_name("kernels.c")
+FLAGS = ("-O3", "-shared", "-fPIC")
+KERNELS = (
+    "set_associative", "bcache", "victim_buffer", "column_associative",
+    "skewed_associative",
+)
 
 #: The kernels' ``out`` counters (the C enum).
 CLOCK, MISSES, WRITES, EVICTIONS, WRITEBACKS, PD_MISSES = range(6)
@@ -64,8 +68,8 @@ def load() -> ctypes.CDLL | None:
         try:
             _library = _open(library_path())
         except (OSError, AttributeError, subprocess.SubprocessError) as exc:
-            log.warning("compiled LRU kernels unavailable, exact LRU "
-                        "replays per access: %s", exc)
+            log.warning("compiled kernels unavailable, batches replay "
+                        "per access: %s", exc)
             _library = None
     return _library
 
@@ -129,13 +133,15 @@ def replay(
     addresses: Sequence[int],
     kinds: Sequence[int] | None,
     next_level: "NextLevelStream | None",
+    clock: int = 0,
 ) -> list[int] | None:
     """Run one batch through compiled ``kernel``; ``None`` without them.
 
     ``args`` are the kernel's own arguments: integers and the cache's
-    state columns (updated in place) or ``None``.  Commits the counters
-    to ``cache.stats``, the LRU clock to ``cache._clock`` and the
-    references sent below to ``next_level``; returns the counters.
+    state columns (updated in place) or ``None``; ``clock`` is the
+    kernel's clock going in, ``counters[CLOCK]`` coming out.  Commits
+    the counters to ``cache.stats`` and the references sent below to
+    ``next_level``; returns the counters.
     """
     library = load()
     if library is None:
@@ -148,7 +154,7 @@ def replay(
     )
     num_sets = cache.num_sets
     out = array("q", bytes(8 * (COUNTERS + 3 * num_sets)))
-    out[CLOCK] = cache._clock  # type: ignore[attr-defined]
+    out[CLOCK] = clock
     streams: Any = (None, None, None)
     if next_level is not None:
         streams = (array("q", bytes(16 * n)), array("Q", bytes(16 * n)),
@@ -160,16 +166,23 @@ def replay(
     ])
     getattr(library, kernel)(argument.buffer_info()[0])
     counters = out[:COUNTERS].tolist()
-    cache._clock = counters[CLOCK]  # type: ignore[attr-defined]
     stats = cache.stats
     misses_at = COUNTERS + num_sets
-    for index in out[misses_at + num_sets:misses_at + num_sets + counters[TOUCHED]]:
-        accessed, missed = out[COUNTERS + index], out[misses_at + index]
-        stats.set_accesses[index] += accessed
-        stats.set_hits[index] += accessed - missed
-        stats.set_misses[index] += missed
+    touched = counters[TOUCHED]
+    if 4 * touched > num_sets:
+        # Most sets touched: one C-level pass over each column.
+        accesses, misses = out[COUNTERS:misses_at], out[misses_at:misses_at + num_sets]
+        stats.set_accesses[:] = map(add, stats.set_accesses, accesses)
+        stats.set_hits[:] = map(add, stats.set_hits, map(sub, accesses, misses))
+        stats.set_misses[:] = map(add, stats.set_misses, misses)
+    else:
+        for index in out[misses_at + num_sets:misses_at + num_sets + touched]:
+            accessed, missed = out[COUNTERS + index], out[misses_at + index]
+            stats.set_accesses[index] += accessed
+            stats.set_hits[index] += accessed - missed
+            stats.set_misses[index] += missed
     cache._commit_batch(
-        n, None, None, counters[MISSES], counters[WRITES], counters[EVICTIONS],
+        n, counters[MISSES], counters[WRITES], counters[EVICTIONS],
         counters[WRITEBACKS], pd_miss=counters[PD_MISSES],
         slow_hits=counters[SLOW_HITS], slow_hit_cycles=counters[SLOW_HIT_CYCLES],
     )

@@ -228,9 +228,7 @@ class PageColoringCache(Cache):
                         emit(position, resident << offset_bits, WRITEBACK)
             blocks[index] = block
             dirty[index] = is_write
-        return self._commit_batch(
-            n, None, None, misses, writes, evictions, writebacks
-        )
+        return self._commit_batch(n, misses, writes, evictions, writebacks)
 
     def _probe_block(self, block: int) -> bool:
         return self._blocks[self._index_of(block)] == block

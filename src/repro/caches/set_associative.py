@@ -17,7 +17,7 @@ from repro.caches.base import (
     NextLevelStream,
     log2_exact,
 )
-from repro.replacement import ReplacementPolicy, make_policy
+from repro.replacement import Replacement
 from repro.stats.counters import CacheStats
 
 #: The compiled kernel's encoding of :attr:`SetAssociativeCache.way_prediction`.
@@ -28,13 +28,12 @@ class SetAssociativeCache(Cache):
     """N-way set-associative cache with a pluggable replacement policy.
 
     State is kept in flat columns indexed by line, ``set * ways + way``:
-    ``_tags`` (``-1`` for an invalid line) and ``_dirty``.  Exact LRU
-    keeps one recency stamp per line in ``_stamps``, the value of
-    ``_clock`` at the line's last touch, and builds no policy objects;
-    the other policies keep one object per set in ``_policies``.
+    ``_tags`` (``-1`` for an invalid line) and ``_dirty``, beside the
+    policy's columns in ``_replacement`` (a set is a replacement
+    domain).
     """
 
-    #: The way prediction the compiled exact-LRU kernel applies in place
+    #: The way prediction the compiled kernel applies in place
     #: of ``_access_block``: "" none, "pam" partial address matching,
     #: "psa" predictive sequential.  Declared by the class that defines
     #: the ``_access_block`` it stands for (see :meth:`_batch_trace`).
@@ -65,28 +64,9 @@ class SetAssociativeCache(Cache):
         self._seed = seed
         self._flush_state()
 
-    def _touch(self, line: int) -> None:
-        """Record a reference to ``line`` (a hit or a fill)."""
-        if self._policies:
-            self._policies[line // self.ways].touch(line % self.ways)
-        else:
-            self._clock += 1
-            self._stamps[line] = self._clock
-
-    def _victim(self, index: int) -> int:
-        """The line of set ``index`` the policy evicts next."""
-        base = index * self.ways
-        if self._policies:
-            return base + self._policies[index].victim()
-        stamps = self._stamps[base:base + self.ways]
-        return base + stamps.index(min(stamps))
-
     def recency_order(self, index: int) -> tuple[int, ...]:
         """Set ``index``'s ways under exact LRU, most recently used first."""
-        base = index * self.ways
-        return tuple(
-            sorted(range(self.ways), key=lambda way: -self._stamps[base + way])
-        )
+        return self._replacement.order(index)
 
     def _access_block(self, block: int, is_write: bool) -> AccessResult:
         index = block & self._index_mask
@@ -96,9 +76,9 @@ class SetAssociativeCache(Cache):
         try:
             line = tags.index(tag, base, base + self.ways)
         except ValueError:
-            line = self._victim(index)
+            line = base + self._replacement.victim(index)
         else:
-            self._touch(line)
+            self._replacement.touch(index, line - base)
             if is_write:
                 self._dirty[line] = True
             return AccessResult(hit=True, set_index=index)
@@ -109,7 +89,7 @@ class SetAssociativeCache(Cache):
             evicted_dirty = bool(self._dirty[line])
         tags[line] = tag
         self._dirty[line] = is_write
-        self._touch(line)
+        self._replacement.touch(index, line - base)
         return AccessResult(
             hit=False, set_index=index, evicted=evicted, evicted_dirty=evicted_dirty
         )
@@ -120,84 +100,36 @@ class SetAssociativeCache(Cache):
         kinds: Sequence[int] | None,
         next_level: NextLevelStream | None = None,
     ) -> CacheStats:
-        """Batch kernel (see :meth:`Cache.access_trace`).
-
-        Exact LRU runs the compiled kernel (:mod:`repro.caches.native`),
-        which also applies a way-predicting subclass's slow-hit rule
-        (see :attr:`way_prediction`) and fills ``next_level``.  Other
-        policies run the loop below on plain batches.
-        """
+        """Batch kernel (see :meth:`Cache.access_trace`): the compiled
+        kernel (:mod:`repro.caches.native`), which also applies a
+        way-predicting subclass's slow-hit rule (see
+        :attr:`way_prediction`) and fills ``next_level``."""
         # The class that defines _access_block names the way prediction
         # the compiled kernel models in its place; a subclass that
         # overrides _access_block without naming one gets the generic
         # kernel.
         owner = next(c for c in type(self).__mro__ if "_access_block" in vars(c))
         prediction = vars(owner).get("way_prediction")
-        if prediction is not None and not self._policies:
+        if prediction is not None:
             # Imported per batch, not per module: see repro.caches.native.
             from repro.caches import native
 
-            if native.replay(
+            replacement = self._replacement
+            counters = native.replay(
                 self,
-                "set_associative_lru",
+                "set_associative",
                 (
-                    self.offset_bits, self.index_bits, self.ways,
-                    self._tags, self._dirty, self._stamps,
-                    _PREDICTIONS[prediction], getattr(self, "_pad_mask", 0),
-                    getattr(self, "_mru", None),
+                    self.offset_bits, self.index_bits, self.ways, self._tags,
+                    self._dirty, _PREDICTIONS[prediction],
+                    getattr(self, "_pad_mask", 0), getattr(self, "_mru", None),
+                    *replacement.kernel_args(),
                 ),
-                addresses, kinds, next_level,
-            ) is not None:
+                addresses, kinds, next_level, replacement.clock,
+            )
+            if counters is not None:
+                replacement.clock = counters[native.CLOCK]
                 return self.stats
-        if prediction != "" or next_level is not None or not self._policies:
-            return super()._batch_trace(addresses, kinds, next_level)
-        stats = self.stats
-        tags, dirty, policies, ways = self._tags, self._dirty, self._policies, self.ways
-        index_mask, index_bits = self._index_mask, self.index_bits
-        set_misses = stats.set_misses
-        n = len(addresses)
-        # Imported per batch, not per module: see repro.caches.columnar.
-        from repro.caches import columnar
-
-        block_column, counts = columnar.block_columns(
-            addresses, self.offset_bits, index_mask, self.num_sets
-        )
-        # Hits dominate: the loop only bumps per-set misses; per-set
-        # hits follow from the counts of the sets the batch touched.
-        sets = columnar.add_set_counts(stats.set_accesses, counts)
-        misses_before = [set_misses[index] for index in sets]
-        # One {block: line} map resolves a hit with a single probe.
-        lookup = {
-            (tag << index_bits) | (line // ways): line
-            for line, tag in enumerate(tags)
-            if tag >= 0
-        }
-        misses = writes = evictions = writebacks = 0
-        for block, kind in zip(block_column, bytes(n) if kinds is None else kinds):
-            try:
-                line = lookup[block]
-                policies[line // ways].touch(line % ways)
-                if kind == 1:
-                    writes += 1
-                    dirty[line] = True
-            except KeyError:
-                index = block & index_mask
-                misses += 1
-                set_misses[index] += 1
-                policy = policies[index]
-                line = index * ways + policy.victim()
-                policy.touch(line % ways)
-                if tags[line] >= 0:
-                    evictions += 1
-                    writebacks += dirty[line]
-                    del lookup[(tags[line] << index_bits) | index]
-                lookup[block] = line
-                tags[line] = block >> index_bits
-                dirty[line] = kind == 1
-                writes += kind == 1
-        for index, missed_before in zip(sets, misses_before):
-            stats.set_hits[index] += int(counts[index]) - (set_misses[index] - missed_before)
-        return self._commit_batch(n, None, None, misses, writes, evictions, writebacks)
+        return super()._batch_trace(addresses, kinds, next_level)
 
     def _probe_block(self, block: int) -> bool:
         base = (block & self._index_mask) * self.ways
@@ -207,15 +139,6 @@ class SetAssociativeCache(Cache):
         lines = self.num_sets * self.ways
         self._tags = array("q", [-1]) * lines
         self._dirty = bytearray(lines)
-        # A fresh LRU order lists the ways in order, so a cold set fills
-        # its highest way first and way 0 last.
-        self._stamps = array("q", [-way for way in range(self.ways)]) * self.num_sets
-        self._clock = 0
-        self._policies: list[ReplacementPolicy] = (
-            []
-            if self.policy_name.lower() == "lru"
-            else [
-                make_policy(self.policy_name, self.ways, seed=self._seed + index)
-                for index in range(self.num_sets)
-            ]
+        self._replacement = Replacement(
+            self.policy_name, self.ways, self.num_sets, seed=self._seed
         )

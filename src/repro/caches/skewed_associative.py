@@ -12,16 +12,10 @@ are not invertible from (way, set, tag) alone in a uniform way.
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
-from repro.caches.base import (
-    DEMAND,
-    WRITEBACK,
-    AccessResult,
-    Cache,
-    NextLevelStream,
-    log2_exact,
-)
+from repro.caches.base import AccessResult, Cache, NextLevelStream, log2_exact
 from repro.stats.counters import CacheStats
 
 
@@ -32,7 +26,15 @@ def _rotate_left(value: int, amount: int, width: int) -> int:
 
 
 class SkewedAssociativeCache(Cache):
-    """N-way skewed-associative cache with per-way XOR hashing."""
+    """N-way skewed-associative cache with per-way XOR hashing.
+
+    State is kept in flat columns indexed by frame,
+    ``way * sets_per_way + index``: ``_blocks`` (``-1`` for an empty
+    frame), ``_dirty`` and ``_last_touch``, the value of ``_clock``
+    (advanced on every reference) at the frame's last touch.  A miss
+    evicts the first empty candidate frame, else the least recently
+    touched one, ties going to the lowest way.
+    """
 
     def __init__(
         self,
@@ -52,13 +54,7 @@ class SkewedAssociativeCache(Cache):
         self.sets_per_way = sets_per_way
         self.index_bits = log2_exact(sets_per_way, "sets per way")
         self._mask = sets_per_way - 1
-        self._blocks = [[-1] * sets_per_way for _ in range(ways)]
-        self._dirty = [[False] * sets_per_way for _ in range(ways)]
-        # Per (way, set) pseudo-time of last touch: a miss evicts the
-        # least recently touched candidate frame, ties going to the
-        # lowest way.
-        self._last_touch = [[-1] * sets_per_way for _ in range(ways)]
-        self._clock = 0
+        self._flush_state()
 
     def skew_index(self, block: int, way: int) -> int:
         """Seznec-style skewing.
@@ -75,32 +71,33 @@ class SkewedAssociativeCache(Cache):
 
     def _access_block(self, block: int, is_write: bool) -> AccessResult:
         self._clock += 1
-        indices = [self.skew_index(block, way) for way in range(self.ways)]
-        for way, index in enumerate(indices):
-            if self._blocks[way][index] == block:
+        blocks = self._blocks
+        frames = [
+            way * self.sets_per_way + self.skew_index(block, way)
+            for way in range(self.ways)
+        ]
+        for frame in frames:
+            if blocks[frame] == block:
                 if is_write:
-                    self._dirty[way][index] = True
-                self._last_touch[way][index] = self._clock
-                return AccessResult(hit=True, set_index=index)
+                    self._dirty[frame] = True
+                self._last_touch[frame] = self._clock
+                return AccessResult(hit=True, set_index=frame & self._mask)
 
         # Miss: prefer an empty frame, otherwise evict the least
         # recently touched candidate frame.
-        empty = [w for w, i in enumerate(indices) if self._blocks[w][i] < 0]
-        if empty:
-            way = empty[0]
-        else:
-            way = min(range(self.ways), key=lambda w: self._last_touch[w][indices[w]])
-        index = indices[way]
+        empty = [frame for frame in frames if blocks[frame] < 0]
+        frame = empty[0] if empty else min(frames, key=self._last_touch.__getitem__)
         evicted = None
         evicted_dirty = False
-        if self._blocks[way][index] >= 0:
-            evicted = self._blocks[way][index] << self.offset_bits
-            evicted_dirty = self._dirty[way][index]
-        self._blocks[way][index] = block
-        self._dirty[way][index] = is_write
-        self._last_touch[way][index] = self._clock
+        if blocks[frame] >= 0:
+            evicted = blocks[frame] << self.offset_bits
+            evicted_dirty = bool(self._dirty[frame])
+        blocks[frame] = block
+        self._dirty[frame] = is_write
+        self._last_touch[frame] = self._clock
         return AccessResult(
-            hit=False, set_index=index, evicted=evicted, evicted_dirty=evicted_dirty
+            hit=False, set_index=frame & self._mask, evicted=evicted,
+            evicted_dirty=evicted_dirty,
         )
 
     def _batch_trace(
@@ -109,114 +106,36 @@ class SkewedAssociativeCache(Cache):
         kinds: Sequence[int] | None,
         next_level: NextLevelStream | None = None,
     ) -> CacheStats:
-        """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
+        """Batch kernel (see :meth:`Cache.access_trace`): the compiled
+        kernel (:mod:`repro.caches.native`), which also fills
+        ``next_level``."""
+        if type(self)._access_block is SkewedAssociativeCache._access_block:
+            # Imported per batch, not per module: see repro.caches.native.
+            from repro.caches import native
 
-        One loop for any number of ways: way 0 is probed first, then
-        each further way at its :meth:`skew_index`, while the same scan
-        picks the victim :meth:`_access_block` would (the first empty
-        frame, otherwise the least recently touched, lowest way first).
-        """
-        if type(self)._access_block is not SkewedAssociativeCache._access_block:
-            # A subclass customises per-access behaviour; let the generic
-            # kernel drive its _access_block override instead of this one.
-            return super()._batch_trace(addresses, kinds, next_level)
-        stats = self.stats
-        blocks = self._blocks
-        dirty = self._dirty
-        last_touch = self._last_touch
-        blocks0 = blocks[0]
-        dirty0 = dirty[0]
-        touch0 = last_touch[0]
-        mask = self._mask
-        index_bits = self.index_bits
-        offset_bits = self.offset_bits
-        # Way w > 0 XORs the index with the tag slice rotated left by
-        # (w - 1) bits, as in skew_index.
-        skewed_ways = []
-        for way in range(1, self.ways):
-            rotate = (way - 1) % index_bits
-            skewed_ways.append(
-                (way, blocks[way], last_touch[way], rotate, index_bits - rotate)
+            counters = native.replay(
+                self,
+                "skewed_associative",
+                (
+                    self.offset_bits, self.index_bits, self.ways, self._blocks,
+                    self._dirty, self._last_touch,
+                ),
+                addresses, kinds, next_level, self._clock,
             )
-        set_accesses = stats.set_accesses
-        set_misses = stats.set_misses
-        accesses_before = set_accesses.copy()
-        misses_before = set_misses.copy()
-        n = len(addresses)
-        if kinds is None:
-            kinds = bytes(n)  # all reads
-        clock = self._clock
-        misses = writes = evictions = writebacks = 0
-        emit = None if next_level is None else next_level.emit
-        for position, address, kind in zip(range(n), addresses, kinds):
-            block = address >> offset_bits
-            clock += 1
-            is_write = kind == 1
-            if is_write:
-                writes += 1
-            index = block & mask
-            if blocks0[index] == block:
-                set_accesses[index] += 1
-                touch0[index] = clock
-                if is_write:
-                    dirty0[index] = True
-                continue
-            slice_bits = (block >> index_bits) & mask
-            victim = 0
-            victim_index = index
-            empty = blocks0[index] < 0
-            oldest = touch0[index]
-            for way, way_blocks, way_touch, left, right in skewed_ways:
-                way_index = index ^ (
-                    ((slice_bits << left) | (slice_bits >> right)) & mask
-                )
-                resident = way_blocks[way_index]
-                if resident == block:
-                    set_accesses[way_index] += 1
-                    way_touch[way_index] = clock
-                    if is_write:
-                        dirty[way][way_index] = True
-                    break
-                if not empty:
-                    if resident < 0:
-                        empty = True
-                        victim = way
-                        victim_index = way_index
-                    elif way_touch[way_index] < oldest:
-                        oldest = way_touch[way_index]
-                        victim = way
-                        victim_index = way_index
-            else:
-                misses += 1
-                set_accesses[victim_index] += 1
-                set_misses[victim_index] += 1
-                if emit is not None:
-                    emit(position, address, DEMAND)
-                victim_blocks = blocks[victim]
-                victim_dirty = dirty[victim]
-                resident = victim_blocks[victim_index]
-                if resident >= 0:
-                    evictions += 1
-                    if victim_dirty[victim_index]:
-                        writebacks += 1
-                        if emit is not None:
-                            emit(position, resident << offset_bits, WRITEBACK)
-                victim_blocks[victim_index] = block
-                victim_dirty[victim_index] = is_write
-                last_touch[victim][victim_index] = clock
-        self._clock = clock
-        return self._commit_batch(
-            n, accesses_before, misses_before, misses, writes, evictions, writebacks
-        )
+            if counters is not None:
+                self._clock = counters[native.CLOCK]
+                return self.stats
+        return super()._batch_trace(addresses, kinds, next_level)
 
     def _probe_block(self, block: int) -> bool:
-        for way in range(self.ways):
-            if self._blocks[way][self.skew_index(block, way)] == block:
-                return True
-        return False
+        return any(
+            self._blocks[way * self.sets_per_way + self.skew_index(block, way)] == block
+            for way in range(self.ways)
+        )
 
     def _flush_state(self) -> None:
-        self._blocks = [[-1] * self.sets_per_way for _ in range(self.ways)]
-        self._dirty = [[False] * self.sets_per_way for _ in range(self.ways)]
-        self._last_touch = [[-1] * self.sets_per_way for _ in range(self.ways)]
+        frames = self.ways * self.sets_per_way
+        self._blocks = array("q", [-1]) * frames
+        self._dirty = bytearray(frames)
+        self._last_touch = array("q", [-1]) * frames
         self._clock = 0

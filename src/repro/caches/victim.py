@@ -11,22 +11,23 @@ The evaluated configuration is 16 entries with 32-byte lines.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from array import array
 from typing import Sequence
 
-from repro.caches.base import (
-    DEMAND,
-    WRITEBACK,
-    AccessResult,
-    Cache,
-    NextLevelStream,
-    log2_exact,
-)
+from repro.caches.base import AccessResult, Cache, NextLevelStream, log2_exact
 from repro.stats.counters import CacheStats
 
 
 class VictimBufferCache(Cache):
-    """Direct-mapped main cache backed by a small fully associative buffer."""
+    """Direct-mapped main cache backed by a small fully associative buffer.
+
+    The main cache is the flat ``_tags``/``_dirty`` columns of a
+    direct-mapped cache; the buffer is ``victim_entries`` entries of
+    ``_buffer_blocks`` (block number, ``-1`` for a free entry),
+    ``_buffer_dirty`` and ``_buffer_stamps``, the value of ``_clock``
+    when the block entered.  A block lives in the main cache or in the
+    buffer, never both; a full buffer drops its oldest entry.
+    """
 
     #: A buffer hit swaps the block in: one extra cycle.
     has_slow_hits = True
@@ -47,62 +48,55 @@ class VictimBufferCache(Cache):
         self.victim_entries = victim_entries
         self.index_bits = log2_exact(num_sets, "number of sets")
         self._index_mask = num_sets - 1
-        self._tags = [-1] * num_sets
-        self._dirty = [False] * num_sets
-        # Victim buffer: block -> dirty flag, insertion-ordered (LRU via
-        # move-to-end on hit).
-        self._buffer: OrderedDict[int, bool] = OrderedDict()
+        self._flush_state()
 
     # ------------------------------------------------------------------
-    def _buffer_insert(self, block: int, dirty: bool) -> tuple[int | None, bool]:
-        """Insert a block into the buffer; return any evicted (block, dirty)."""
-        evicted: tuple[int | None, bool] = (None, False)
-        if block in self._buffer:
-            self._buffer[block] = self._buffer[block] or dirty
-            self._buffer.move_to_end(block)
-            return evicted
-        if len(self._buffer) >= self.victim_entries:
-            old_block, old_dirty = next(iter(self._buffer.items()))
-            del self._buffer[old_block]
-            evicted = (old_block, old_dirty)
-        self._buffer[block] = dirty
-        return evicted
+    def _buffer_insert(self, entry: int, block: int, dirty: bool) -> None:
+        """Put ``block`` in buffer ``entry`` as the newest entry."""
+        self._buffer_blocks[entry] = block
+        self._buffer_dirty[entry] = dirty
+        self._clock += 1
+        self._buffer_stamps[entry] = self._clock
 
     def _access_block(self, block: int, is_write: bool) -> AccessResult:
         index = block & self._index_mask
         tag = block >> self.index_bits
-        if self._tags[index] == tag:
+        tags, dirty = self._tags, self._dirty
+        resident = tags[index]
+        if resident == tag:
             if is_write:
-                self._dirty[index] = True
+                dirty[index] = True
             return AccessResult(hit=True, set_index=index)
-
-        displaced_block = None
-        displaced_dirty = False
-        if self._tags[index] >= 0:
-            displaced_block = (self._tags[index] << self.index_bits) | index
-            displaced_dirty = self._dirty[index]
-
-        if block in self._buffer:
+        displaced = (resident << self.index_bits) | index
+        displaced_dirty = bool(dirty[index])
+        blocks = self._buffer_blocks
+        if block in blocks:
             # Victim-buffer hit: swap the block into the main cache.
-            buffered_dirty = self._buffer.pop(block)
-            self._tags[index] = tag
-            self._dirty[index] = buffered_dirty or is_write
-            if displaced_block is not None:
-                self._buffer_insert(displaced_block, displaced_dirty)
+            entry = blocks.index(block)
+            tags[index] = tag
+            dirty[index] = self._buffer_dirty[entry] or is_write
+            blocks[entry] = -1
+            self._buffer_dirty[entry] = False
+            if resident >= 0:
+                self._buffer_insert(entry, displaced, displaced_dirty)
             # Swaps never write anything back to the next level.
             return AccessResult(hit=True, set_index=index, extra_cycles=1)
 
         # Full miss: refill the main cache, displaced block enters the
-        # buffer, and the buffer's LRU block (if any) leaves the system.
-        self._tags[index] = tag
-        self._dirty[index] = is_write
+        # buffer, and the buffer's oldest block (if full) leaves the system.
+        tags[index] = tag
+        dirty[index] = is_write
         evicted = None
         evicted_dirty = False
-        if displaced_block is not None:
-            out_block, out_dirty = self._buffer_insert(displaced_block, displaced_dirty)
-            if out_block is not None:
-                evicted = out_block << self.offset_bits
-                evicted_dirty = out_dirty
+        if resident >= 0:
+            if -1 in blocks:
+                entry = blocks.index(-1)
+            else:
+                stamps = self._buffer_stamps
+                entry = min(range(self.victim_entries), key=stamps.__getitem__)
+                evicted = blocks[entry] << self.offset_bits
+                evicted_dirty = bool(self._buffer_dirty[entry])
+            self._buffer_insert(entry, displaced, displaced_dirty)
         return AccessResult(
             hit=False, set_index=index, evicted=evicted, evicted_dirty=evicted_dirty
         )
@@ -113,95 +107,38 @@ class VictimBufferCache(Cache):
         kinds: Sequence[int] | None,
         next_level: NextLevelStream | None = None,
     ) -> CacheStats:
-        """Allocation-free batch kernel (see :meth:`Cache.access_trace`).
+        """Batch kernel (see :meth:`Cache.access_trace`): the compiled
+        kernel (:mod:`repro.caches.native`), which also fills
+        ``next_level``."""
+        if type(self)._access_block is VictimBufferCache._access_block:
+            # Imported per batch, not per module: see repro.caches.native.
+            from repro.caches import native
 
-        The direct-mapped hit path is inlined; a main-cache miss works
-        on the buffer directly: a swap-in is a slow hit, a buffer
-        overflow is the eviction (and writeback) a full miss causes.
-        """
-        if type(self)._access_block is not VictimBufferCache._access_block:
-            # A subclass customises per-access behaviour; let the generic
-            # kernel drive its _access_block override instead of this one.
-            return super()._batch_trace(addresses, kinds, next_level)
-        stats = self.stats
-        tags = self._tags
-        dirty = self._dirty
-        buffer = self._buffer
-        victim_entries = self.victim_entries
-        index_mask = self._index_mask
-        index_bits = self.index_bits
-        offset_bits = self.offset_bits
-        tag_shift = offset_bits + index_bits
-        set_accesses = stats.set_accesses
-        set_hits = stats.set_hits
-        set_misses = stats.set_misses
-        n = len(addresses)
-        if kinds is None:
-            kinds = bytes(n)  # all reads
-        misses = writes = evictions = writebacks = slow_hits = 0
-        emit = None if next_level is None else next_level.emit
-        for position, address, kind in zip(range(n), addresses, kinds):
-            index = (address >> offset_bits) & index_mask
-            tag = address >> tag_shift
-            set_accesses[index] += 1
-            resident = tags[index]
-            is_write = kind == 1
-            if is_write:
-                writes += 1
-            if resident == tag:
-                set_hits[index] += 1
-                if is_write:
-                    dirty[index] = True
-                continue
-            block = address >> offset_bits
-            if block in buffer:
-                # Swap-in: the buffer always has room for the displaced
-                # block once this one leaves it, so nothing is evicted.
-                set_hits[index] += 1
-                slow_hits += 1
-                buffered_dirty = buffer.pop(block)
-                if resident >= 0:
-                    buffer[(resident << index_bits) | index] = dirty[index]
-                tags[index] = tag
-                dirty[index] = buffered_dirty or is_write
-                continue
-            misses += 1
-            set_misses[index] += 1
-            if emit is not None:
-                emit(position, address, DEMAND)
-            if resident >= 0:
-                # A block lives in the main cache or in the buffer, never
-                # both, so the displaced block is a new buffer entry.
-                if len(buffer) >= victim_entries:
-                    out_block, out_dirty = buffer.popitem(last=False)
-                    evictions += 1
-                    if out_dirty:
-                        writebacks += 1
-                        if emit is not None:
-                            emit(position, out_block << offset_bits, WRITEBACK)
-                buffer[(resident << index_bits) | index] = dirty[index]
-            tags[index] = tag
-            dirty[index] = is_write
-        # Each slow hit costs one extra cycle.
-        return self._commit_batch(
-            n,
-            None,
-            None,
-            misses,
-            writes,
-            evictions,
-            writebacks,
-            slow_hits=slow_hits,
-            slow_hit_cycles=slow_hits,
-        )
+            counters = native.replay(
+                self,
+                "victim_buffer",
+                (
+                    self.offset_bits, self.index_bits, self._tags, self._dirty,
+                    self.victim_entries, self._buffer_blocks, self._buffer_dirty,
+                    self._buffer_stamps,
+                ),
+                addresses, kinds, next_level, self._clock,
+            )
+            if counters is not None:
+                self._clock = counters[native.CLOCK]
+                return self.stats
+        return super()._batch_trace(addresses, kinds, next_level)
 
     def _probe_block(self, block: int) -> bool:
         index = block & self._index_mask
         if self._tags[index] == block >> self.index_bits:
             return True
-        return block in self._buffer
+        return block in self._buffer_blocks
 
     def _flush_state(self) -> None:
-        self._tags = [-1] * self.num_sets
-        self._dirty = [False] * self.num_sets
-        self._buffer.clear()
+        self._tags = array("q", [-1]) * self.num_sets
+        self._dirty = bytearray(self.num_sets)
+        self._buffer_blocks = array("q", [-1]) * self.victim_entries
+        self._buffer_dirty = bytearray(self.victim_entries)
+        self._buffer_stamps = array("q", [0]) * self.victim_entries
+        self._clock = 0

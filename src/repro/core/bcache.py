@@ -28,7 +28,7 @@ from typing import Sequence
 from repro.caches.base import AccessResult, Cache, NextLevelStream
 from repro.core.config import BCacheGeometry
 from repro.core.decoder import ProgrammableDecoderBank
-from repro.replacement import ReplacementPolicy, make_policy
+from repro.replacement import Replacement
 from repro.stats.counters import CacheStats
 
 
@@ -37,10 +37,8 @@ class BCache(Cache):
 
     State is kept in flat columns indexed by physical set: ``_tags``
     (``-1`` for an invalid block) and ``_dirty``, beside the decoder's
-    PD column.  Exact LRU keeps one recency stamp per set in
-    ``_stamps``, the value of ``_clock`` at the set's last touch, and
-    builds no policy objects; the other policies keep one object per
-    row in ``_policies``.
+    PD column and the policy's columns in ``_replacement`` (a row is a
+    replacement domain, its clusters the ways).
 
     Args:
         geometry: validated design point (size, line, MF, BAS).
@@ -75,26 +73,9 @@ class BCache(Cache):
         self._flush_state()
 
     # ------------------------------------------------------------------
-    def _touch(self, row: int, cluster: int) -> None:
-        """Record a reference to (row, cluster), a hit or a fill."""
-        if self._policies:
-            self._policies[row].touch(cluster)
-        else:
-            self._clock += 1
-            self._stamps[self.geometry.set_index(row, cluster)] = self._clock
-
-    def _victim(self, row: int, candidates: list[int]) -> int:
-        """The cluster the policy evicts next, among ``candidates`` if any."""
-        if self._policies:
-            policy = self._policies[row]
-            return policy.victim_among(candidates) if candidates else policy.victim()
-        stamps = self._stamps[row::self.geometry.num_rows]
-        return min(candidates or range(len(stamps)), key=lambda cluster: stamps[cluster])
-
     def recency_order(self, row: int) -> tuple[int, ...]:
         """Row ``row``'s clusters under exact LRU, most recently used first."""
-        stamps = self._stamps[row::self.geometry.num_rows]
-        return tuple(sorted(range(len(stamps)), key=lambda cluster: -stamps[cluster]))
+        return self._replacement.order(row)
 
     def _replace(
         self, row: int, cluster: int, pi: int, tag: int, is_write: bool, pd_hit: bool
@@ -118,7 +99,7 @@ class BCache(Cache):
         self._dirty[set_index] = is_write
         if self.decoder.value_at(row, cluster) != pi:
             self.decoder.program(row, cluster, pi)
-        self._touch(row, cluster)
+        self._replacement.touch(row, cluster)
         return result
 
     def _access_block(self, block: int, is_write: bool) -> AccessResult:
@@ -132,7 +113,7 @@ class BCache(Cache):
             set_index = geometry.set_index(row, cluster)
             if self._tags[set_index] == tag:
                 # One-cycle hit: exactly one word line fired.
-                self._touch(row, cluster)
+                self._replacement.touch(row, cluster)
                 if is_write:
                     self._dirty[set_index] = True
                 return AccessResult(hit=True, set_index=set_index)
@@ -144,7 +125,8 @@ class BCache(Cache):
         # Scenario 1/3: PD miss — the miss is predetermined; choose the
         # victim from all BAS clusters (invalid PD entries first, then
         # the replacement policy).
-        cluster = self._victim(row, self.decoder.invalid_clusters(row))
+        invalid = self.decoder.invalid_clusters(row)
+        cluster = self._replacement.victim(row, invalid or None)
         return self._replace(row, cluster, pi, tag, is_write, pd_hit=False)
 
     def _batch_trace(
@@ -153,120 +135,34 @@ class BCache(Cache):
         kinds: Sequence[int] | None,
         next_level: NextLevelStream | None = None,
     ) -> CacheStats:
-        """Batch kernel (see :meth:`Cache.access_trace`).
-
-        Exact LRU runs the compiled kernel (:mod:`repro.caches.native`),
-        which also fills ``next_level``.  Other policies run the loop
-        below on plain batches: the one-cycle-hit path (PD hit + tag
-        match) is inlined, with no ``PDMatch``, no ``AccessResult`` and
-        no tuple from ``decompose_block``; misses update the state
-        inline and the policy objects.
-        """
-        if type(self)._access_block is not BCache._access_block:
-            # A subclass customises per-access behaviour; let the generic
-            # kernel drive its _access_block override instead of this one.
-            return super()._batch_trace(addresses, kinds, next_level)
-        geometry = self.geometry
-        decoder = self.decoder
-        if not self._policies:
+        """Batch kernel (see :meth:`Cache.access_trace`): the compiled
+        kernel (:mod:`repro.caches.native`), which also fills
+        ``next_level``."""
+        if type(self)._access_block is BCache._access_block:
             # Imported per batch, not per module: see repro.caches.native.
             from repro.caches import native
 
+            geometry, decoder = self.geometry, self.decoder
+            replacement = self._replacement
             counters = native.replay(
                 self,
-                "bcache_lru",
+                "bcache",
                 (
                     self.offset_bits, geometry.npi_bits, geometry.pi_bits,
-                    geometry.num_clusters, self._tags, self._dirty,
-                    self._stamps, decoder._values,
+                    geometry.num_clusters, self._tags, self._dirty, decoder._values,
+                    *replacement.kernel_args(),
                 ),
-                addresses, kinds, next_level,
+                addresses, kinds, next_level, replacement.clock,
             )
             if counters is not None:
+                replacement.clock = counters[native.CLOCK]
                 # The per-access path performs one CAM search per reference.
                 decoder.searches += len(addresses)
                 decoder.programs += counters[native.PROGRAMS]
                 return self.stats
-        if next_level is not None or not self._policies:
-            return super()._batch_trace(addresses, kinds, next_level)
-        policies, values, tags, dirty = self._policies, decoder._values, self._tags, self._dirty
-        num_rows, num_clusters = geometry.num_rows, geometry.num_clusters
-        row_mask, row_bits = num_rows - 1, num_rows.bit_length() - 1
-        npi_bits = geometry.npi_bits
-        pi_mask = (1 << geometry.pi_bits) - 1
-        tag_shift = npi_bits + geometry.pi_bits
-        pd_field = (1 << tag_shift) - 1
-        set_accesses, set_misses = self.stats.set_accesses, self.stats.set_misses
-        n = len(addresses)
-        # Imported per batch, not per module: see repro.caches.columnar.
-        from repro.caches import columnar
-
-        block_column = columnar.shifted_blocks(addresses, self.offset_bits)
-        # One-cycle hits (PD hit + tag match) resolve with a single
-        # probe of a {block: set index} map, and PD searches with one
-        # probe of a {(PI, row): cluster} map, both built from the
-        # decoder and tag state; row and cluster fall out of the set
-        # index (``set_index = cluster * num_rows + row``).
-        pd_map: dict[int, int] = {}
-        hit_map: dict[int, int] = {}
-        for entry, value in enumerate(values):
-            if value >= 0:
-                row, cluster = divmod(entry, num_clusters)
-                pd_map[(value << npi_bits) | row] = cluster
-                set_index = cluster * num_rows + row
-                if tags[set_index] >= 0:
-                    hit_map[(tags[set_index] << tag_shift)
-                            | (value << npi_bits) | row] = set_index
-        # Hits dominate: the hot loop only bumps per-set accesses and
-        # misses; _commit_batch reconstructs per-set hits.
-        accesses_before = set_accesses.copy()
-        misses_before = set_misses.copy()
-        misses = writes = pd_miss = evictions = writebacks = 0
-        hit_set = hit_map.get
-        for block, kind in zip(block_column, bytes(n) if kinds is None else kinds):
-            set_index = hit_set(block, -1)
-            if set_index >= 0:
-                # One-cycle hit: exactly one word line fired.
-                set_accesses[set_index] += 1
-                policies[set_index & row_mask].touch(set_index >> row_bits)
-                if kind == 1:
-                    writes += 1
-                    dirty[set_index] = True
-                continue
-            row = block & row_mask
-            pi = (block >> npi_bits) & pi_mask
-            # Scenario 2: PD hit, tag mismatch — the matching set is the
-            # forced victim; scenarios 1/3: PD miss.
-            cluster = pd_map.get(block & pd_field, -1)
-            if cluster < 0:
-                pd_miss += 1
-                invalid = decoder.invalid_clusters(row)
-                policy = policies[row]
-                cluster = policy.victim_among(invalid) if invalid else policy.victim()
-            set_index = cluster * num_rows + row
-            old_pi = values[row * num_clusters + cluster]
-            misses += 1
-            set_accesses[set_index] += 1
-            set_misses[set_index] += 1
-            resident_tag = tags[set_index]
-            if resident_tag >= 0:
-                evictions += 1
-                writebacks += dirty[set_index]
-                del hit_map[(resident_tag << tag_shift) | (old_pi << npi_bits) | row]
-            if old_pi != pi:
-                pd_map.pop((old_pi << npi_bits) | row, None)
-                pd_map[block & pd_field] = cluster
-                decoder.program(row, cluster, pi)
-            tags[set_index] = block >> tag_shift
-            dirty[set_index] = kind == 1
-            writes += kind == 1
-            policies[row].touch(cluster)
-            hit_map[block] = set_index
-        decoder.searches += n
-        return self._commit_batch(
-            n, accesses_before, misses_before, misses, writes, evictions,
-            writebacks, pd_miss=pd_miss,
-        )
+        # A subclass customising per-access behaviour, or no compiled
+        # kernels: the generic kernel drives _access_block.
+        return super()._batch_trace(addresses, kinds, next_level)
 
     # ------------------------------------------------------------------
     def _probe_block(self, block: int) -> bool:
@@ -281,19 +177,9 @@ class BCache(Cache):
         self._tags = array("q", [-1]) * geometry.num_sets
         self._dirty = bytearray(geometry.num_sets)
         self.decoder.flush()
-        # A fresh LRU order lists the clusters in order (cluster 0 most
-        # recent); set_index = cluster * num_rows + row.
-        self._stamps = array("q", [
-            -(set_index // geometry.num_rows) for set_index in range(geometry.num_sets)
-        ])
-        self._clock = 0
-        self._policies: list[ReplacementPolicy] = (
-            []
-            if self.policy_name.lower() == "lru"
-            else [
-                make_policy(self.policy_name, geometry.num_clusters, seed=self._seed + row)
-                for row in range(geometry.num_rows)
-            ]
+        self._replacement = Replacement(
+            self.policy_name, geometry.num_clusters, geometry.num_rows,
+            seed=self._seed, by_way=True,
         )
 
     # ------------------------------------------------------------------

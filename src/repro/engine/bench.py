@@ -81,8 +81,8 @@ def bench_hot_loop(
     """Time scalar vs batch replay per spec; verify identical stats.
 
     ``kernel`` names the batch flavour ``access_trace`` ran on (the
-    compiled exact-LRU kernels report ``"native"``, the vectorised dm
-    kernel ``"numpy"``).
+    compiled kernels report ``"native"``, the generic loop of a host
+    without them ``"stdlib"``).
     """
     addresses, kinds = default_store().accesses(benchmark, "data", n, seed)
     results = {}
@@ -264,8 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="BENCH_engine.json",
                         help="output JSON path (default BENCH_engine.json)")
     parser.add_argument("--check", metavar="BASELINE",
-                        help="compare against a baseline JSON; exit 1 on a "
-                        ">30%% hot-loop regression or non-identical "
+                        help="compare against a baseline JSON (read before "
+                        "anything is written; must not be --out); exit 1 "
+                        "on a >30%% hot-loop regression or non-identical "
                         "parallel stats")
     parser.add_argument("--tolerance", type=float, default=0.7,
                         help="minimum fraction of the baseline speedup to "
@@ -285,6 +286,18 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:
         print(f"bad --jobs list: {args.jobs!r}", file=sys.stderr)
         return 2
+
+    baseline = None
+    if args.check:
+        if Path(args.out).resolve() == Path(args.check).resolve():
+            print(f"--out {args.out} is the --check baseline: the report "
+                  "would be compared with itself", file=sys.stderr)
+            return 2
+        try:
+            baseline = json.loads(Path(args.check).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"cannot read baseline {args.check}: {exc}", file=sys.stderr)
+            return 2
 
     if args.obs_log:
         obs_events.configure(
@@ -314,12 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 
-    if args.check:
-        try:
-            baseline = json.loads(Path(args.check).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read baseline {args.check}: {exc}", file=sys.stderr)
-            return 2
+    if baseline is not None:
         failures = check_against_baseline(report, baseline, args.tolerance)
         if failures:
             for failure in failures:

@@ -58,7 +58,7 @@ _ROWS = (
     # Library hot paths (REPRO_OBS=full only).
     Series("repro_kernel_batch_seconds", "histogram",
            "Wall time of one Cache.access_trace batch, by kernel path "
-           "(native, numpy or stdlib)",
+           "(native or stdlib)",
            ("cache", "path"), gated=True),
     Series("repro_kernel_batch_refs_total", "counter",
            "Memory references simulated by access_trace batches",
@@ -186,7 +186,7 @@ def observe_kernel(
     """Record one ``Cache.access_trace`` batch (paired with kernel_clock).
 
     ``path`` names the kernel flavour that ran (``Cache.last_kernel``:
-    "native", "numpy" or "stdlib") so a perf investigation can tell
+    "native" or "stdlib") so a perf investigation can tell
     them apart per batch.
     """
     if start == 0.0 or not events.enabled():

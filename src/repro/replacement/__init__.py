@@ -1,9 +1,17 @@
-"""Replacement policies: LRU, random, FIFO and tree-PLRU."""
+"""Replacement policies: LRU, random, FIFO and tree-PLRU.
+
+The caches keep a policy's state in flat columns
+(:class:`~repro.replacement.flat.Replacement`), which their compiled
+kernels share.  The per-domain policy objects built by
+:func:`make_policy` are the reference models those columns are tested
+against.
+"""
 
 from __future__ import annotations
 
-from repro.replacement.base import PolicyError, PolicyFactory, ReplacementPolicy
+from repro.replacement.base import PolicyError, ReplacementPolicy
 from repro.replacement.fifo import FIFOPolicy
+from repro.replacement.flat import POLICIES, Replacement
 from repro.replacement.lru import LRUPolicy
 from repro.replacement.plru import TreePLRUPolicy
 from repro.replacement.random_policy import RandomPolicy
@@ -41,9 +49,10 @@ def policy_names() -> tuple[str, ...]:
 __all__ = [
     "FIFOPolicy",
     "LRUPolicy",
+    "POLICIES",
     "PolicyError",
-    "PolicyFactory",
     "RandomPolicy",
+    "Replacement",
     "ReplacementPolicy",
     "TreePLRUPolicy",
     "make_policy",

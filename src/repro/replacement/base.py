@@ -15,7 +15,6 @@ baselines (Figures 4, 5).
 from __future__ import annotations
 
 import abc
-from typing import Callable
 
 
 class ReplacementPolicy(abc.ABC):
@@ -51,9 +50,6 @@ class ReplacementPolicy(abc.ABC):
         if preferred in candidates:
             return preferred
         return candidates[0]
-
-
-PolicyFactory = Callable[[int], ReplacementPolicy]
 
 
 class PolicyError(ValueError):

@@ -8,6 +8,7 @@ less-accessed sets).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 
 @dataclass(slots=True)
@@ -150,9 +151,9 @@ class CacheStats:
                 pd_miss_misses=int(state["pd_miss_misses"]),
                 slow_hits=int(state["slow_hits"]),
                 slow_hit_cycles=int(state["slow_hit_cycles"]),
-                set_accesses=[int(v) for v in state["set_accesses"]],
-                set_hits=[int(v) for v in state["set_hits"]],
-                set_misses=[int(v) for v in state["set_misses"]],
+                set_accesses=_per_set(state["set_accesses"]),
+                set_hits=_per_set(state["set_hits"]),
+                set_misses=_per_set(state["set_misses"]),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed stats snapshot: {exc}") from exc
@@ -188,3 +189,11 @@ class CacheStats:
             self.set_accesses[i] += other.set_accesses[i]
             self.set_hits[i] += other.set_hits[i]
             self.set_misses[i] += other.set_misses[i]
+
+
+def _per_set(values: Any) -> list[int]:
+    """``[int(v) for v in values]``, at C speed for the common case: a
+    list of plain ints (a snapshot read from JSON or a pipe)."""
+    if type(values) is list and set(map(type, values)) <= {int}:
+        return values.copy()
+    return [int(v) for v in values]

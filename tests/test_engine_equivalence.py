@@ -8,10 +8,11 @@ counters — must equal a per-access ``Cache.access`` replay exactly.
 The global test sanitizer reroutes ``access_trace`` through the checked
 per-access path, which would make these tests vacuous; the
 ``real_kernels`` fixture temporarily uninstalls it so the actual batch
-kernels run.  Exact LRU runs the compiled kernels of
+kernels run.  Every batch runs the compiled kernels of
 :mod:`repro.caches.native` where a C compiler exists;
 :class:`TestFallbackEquivalence` runs every test again with the loader
-returning ``None``, the path a host without one takes.
+returning ``None``, the path a host without one takes (the generic
+kernel over ``_access_block``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections import OrderedDict
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.caches import native
 from repro.analysis.sanitizer import (
@@ -32,15 +33,16 @@ from repro.analysis.sanitizer import (
     uninstall_global_sanitizer,
 )
 from repro.caches import (
+    FullyAssociativeCache,
     GroupAssociativeCache,
     PageColoringCache,
-    SetAssociativeCache,
     make_cache,
 )
 from repro.caches.base import WRITEBACK, NextLevelStream
-from repro.caches.columnar import MIN_VECTOR_LEN
 from repro.core.bcache import BCache
 from repro.core.config import BCacheGeometry
+from repro.replacement import POLICIES
+from tiers import DETERMINISM_SETTINGS
 
 #: Every spec family the factory understands (see make_cache's docs).
 ALL_SPECS = (
@@ -63,8 +65,8 @@ ALL_SPECS = (
     "psa2",
 )
 
-#: Organisations with their own allocation-free kernel beyond dm/Nway,
-#: with the policy each runs under.
+#: Organisations with their own compiled kernel, with the policy each
+#: runs under (dm, victim, column and skew have no policy; hac is fifo).
 KERNEL_CASES = (
     ("victim16", "lru"),
     ("column", "lru"),
@@ -85,6 +87,17 @@ KERNEL_CASES = (
     ("mf16_bas4", "lru"),
     ("4way", "fifo"),
     ("4way", "plru"),
+    ("dm", "lru"),
+    ("victim4", "lru"),
+    ("victim64", "lru"),
+    ("hac", "fifo"),
+    ("fa", "lru"),
+    ("fa", "fifo"),
+    ("fa", "plru"),
+    ("fa", "random"),
+    ("mf8_bas8", "fifo"),
+    ("mf8_bas8", "plru"),
+    ("mf2_bas8", "random"),
 )
 
 #: Length of the streams :data:`KERNEL_CASES` replay.
@@ -92,11 +105,9 @@ KERNEL_LEN = 4000
 
 
 def kernel_lengths():
-    """Every :data:`KERNEL_CASES` spec at :data:`KERNEL_LEN` and at
-    lengths below the dm vector threshold, where the set-associative and
-    B-Cache kernels still build their columns with numpy (empty batches
-    included); plain 4-way adds the exact-LRU and generic-policy loops
-    of the set-associative kernel."""
+    """Every :data:`KERNEL_CASES` spec at :data:`KERNEL_LEN` and in short
+    batches (empty ones included), plus 4-way under exact LRU and
+    random."""
     params = [
         pytest.param(spec, policy, KERNEL_LEN, id=f"{spec}-{policy}")
         for spec, policy in KERNEL_CASES
@@ -104,7 +115,7 @@ def kernel_lengths():
     params += [
         pytest.param(spec, policy, length, id=f"{spec}-{policy}-{length}")
         for spec, policy in KERNEL_CASES + (("4way", "lru"), ("4way", "random"))
-        for length in (0, 1, MIN_VECTOR_LEN - 1)
+        for length in (0, 1, 1023)
     ]
     return params
 
@@ -157,16 +168,11 @@ class CountingOPD(OrderedDict):
         return super().popitem(last)
 
 
-def policy_states(policies) -> list[dict]:
-    """Each replacement policy's attributes (a random policy's RNG as
-    its state)."""
-    states = []
-    for policy in policies:
-        state = dict(vars(policy))
-        if "_rng" in state:
-            state["_rng"] = state["_rng"].getstate()
-        states.append(state)
-    return states
+#: The state attributes of the organisations with compiled kernels.
+STATE = (
+    "_tags", "_blocks", "_dirty", "_rehash", "_last_touch", "_clock", "_mru",
+    "_buffer_blocks", "_buffer_dirty", "_buffer_stamps",
+)
 
 
 def model_state(cache) -> dict:
@@ -190,44 +196,17 @@ def model_state(cache) -> dict:
             "page_recolors": cache._page_recolors,
             "recolored_pages": cache.recolored_pages,
         }
-    if isinstance(cache, SetAssociativeCache):
-        return {
-            "tags": cache._tags,
-            "dirty": cache._dirty,
-            "stamps": cache._stamps,
-            "clock": cache._clock,
-            "policies": policy_states(cache._policies),
-            "mru": getattr(cache, "_mru", None),
-        }
+    state = {name: getattr(cache, name) for name in STATE if hasattr(cache, name)}
+    replacement = getattr(cache, "_replacement", None)
+    if replacement is not None:
+        state["replacement"] = (
+            replacement.stamps, replacement.clock, replacement.tree, replacement.mt,
+        )
     if hasattr(cache, "decoder"):
-        return {
-            "tags": cache._tags,
-            "dirty": cache._dirty,
-            "stamps": cache._stamps,
-            "clock": cache._clock,
-            "pd_values": cache.decoder._values,
-            "programs": cache.decoder.programs,
-            "searches": cache.decoder.searches,
-            "policies": policy_states(cache._policies),
-        }
-    if hasattr(cache, "_buffer"):
-        return {
-            "tags": cache._tags,
-            "dirty": cache._dirty,
-            "buffer": list(cache._buffer.items()),
-        }
-    if hasattr(cache, "_rehash"):
-        return {
-            "blocks": cache._blocks,
-            "dirty": cache._dirty,
-            "rehash": cache._rehash,
-        }
-    return {
-        "blocks": cache._blocks,
-        "dirty": cache._dirty,
-        "last_touch": cache._last_touch,
-        "clock": cache._clock,
-    }
+        state["decoder"] = (
+            cache.decoder._values, cache.decoder.programs, cache.decoder.searches,
+        )
+    return state
 
 
 def assert_replays_match(cache, oracle, addresses, kinds, batches=1):
@@ -442,6 +421,7 @@ class TestBatchEquivalence:
         with pytest.raises(ValueError, match="kinds"):
             cache.access_trace([0x40, 0x80], [0])
 
+    @DETERMINISM_SETTINGS
     @given(
         data=st.lists(
             st.tuples(st.integers(0, 1 << 22), st.integers(0, 2)),
@@ -453,8 +433,10 @@ class TestBatchEquivalence:
                 "2way",
                 "8way",
                 "fa",
+                "hac",
                 "mf8_bas8",
                 "victim4",
+                "victim16",
                 "column",
                 "skew2",
                 "skew4",
@@ -503,7 +485,26 @@ class TestBatchEquivalence:
                 cache._dirty[geometry.set_index(row, cluster)] = False
         assert_replays_match(*caches, addresses[2000:], kinds[2000:])
 
-    @pytest.mark.parametrize("spec", ("2way", "8way", "mf8_bas8", "psa2"))
+    @pytest.mark.parametrize("policy", ("fifo", "plru", "random"))
+    def test_invalidated_pd_entries_restrict_the_policy(self, policy, real_kernels):
+        """After PD entries are invalidated, a PD miss chooses among the
+        unprogrammed clusters under every policy (a random draw over
+        them, a restricted tree walk), in the batch as per access."""
+        addresses, kinds = mixed_trace(KERNEL_LEN, seed=67)
+        caches = [make_cache("mf8_bas8", policy=policy, seed=8) for _ in range(2)]
+        for cache in caches:
+            cache.access_trace(addresses[:2000], kinds[:2000])
+            geometry = cache.geometry
+            for row in range(0, geometry.num_rows, 2):
+                for cluster in (row % geometry.num_clusters, 7 - row % 4):
+                    cache.decoder.invalidate(row, cluster)
+                    cache._tags[geometry.set_index(row, cluster)] = -1
+                    cache._dirty[geometry.set_index(row, cluster)] = False
+        assert_replays_match(*caches, addresses[2000:], kinds[2000:])
+
+    @pytest.mark.parametrize(
+        "spec", ("2way", "8way", "mf8_bas8", "psa2", "dm", "victim16", "column", "skew2")
+    )
     def test_addresses_above_two_to_the_63(self, spec, real_kernels):
         """Addresses at and above 2**63 keep their high bits, both in
         the cache state and in the writebacks sent below."""
@@ -517,6 +518,27 @@ class TestBatchEquivalence:
             make_cache(spec), make_cache(spec), addresses, kinds, batches=3
         )
 
+    @pytest.mark.parametrize("spec", ("4way", "mf8_bas8", "fa"))
+    def test_random_stream_continues_per_access(self, spec, real_kernels):
+        """A batch, references one at a time, then a batch again: each
+        side continues the MT19937 states the other left, so the mix
+        ends exactly like a per-access replay, random draws included."""
+        addresses, kinds = mixed_trace(KERNEL_LEN, seed=73)
+        oracle = make_cache(spec, policy="random", seed=5)
+        for address, kind in zip(addresses, kinds):
+            oracle.access(address, kind == 1)
+        cache = make_cache(spec, policy="random", seed=5)
+        cache.access_trace(addresses[:1500], kinds[:1500])
+        for address, kind in zip(addresses[1500:2500], kinds[1500:2500]):
+            cache.access(address, kind == 1)
+        cache.access_trace(addresses[2500:], kinds[2500:])
+        assert cache.stats == oracle.stats
+        assert model_state(cache) == model_state(oracle)
+        # The stream moved: the replay drew random victims.
+        fresh = make_cache(spec, policy="random", seed=5)._replacement.mt
+        assert cache._replacement.mt != fresh
+
+    @DETERMINISM_SETTINGS
     @given(
         data=st.data(),
         line_bits=st.integers(2, 6),
@@ -524,30 +546,54 @@ class TestBatchEquivalence:
         ways_bits=st.integers(0, 4),
         mf_bits=st.integers(0, 4),
         prediction=st.sampled_from(("", "pam", "psa")),
+        policy=st.sampled_from(POLICIES),
         batches=st.integers(1, 5),
         fallback=st.booleans(),
     )
     def test_property_geometries(
-        self, data, line_bits, set_bits, ways_bits, mf_bits, prediction, batches,
-        fallback,
+        self, data, line_bits, set_bits, ways_bits, mf_bits, prediction, policy,
+        batches, fallback,
     ):
-        """Batch == per-access over random geometries: set-associative
-        size, line and ways (with either way prediction), and B-Cache
-        MF and BAS; statistics, final state and next-level stream."""
+        """Batch == per-access over random geometries and policies:
+        set-associative size, line and ways (with either way
+        prediction), fully associative, B-Cache MF and BAS, and the
+        direct-mapped, victim-buffer, column- and skewed-associative
+        caches; statistics, final state and next-level stream."""
         size = 1 << (line_bits + set_bits + ways_bits)
-        if data.draw(st.booleans(), label="bcache"):
+        line_size = 1 << line_bits
+        organisation = data.draw(
+            st.sampled_from(("bcache", "set-associative", "fa", "dm", "victim",
+                             "column", "skew2")),
+            label="organisation",
+        )
+        # Column- and skewed-associative caches index at least two sets.
+        assume(organisation != "column" or set_bits + ways_bits >= 1)
+        assume(organisation != "skew2" or set_bits + ways_bits >= 2)
+        if organisation == "bcache":
             geometry = BCacheGeometry(
-                size, 1 << line_bits, mapping_factor=1 << mf_bits,
+                size, line_size, mapping_factor=1 << mf_bits,
                 associativity=1 << ways_bits,
             )
 
             def build():
-                return BCache(geometry)
-        else:
-            spec = f"{prediction}{1 << ways_bits}" if prediction else f"{1 << ways_bits}way"
+                return BCache(geometry, policy=policy, seed=3)
+        elif organisation == "fa":
 
             def build():
-                return make_cache(spec, size=size, line_size=1 << line_bits)
+                return FullyAssociativeCache(size, line_size, policy=policy, seed=3)
+        else:
+            spec = {
+                "set-associative": (
+                    f"{prediction}{1 << ways_bits}" if prediction
+                    else f"{1 << ways_bits}way"
+                ),
+                "victim": f"victim{1 << ways_bits}",
+            }.get(organisation, organisation)
+
+            def build():
+                return make_cache(
+                    spec, size=size, line_size=line_size, policy=policy, seed=3
+                )
         refs = data.draw(
             st.lists(
                 st.tuples(st.integers(0, size << 3), st.integers(0, 2)),

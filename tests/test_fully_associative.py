@@ -40,23 +40,6 @@ class TestBasics:
         assert cache.stats.writebacks == 1
 
 
-class TestInvalidate:
-    def test_invalidate_removes_block(self, cache):
-        cache.access(0x0)
-        assert cache.invalidate_block_address(0x10)
-        assert not cache.contains(0x0)
-
-    def test_invalidate_missing_block(self, cache):
-        assert not cache.invalidate_block_address(0x9999)
-
-    def test_invalidated_way_reused_first(self, cache):
-        for address in (0x0, 0x100, 0x200, 0x300):
-            cache.access(address)
-        cache.invalidate_block_address(0x200)
-        result = cache.access(0x500)
-        assert result.evicted is None  # reuses the freed way
-
-
 class TestFlush:
     def test_flush(self, cache):
         cache.access(0x0)

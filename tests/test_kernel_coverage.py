@@ -2,12 +2,13 @@
 
 ``Cache._batch_trace`` is the fallback that drives ``_access_block``
 and allocates one ``AccessResult`` per reference.  Every organisation
-the L1 experiments run has its own allocation-free kernel, and the 3C
-reference is an LRU pass rather than a ``FullyAssociativeCache``
-replay; this runs each L1 experiment at a micro scale with both
-fallbacks made to fail.  Exact LRU reaches the generic kernel on a host
-with no C compiler (see :mod:`repro.caches.native`), so only there is
-the test skipped.
+the L1 experiments run has its own kernel (compiled, or an
+allocation-free loop for agac and pagecolor), and the 3C reference is
+an LRU pass rather than a ``FullyAssociativeCache`` replay; this runs
+each L1 experiment at a micro scale with both fallbacks made to fail.
+Every compiled organisation reaches the generic kernel on a host with
+no C compiler (see :mod:`repro.caches.native`), so only there is the
+test skipped.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ MICRO = ExperimentScale(data_n=400, instr_n=400, instructions=400, seed=4242)
 @pytest.mark.parametrize("name", L1_EXPERIMENTS)
 def test_l1_experiment_never_reaches_generic_kernel(name, real_kernels, monkeypatch):
     if native.load() is None:
-        pytest.skip("no C compiler: exact LRU replays through the generic kernel")
+        pytest.skip("no C compiler: batches replay through the generic kernel")
 
     def generic_kernel(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} ran the generic batch kernel")

@@ -1,4 +1,4 @@
-"""The loader of the compiled exact-LRU kernels (``repro.caches.native``).
+"""The loader of the compiled batch kernels (``repro.caches.native``).
 
 Each test builds into its own ``XDG_CACHE_HOME`` and resets the
 per-process memo, so it sees a cold build cache.  Whatever the loader
@@ -47,7 +47,7 @@ def assert_batch_matches_per_access(spec: str) -> str:
     return batch.last_kernel
 
 
-@pytest.mark.parametrize("spec", ("8way", "mf8_bas8", "psa2"))
+@pytest.mark.parametrize("spec", ("8way", "mf8_bas8", "psa2", "dm", "victim16"))
 def test_no_compiler_falls_back(spec, cold_loader, tmp_path, monkeypatch, caplog,
                                 real_kernels):
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))
@@ -55,17 +55,27 @@ def test_no_compiler_falls_back(spec, cold_loader, tmp_path, monkeypatch, caplog
         assert native.load() is None
         assert native.load() is None
     assert [record.getMessage() for record in caplog.records] == [
-        "compiled LRU kernels unavailable, exact LRU replays per access: "
+        "compiled kernels unavailable, batches replay per access: "
         "no C compiler (cc) on PATH"
     ]
     assert assert_batch_matches_per_access(spec) == "stdlib"
 
 
 @needs_compiler
-@pytest.mark.parametrize("spec", ("8way", "mf8_bas8", "psa2"))
+@pytest.mark.parametrize(
+    "spec", ("8way", "mf8_bas8", "psa2", "dm", "victim16", "column", "skew2", "hac")
+)
 def test_compiled_path_reports_native(spec, cold_loader, real_kernels):
     assert assert_batch_matches_per_access(spec) == "native"
     assert [path.suffix for path in cold_loader.iterdir()] == [".so"]
+
+
+@needs_compiler
+def test_every_kernel_resolves(cold_loader):
+    library = native.load()
+    assert library is not None
+    for name in native.KERNELS:
+        assert getattr(library, name).restype is None
 
 
 @needs_compiler

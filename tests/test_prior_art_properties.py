@@ -87,7 +87,7 @@ class TestSkewedProperties:
         cache = SkewedAssociativeCache(2 * 1024, 32, ways=2)
         for address in addrs:
             cache.access(address)
-        all_blocks = [b for way in cache._blocks for b in way if b >= 0]
+        all_blocks = [b for b in cache._blocks if b >= 0]
         assert len(all_blocks) == len(set(all_blocks))
 
 

@@ -230,3 +230,52 @@ class TestLRUStamps:
                 reference[result.set_index].touch(line - base)
         for domain, policy in enumerate(reference):
             assert cache.recency_order(domain) == policy.recency_order()
+
+
+class TestFlatColumns:
+    """The caches keep fifo, plru and random in flat columns
+    (``repro.replacement.Replacement``); every victim they choose is the
+    one a policy object per set (or B-Cache row) chooses when touched on
+    every hit and fill.  The objects are the reference models here."""
+
+    @staticmethod
+    def build(spec, policy):
+        from repro.caches import HighlyAssociativeCache, make_cache
+
+        if spec == "hac":
+            return HighlyAssociativeCache(16 * 1024, policy=policy, seed=5)
+        return make_cache(spec, policy=policy, seed=5)
+
+    @pytest.mark.parametrize("policy", ("fifo", "plru", "random"))
+    @pytest.mark.parametrize("spec", ("4way", "hac", "fa", "mf8_bas8", "mf2_bas4"))
+    def test_victims_match_policy_objects(self, spec, policy, rng):
+        cache = self.build(spec, policy)
+        bcache = hasattr(cache, "geometry")
+        domains = cache.geometry.num_rows if bcache else cache.num_sets
+        ways = cache.geometry.num_clusters if bcache else cache.ways
+        reference = [make_policy(policy, ways, seed=5 + d) for d in range(domains)]
+        chosen = 0
+        for _ in range(6000):
+            address = rng.randrange(1 << 17)
+            block = address >> cache.offset_bits
+            if bcache:
+                invalid = cache.decoder.invalid_clusters(block % domains)
+            result = cache.access(address)
+            if bcache:
+                domain, way = result.set_index % domains, result.set_index // domains
+            else:
+                domain = result.set_index
+                base = domain * ways
+                way = cache._tags.index(block >> cache.index_bits, base, base + ways) - base
+            policy_object = reference[domain]
+            if result.hit or (bcache and result.pd_hit):
+                # A hit, or the B-Cache's forced victim (a PD hit).
+                expected = way
+            elif bcache and invalid:
+                expected = policy_object.victim_among(invalid)
+            else:
+                expected = policy_object.victim()
+            assert way == expected
+            chosen += not result.hit
+            policy_object.touch(way)
+        assert chosen > 1000

@@ -324,8 +324,12 @@ class TestPersistentWorkers:
         assert os.getpid() not in runs
 
     def test_corrupt_blob_bypasses_a_warm_worker_lru(self, tmp_path, store):
+        # The faulted job comes last of twelve: with compiled kernels a
+        # job takes well under a millisecond, and a worker whose first
+        # message is the faulted job would leave nothing to test.
         jobs = [
-            SweepJob(spec=spec, benchmark="gzip", n=2000)
+            SweepJob(spec=spec, benchmark="gzip", n=2000, size=size)
+            for size in (16 * 1024, 8 * 1024)
             for spec in ("dm", "2way", "4way", "8way", "mf8_bas8", "fa")
         ]
         clean = [execute_job(job, store=store) for job in jobs]
@@ -333,14 +337,14 @@ class TestPersistentWorkers:
         obs_events.configure(mode="events", log_path=log_path)
         got = run_sweep(
             jobs, workers=2, store=store, resilience=FAST,
-            fault_plan=FaultPlan.parse("corrupt_blob@5"),
+            fault_plan=FaultPlan.parse("corrupt_blob@11"),
         )
         assert got == clean
         blob = store.address_path("gzip", "data", 2000, 2006).name
         assert (store.quarantine_root / blob).is_file()
         # The faulted job ran on a worker whose memory LRU already held
         # this trace from an earlier job.
-        label = job_label(jobs[5])
+        label = job_label(jobs[11])
         [keys] = [keys for keys in self._runs_by_pid(log_path).values() if label in keys]
         assert keys.index(label) > 0
 

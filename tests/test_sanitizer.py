@@ -364,7 +364,10 @@ class TestGlobalHook:
         cache = FullyAssociativeCache(512, 32)
         for address, is_write in random_stream(200):
             cache.access(address, is_write)
-        cache.invalidate_block_address(0)
+        # Invalidate a resident block behind the cache's back.
+        line = next(way for way, tag in enumerate(cache._tags) if tag >= 0)
+        cache._tags[line] = -1
+        cache._dirty[line] = False
         for address, is_write in random_stream(200, seed=13):
             cache.access(address, is_write)
 

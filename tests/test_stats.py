@@ -135,3 +135,72 @@ class TestSummary:
         assert geometric_mean([]) == 0.0
         with pytest.raises(ValueError):
             geometric_mean([1.0, -1.0])
+
+
+class TestSnapshotInputs:
+    """``from_snapshot`` converts per-set counters exactly as
+    ``[int(v) for v in values]`` does: the same inputs accepted, with
+    the same values and types, and the same ones rejected."""
+
+    @staticmethod
+    def snapshot(per_set):
+        state = CacheStats(num_sets=3).snapshot()
+        state["set_accesses"] = per_set
+        return state
+
+    @staticmethod
+    def outcome(convert, per_set):
+        try:
+            values = convert(per_set)
+        except Exception as exc:  # noqa: BLE001 - the type is the outcome
+            return type(exc)
+        return [(type(v), v) for v in values]
+
+    @pytest.mark.parametrize("per_set", [
+        [1, 2, 3],
+        [0, -4, 1 << 70],
+        [True, False, 1],
+        [1.0, 2.5, -0.5],
+        [float("nan"), 1, 2],
+        [float("inf"), 1, 2],
+        ["1", " 2 ", "3"],
+        ["1", "x", "3"],
+        ["1.5", 2, 3],
+        [None, 1, 2],
+        [[1], 2, 3],
+        (4, 5, 6),
+        "123",
+        b"\x01\x02\x03",
+        range(3),
+        None,
+        7,
+    ])
+    def test_matches_int_conversion(self, per_set):
+        def legacy(values):
+            return [int(v) for v in values]
+
+        def current(values):
+            return CacheStats.from_snapshot(self.snapshot(values)).set_accesses
+
+        expected = self.outcome(legacy, per_set)
+        if expected in (TypeError, KeyError):
+            expected = ValueError  # reported as a malformed snapshot
+        assert self.outcome(current, per_set) == expected
+
+    @pytest.mark.parametrize("per_set", [[1, 2], [1, 2, 3, 4]])
+    def test_wrong_length_rejected(self, per_set):
+        with pytest.raises(ValueError, match="per-set counter length"):
+            CacheStats.from_snapshot(self.snapshot(per_set))
+
+    @pytest.mark.parametrize("key", ["set_hits", "slow_hits", "num_sets"])
+    def test_missing_key_rejected(self, key):
+        state = CacheStats(num_sets=3).snapshot()
+        del state[key]
+        with pytest.raises(ValueError, match="malformed stats snapshot"):
+            CacheStats.from_snapshot(state)
+
+    def test_result_does_not_alias_the_snapshot(self):
+        state = self.snapshot([1, 2, 3])
+        stats = CacheStats.from_snapshot(state)
+        stats.set_accesses[0] += 1
+        assert state["set_accesses"] == [1, 2, 3]
