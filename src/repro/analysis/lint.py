@@ -1,28 +1,19 @@
 """``bcache-lint`` — AST lint pass with simulator-specific rules.
 
-Generic linters cannot know that every cache model must route its
-statistics through :meth:`repro.caches.base.Cache.access`, or that a
-``/`` inside ``_access_block`` silently turns an index into a float.
-This pass encodes the repo's correctness conventions as machine-checked
-rules:
+Generic linters cannot know that ``int(math.log2(...))`` silently
+truncates a cache geometry, or that a batch kernel must not allocate
+per reference.  This pass encodes the repo's conventions that neither
+the tests nor the APIs enforce as machine-checked rules:
 
 ========  =============================================================
 code      rule
 ========  =============================================================
-BCL001    concrete ``Cache`` subclass must implement ``_access_block``,
-          ``_probe_block`` and ``_flush_state``
-BCL002    cache subclasses must route statistics through the base class
-          (no ``access``/``run`` overrides, no direct
-          ``self.stats.record(...)`` calls)
 BCL003    hot-path dataclasses must declare ``slots=True``
 BCL004    geometry parameters must be validated via ``log2_exact`` —
           no bare ``int(math.log2(...))``, no ``math.log2`` in
           ``caches``/``core`` modules
 BCL005    no unseeded ``random`` usage anywhere in ``src/repro/``
           (module-level ``random.*`` calls, seedless ``Random()``)
-BCL006    no float arithmetic in index/tag computation
-          (``/``, ``float()``, ``math.*`` inside the address-math
-          functions)
 BCL007    no mutable default arguments
 BCL009    batch kernels (``access_trace`` / ``_batch_trace``) must stay
           allocation-free: no ``AccessResult(...)`` call inside a
@@ -37,9 +28,6 @@ BCL011    event-loop code (``repro.serve``) must not block the loop: no
           ``read_text``/``write_text``/…) or ``Future.result()``
           inside a coroutine — await, or offload via
           ``run_in_executor``
-BCL012    telemetry contract: ``span(...)`` must be used as a context
-          manager (``with span(...):`` — never a bare call or manual
-          ``__enter__``, which loses the crash-safe exit event)
 BCL014    fork-safety: a function that runs in a worker process (a
           known entry point, a ``Process(target=)``, the callable handed
           to ``submit``/``apply_async`` or to a pool's ``map``/``imap``/
@@ -84,20 +72,14 @@ from typing import Iterable, Iterator
 
 #: One-line summary per rule (``bcache-lint --list-rules``).
 RULES: dict[str, str] = {
-    "BCL001": "concrete Cache subclass must implement "
-    "_access_block/_probe_block/_flush_state",
-    "BCL002": "cache subclasses must route stats through the base class "
-    "(no access/run override, no self.stats.record)",
     "BCL003": "hot-path dataclass must declare slots=True",
     "BCL004": "validate geometry via log2_exact, not int(math.log2(...))",
     "BCL005": "unseeded random usage (module-level random.* / Random())",
-    "BCL006": "float arithmetic in index/tag computation",
     "BCL007": "mutable default argument",
     "BCL009": "AccessResult allocation inside a batch-kernel loop",
     "BCL010": "engine code swallows exceptions or retries without backoff",
     "BCL011": "blocking call (time.sleep / sync file I/O / Future.result) "
     "inside a serve coroutine",
-    "BCL012": "span() not used as a context manager",
     "BCL014": "fork-safety hazard: worker-reachable module state mutation, "
     "or dropped create_task",
     "BCL016": "Access object built in a batch-kernel loop",
@@ -144,21 +126,6 @@ NONDET_TRACE_SOURCES = frozenset(
 #: Modules where ``math.log2`` itself is banned (geometry must go
 #: through ``log2_exact``); the energy models legitimately need floats.
 GEOMETRY_PACKAGES = frozenset({"caches", "core"})
-
-#: The subclass contract of :class:`repro.caches.base.Cache`.
-CACHE_INTERFACE = ("_access_block", "_probe_block", "_flush_state")
-
-#: Functions that compute set indices / tags and must stay integral.
-INDEX_FUNCS = frozenset(
-    {
-        "_access_block",
-        "_probe_block",
-        "_batch_trace",
-        "decompose_block",
-        "compose_block",
-        "set_index",
-    }
-)
 
 #: The batch fast path: these bodies are the per-reference hot loop and
 #: must not allocate one result object per access (BCL009).
@@ -254,30 +221,6 @@ def _module_segments(path: str) -> tuple[str, ...]:
         if parts[i] == "repro":
             return parts[i + 1 :]
     return ()
-
-
-def _base_names(node: ast.ClassDef) -> list[str]:
-    names = []
-    for base in node.bases:
-        if isinstance(base, ast.Name):
-            names.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.append(base.attr)
-    return names
-
-
-def _is_abstract_class(node: ast.ClassDef, bases: list[str]) -> bool:
-    if "ABC" in bases or "ABCMeta" in bases:
-        return True
-    for item in node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for deco in item.decorator_list:
-                name = deco.attr if isinstance(deco, ast.Attribute) else (
-                    deco.id if isinstance(deco, ast.Name) else ""
-                )
-                if name in {"abstractmethod", "abstractproperty"}:
-                    return True
-    return False
 
 
 def _dataclass_decorator(node: ast.ClassDef) -> ast.expr | None:
@@ -422,9 +365,7 @@ class _Linter(ast.NodeVisitor):
         self.violations: list[Violation] = []
         self._func_stack: list[str] = []
         self._async_stack: list[bool] = []  # "is coroutine" per frame
-        self._class_stack: list[bool] = []  # "is cache-like" per frame
         self._awaited_calls: set[ast.Call] = set()
-        self._cm_calls: set[ast.Call] = set()  # calls used as with-items
         self._loop_depth = 0  # loops inside the current function body
 
     # -- helpers -------------------------------------------------------
@@ -434,16 +375,8 @@ class _Linter(ast.NodeVisitor):
         )
 
     @property
-    def _in_index_func(self) -> bool:
-        return bool(self._func_stack) and self._func_stack[-1] in INDEX_FUNCS
-
-    @property
     def _in_batch_func(self) -> bool:
         return any(name in BATCH_FUNCS for name in self._func_stack)
-
-    @property
-    def _in_cache_class(self) -> bool:
-        return bool(self._class_stack) and self._class_stack[-1]
 
     @property
     def _in_coroutine(self) -> bool:
@@ -457,41 +390,6 @@ class _Linter(ast.NodeVisitor):
 
     # -- classes -------------------------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        bases = _base_names(node)
-        # "Cache-like": inherits (directly) from the abstract base or
-        # from another cache model; CacheLevel et al. do not match.
-        cache_like = any(b == "Cache" or b.endswith("Cache") for b in bases)
-        direct_subclass = "Cache" in bases
-        abstract = _is_abstract_class(node, bases)
-        methods = {
-            item.name
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-
-        if direct_subclass and not abstract:
-            missing = [m for m in CACHE_INTERFACE if m not in methods]
-            if missing:
-                self._add(
-                    node,
-                    "BCL001",
-                    f"cache model {node.name!r} does not implement "
-                    f"{', '.join(missing)}",
-                )
-
-        if cache_like:
-            # access_trace is the sanitizer's single batch interception
-            # point; subclasses customise _batch_trace instead.
-            for overridden in ("access", "run", "access_trace"):
-                if overridden in methods:
-                    self._add(
-                        node,
-                        "BCL002",
-                        f"{node.name!r} overrides {overridden}(); statistics "
-                        "must be routed through Cache.access/Cache.run "
-                        "(batch kernels override _batch_trace)",
-                    )
-
         deco = _dataclass_decorator(node)
         if deco is not None and self.hot:
             has_slots = isinstance(deco, ast.Call) and any(
@@ -507,9 +405,7 @@ class _Linter(ast.NodeVisitor):
                     f"hot-path dataclass {node.name!r} must declare slots=True",
                 )
 
-        self._class_stack.append(cache_like)
         self.generic_visit(node)
-        self._class_stack.pop()
 
     # -- functions -----------------------------------------------------
     def _check_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
@@ -633,19 +529,6 @@ class _Linter(ast.NodeVisitor):
             self._awaited_calls.add(node.value)
         self.generic_visit(node)
 
-    # -- with-statements (BCL012 bookkeeping) --------------------------
-    def _visit_with(self, node: ast.With | ast.AsyncWith) -> None:
-        for item in node.items:
-            if isinstance(item.context_expr, ast.Call):
-                self._cm_calls.add(item.context_expr)
-        self.generic_visit(node)
-
-    def visit_With(self, node: ast.With) -> None:
-        self._visit_with(node)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._visit_with(node)
-
     def visit_While(self, node: ast.While) -> None:
         self._check_retry_loop(node)
         self._visit_loop(node)
@@ -748,14 +631,14 @@ class _Linter(ast.NodeVisitor):
             isinstance(func, ast.Name)
             and func.id == "int"
             and len(node.args) == 1
-            and self._is_math_call(node.args[0], {"log2"})
+            and self._is_log2_call(node.args[0])
         ):
             self._add(
                 node,
                 "BCL004",
                 "use log2_exact(value, what) instead of int(math.log2(...))",
             )
-        elif self.geometry_module and self._is_math_call(node, {"log2"}):
+        elif self.geometry_module and self._is_log2_call(node):
             self._add(
                 node,
                 "BCL004",
@@ -793,25 +676,7 @@ class _Linter(ast.NodeVisitor):
                 node, "BCL005", f"{func.id}() without a seed is irreproducible"
             )
 
-        # BCL012: a span's duration/ok fields are written by __exit__;
-        # a bare span(...) call — or a manual __enter__() on one —
-        # leaks an unpaired span whenever the caller raises.
-        # ExitStack.enter_context(span(...)) still routes through
-        # __exit__ and is allowed.
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
-        if name == "enter_context":
-            for arg in node.args:
-                if isinstance(arg, ast.Call):
-                    self._cm_calls.add(arg)
-        elif name == "span" and node not in self._cm_calls:
-            self._add(
-                node,
-                "BCL012",
-                "span(...) must be entered via a with-statement "
-                "(with span(...):) so the exit event is always emitted",
-            )
+        name = _call_name(node)
 
         # BCL019 (a): a span opened on the request path must carry the
         # request's TraceContext explicitly.  The ambient contextvar is
@@ -885,26 +750,6 @@ class _Linter(ast.NodeVisitor):
         if self.serve_module and self._in_coroutine:
             self._check_blocking_call(node)
 
-        # BCL006: float() / math.* inside address math.
-        if self._in_index_func and self.hot:
-            if isinstance(func, ast.Name) and func.id == "float":
-                self._add(node, "BCL006", "float() in index/tag computation")
-            elif self._is_math_call(node, None):
-                self._add(
-                    node,
-                    "BCL006",
-                    f"math.{func.attr} in index/tag computation",  # type: ignore[union-attr]
-                )
-
-        self.generic_visit(node)
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if self._in_index_func and self.hot and isinstance(node.op, ast.Div):
-            self._add(
-                node,
-                "BCL006",
-                "true division in index/tag computation (use // or shifts)",
-            )
         self.generic_visit(node)
 
     def _check_blocking_call(self, node: ast.Call) -> None:
@@ -978,8 +823,8 @@ class _Linter(ast.NodeVisitor):
         return ""
 
     @staticmethod
-    def _is_math_call(node: ast.expr, names: set[str] | None) -> bool:
-        """Is ``node`` a call ``math.<fn>(...)`` (optionally restricted)?"""
+    def _is_log2_call(node: ast.expr) -> bool:
+        """Is ``node`` a call ``math.log2(...)``?"""
         if not isinstance(node, ast.Call):
             return False
         func = node.func
@@ -987,7 +832,7 @@ class _Linter(ast.NodeVisitor):
             isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Name)
             and func.value.id == "math"
-            and (names is None or func.attr in names)
+            and func.attr == "log2"
         )
 
 

@@ -1,7 +1,7 @@
 """Tiny, obviously-correct reference models for differential checking.
 
-The production caches are optimised (flat arrays, reverse maps,
-precomputed masks); these references are written for auditability
+The production caches are optimised (flat state columns replayed by
+compiled kernels, precomputed masks); these references are written for auditability
 instead — a direct-mapped cache is one dict, an N-way LRU cache is one
 :class:`~collections.OrderedDict` per set.  The sanitizer's
 differential mode replays the same access stream through both and

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.obs import instrument as _obs
 from repro.stats.counters import CacheStats
@@ -120,6 +120,24 @@ class Cache(abc.ABC):
     #: charges the cycles; the hierarchy keys its L2 batching on it.
     has_slow_hits = False
 
+    #: The compiled kernel (:data:`repro.caches.native.KERNELS`) that
+    #: replays a batch in place of ``_access_block``.  Only the class
+    #: that defines ``_access_block`` can declare it, so a subclass that
+    #: overrides ``_access_block`` without declaring one replays through
+    #: :meth:`_batch_trace` (see :meth:`_replay_compiled`).
+    kernel: str | None = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # Statistics are counted only here, and access_trace is the one
+        # point where wrappers (the runtime sanitizer) intercept a batch.
+        for name in ("access", "run", "access_trace"):
+            if name in vars(cls):
+                raise TypeError(
+                    f"{cls.__name__} overrides Cache.{name}(); models implement "
+                    "_access_block and declare a kernel or override _batch_trace"
+                )
+
     def __init__(self, size: int, line_size: int, num_sets: int, name: str = "") -> None:
         self.size = size
         self.line_size = line_size
@@ -189,9 +207,10 @@ class Cache(abc.ABC):
                 batch sends to the level below (see
                 :class:`NextLevelStream`).
 
-        Subclasses must override :meth:`_batch_trace`, never this
-        dispatcher, so wrappers (e.g. the runtime sanitizer) can
-        intercept every batch access at a single point.
+        Subclasses declare a :attr:`kernel` or override
+        :meth:`_batch_trace`, never this dispatcher, so wrappers (e.g.
+        the runtime sanitizer) can intercept every batch access at a
+        single point.
         """
         if not hasattr(addresses, "__len__"):
             addresses = list(addresses)
@@ -205,7 +224,10 @@ class Cache(abc.ABC):
                 )
         self.last_kernel = "stdlib"
         start = _obs.kernel_clock()
-        stats = self._batch_trace(addresses, kinds, next_level)
+        if self._replay_compiled(addresses, kinds, next_level):
+            stats = self.stats
+        else:
+            stats = self._batch_trace(addresses, kinds, next_level)
         _obs.observe_kernel(self.name, len(addresses), start, self.last_kernel)
         return stats
 
@@ -258,9 +280,42 @@ class Cache(abc.ABC):
         stats.slow_hit_cycles += slow_hit_cycles
         return stats
 
+    def _replay_compiled(
+        self,
+        addresses: Sequence[int],
+        kinds: Sequence[int] | None,
+        next_level: NextLevelStream | None,
+    ) -> bool:
+        """Replay the batch on the :attr:`kernel` declared by the class
+        that defines ``_access_block``; ``False`` when that class
+        declares none or the compiled kernels cannot be built."""
+        owner = next(c for c in type(self).__mro__ if "_access_block" in vars(c))
+        kernel = vars(owner).get("kernel")
+        if kernel is None:
+            return False
+        # Imported per batch, not per module: see repro.caches.native.
+        from repro.caches import native
+
+        args, clock = self._kernel_args()
+        counters = native.replay(self, kernel, args, addresses, kinds, next_level, clock)
+        if counters is None:
+            return False
+        self._kernel_done(counters[native.CLOCK], counters, len(addresses))
+        return True
+
     # ------------------------------------------------------------------
     # Subclass responsibilities
     # ------------------------------------------------------------------
+    def _kernel_args(self) -> tuple[tuple[Any, ...], int]:
+        """The :attr:`kernel`'s own arguments (integers, state columns it
+        updates in place, or ``None``) and its clock going in."""
+        raise NotImplementedError(f"{type(self).__name__} declares no kernel")
+
+    def _kernel_done(self, clock: int, counters: list[int], n: int) -> None:
+        """Keep what an ``n``-reference batch on the :attr:`kernel`
+        advanced besides the statistics: its ``clock`` coming out, and
+        anything else read from ``counters``.  Nothing by default."""
+
     def _batch_trace(
         self,
         addresses: Sequence[int],
@@ -271,11 +326,10 @@ class Cache(abc.ABC):
 
         Still pays one :class:`AccessResult` per reference (produced by
         the subclass), but skips the per-access wrapper and
-        ``stats.record`` call.  Organisations with a compiled kernel
-        (:mod:`repro.caches.native`) override this and fall back to it
-        on a host without one; overrides must
-        update statistics exactly like :meth:`access` does, and fill
-        ``next_level`` exactly like :meth:`NextLevelStream.recording`.
+        ``stats.record`` call.  Organisations with a compiled
+        :attr:`kernel` reach it only on a host without one; overrides
+        must update statistics exactly like :meth:`access` does, and
+        fill ``next_level`` exactly like :meth:`NextLevelStream.recording`.
         """
         stats = self.stats
         access_block = self._access_block

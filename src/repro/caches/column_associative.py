@@ -15,10 +15,9 @@ keeping all hits at one cycle.
 from __future__ import annotations
 
 from array import array
-from typing import Sequence
+from typing import Any
 
-from repro.caches.base import AccessResult, Cache, NextLevelStream, log2_exact
-from repro.stats.counters import CacheStats
+from repro.caches.base import AccessResult, Cache, log2_exact
 
 
 class ColumnAssociativeCache(Cache):
@@ -26,6 +25,7 @@ class ColumnAssociativeCache(Cache):
 
     #: A second-probe hit takes one extra cycle.
     has_slow_hits = True
+    kernel = "column_associative"
 
     def __init__(self, size: int, line_size: int = 32, name: str = "") -> None:
         num_sets = size // line_size
@@ -101,30 +101,11 @@ class ColumnAssociativeCache(Cache):
             hit=False, set_index=first, evicted=evicted, evicted_dirty=evicted_dirty
         )
 
-    def _batch_trace(
-        self,
-        addresses: Sequence[int],
-        kinds: Sequence[int] | None,
-        next_level: NextLevelStream | None = None,
-    ) -> CacheStats:
-        """Batch kernel (see :meth:`Cache.access_trace`): the compiled
-        kernel (:mod:`repro.caches.native`), which also fills
-        ``next_level``.  Every outcome resolves at the first-choice set."""
-        if type(self)._access_block is ColumnAssociativeCache._access_block:
-            # Imported per batch, not per module: see repro.caches.native.
-            from repro.caches import native
-
-            if native.replay(
-                self,
-                "column_associative",
-                (
-                    self.offset_bits, self.index_bits, self._flip, self._blocks,
-                    self._dirty, self._rehash,
-                ),
-                addresses, kinds, next_level,
-            ) is not None:
-                return self.stats
-        return super()._batch_trace(addresses, kinds, next_level)
+    def _kernel_args(self) -> tuple[tuple[Any, ...], int]:
+        return (
+            self.offset_bits, self.index_bits, self._flip, self._blocks,
+            self._dirty, self._rehash,
+        ), 0
 
     def _probe_block(self, block: int) -> bool:
         return (

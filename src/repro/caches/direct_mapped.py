@@ -8,14 +8,16 @@ terminology) and an 18-bit tag out of a 32-bit address.
 from __future__ import annotations
 
 from array import array
-from typing import Sequence
+from typing import Any
 
-from repro.caches.base import AccessResult, Cache, NextLevelStream, log2_exact
-from repro.stats.counters import CacheStats
+from repro.caches.base import AccessResult, Cache, log2_exact
 
 
 class DirectMappedCache(Cache):
     """One block per set; the index decoding is fixed."""
+
+    #: The set-associative kernel with one way and no replacement state.
+    kernel = "set_associative"
 
     def __init__(self, size: int, line_size: int = 32, name: str = "") -> None:
         num_sets = size // line_size
@@ -42,29 +44,11 @@ class DirectMappedCache(Cache):
             hit=False, set_index=index, evicted=evicted, evicted_dirty=evicted_dirty
         )
 
-    def _batch_trace(
-        self,
-        addresses: Sequence[int],
-        kinds: Sequence[int] | None,
-        next_level: NextLevelStream | None = None,
-    ) -> CacheStats:
-        """Batch kernel (see :meth:`Cache.access_trace`): the compiled
-        set-associative kernel with one way and no replacement state."""
-        if type(self)._access_block is DirectMappedCache._access_block:
-            # Imported per batch, not per module: see repro.caches.native.
-            from repro.caches import native
-
-            if native.replay(
-                self,
-                "set_associative",
-                (
-                    self.offset_bits, self.index_bits, 1, self._tags, self._dirty,
-                    0, 0, None, 0, None, None, None,
-                ),
-                addresses, kinds, next_level,
-            ) is not None:
-                return self.stats
-        return super()._batch_trace(addresses, kinds, next_level)
+    def _kernel_args(self) -> tuple[tuple[Any, ...], int]:
+        return (
+            self.offset_bits, self.index_bits, 1, self._tags, self._dirty,
+            0, 0, None, 0, None, None, None,
+        ), 0
 
     def _probe_block(self, block: int) -> bool:
         index = block & self._index_mask

@@ -9,16 +9,10 @@ baseline and chooses a victim among N blocks per set.
 from __future__ import annotations
 
 from array import array
-from typing import Sequence
+from typing import Any
 
-from repro.caches.base import (
-    AccessResult,
-    Cache,
-    NextLevelStream,
-    log2_exact,
-)
+from repro.caches.base import AccessResult, Cache, log2_exact
 from repro.replacement import Replacement
-from repro.stats.counters import CacheStats
 
 #: The compiled kernel's encoding of :attr:`SetAssociativeCache.way_prediction`.
 _PREDICTIONS = {"": 0, "pam": 1, "psa": 2}
@@ -33,10 +27,10 @@ class SetAssociativeCache(Cache):
     domain).
     """
 
-    #: The way prediction the compiled kernel applies in place
-    #: of ``_access_block``: "" none, "pam" partial address matching,
-    #: "psa" predictive sequential.  Declared by the class that defines
-    #: the ``_access_block`` it stands for (see :meth:`_batch_trace`).
+    kernel = "set_associative"
+    #: The way prediction the compiled kernel applies in place of
+    #: ``_access_block``: "" none, "pam" partial address matching, "psa"
+    #: predictive sequential.
     way_prediction = ""
 
     def __init__(
@@ -94,42 +88,16 @@ class SetAssociativeCache(Cache):
             hit=False, set_index=index, evicted=evicted, evicted_dirty=evicted_dirty
         )
 
-    def _batch_trace(
-        self,
-        addresses: Sequence[int],
-        kinds: Sequence[int] | None,
-        next_level: NextLevelStream | None = None,
-    ) -> CacheStats:
-        """Batch kernel (see :meth:`Cache.access_trace`): the compiled
-        kernel (:mod:`repro.caches.native`), which also applies a
-        way-predicting subclass's slow-hit rule (see
-        :attr:`way_prediction`) and fills ``next_level``."""
-        # The class that defines _access_block names the way prediction
-        # the compiled kernel models in its place; a subclass that
-        # overrides _access_block without naming one gets the generic
-        # kernel.
-        owner = next(c for c in type(self).__mro__ if "_access_block" in vars(c))
-        prediction = vars(owner).get("way_prediction")
-        if prediction is not None:
-            # Imported per batch, not per module: see repro.caches.native.
-            from repro.caches import native
+    def _kernel_args(self) -> tuple[tuple[Any, ...], int]:
+        return (
+            self.offset_bits, self.index_bits, self.ways, self._tags,
+            self._dirty, _PREDICTIONS[self.way_prediction],
+            getattr(self, "_pad_mask", 0), getattr(self, "_mru", None),
+            *self._replacement.kernel_args(),
+        ), self._replacement.clock
 
-            replacement = self._replacement
-            counters = native.replay(
-                self,
-                "set_associative",
-                (
-                    self.offset_bits, self.index_bits, self.ways, self._tags,
-                    self._dirty, _PREDICTIONS[prediction],
-                    getattr(self, "_pad_mask", 0), getattr(self, "_mru", None),
-                    *replacement.kernel_args(),
-                ),
-                addresses, kinds, next_level, replacement.clock,
-            )
-            if counters is not None:
-                replacement.clock = counters[native.CLOCK]
-                return self.stats
-        return super()._batch_trace(addresses, kinds, next_level)
+    def _kernel_done(self, clock: int, counters: list[int], n: int) -> None:
+        self._replacement.clock = clock
 
     def _probe_block(self, block: int) -> bool:
         base = (block & self._index_mask) * self.ways

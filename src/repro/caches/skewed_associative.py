@@ -13,10 +13,9 @@ are not invertible from (way, set, tag) alone in a uniform way.
 from __future__ import annotations
 
 from array import array
-from typing import Sequence
+from typing import Any
 
-from repro.caches.base import AccessResult, Cache, NextLevelStream, log2_exact
-from repro.stats.counters import CacheStats
+from repro.caches.base import AccessResult, Cache, log2_exact
 
 
 def _rotate_left(value: int, amount: int, width: int) -> int:
@@ -35,6 +34,8 @@ class SkewedAssociativeCache(Cache):
     evicts the first empty candidate frame, else the least recently
     touched one, ties going to the lowest way.
     """
+
+    kernel = "skewed_associative"
 
     def __init__(
         self,
@@ -100,32 +101,14 @@ class SkewedAssociativeCache(Cache):
             evicted_dirty=evicted_dirty,
         )
 
-    def _batch_trace(
-        self,
-        addresses: Sequence[int],
-        kinds: Sequence[int] | None,
-        next_level: NextLevelStream | None = None,
-    ) -> CacheStats:
-        """Batch kernel (see :meth:`Cache.access_trace`): the compiled
-        kernel (:mod:`repro.caches.native`), which also fills
-        ``next_level``."""
-        if type(self)._access_block is SkewedAssociativeCache._access_block:
-            # Imported per batch, not per module: see repro.caches.native.
-            from repro.caches import native
+    def _kernel_args(self) -> tuple[tuple[Any, ...], int]:
+        return (
+            self.offset_bits, self.index_bits, self.ways, self._blocks,
+            self._dirty, self._last_touch,
+        ), self._clock
 
-            counters = native.replay(
-                self,
-                "skewed_associative",
-                (
-                    self.offset_bits, self.index_bits, self.ways, self._blocks,
-                    self._dirty, self._last_touch,
-                ),
-                addresses, kinds, next_level, self._clock,
-            )
-            if counters is not None:
-                self._clock = counters[native.CLOCK]
-                return self.stats
-        return super()._batch_trace(addresses, kinds, next_level)
+    def _kernel_done(self, clock: int, counters: list[int], n: int) -> None:
+        self._clock = clock
 
     def _probe_block(self, block: int) -> bool:
         return any(

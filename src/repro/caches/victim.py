@@ -12,10 +12,9 @@ The evaluated configuration is 16 entries with 32-byte lines.
 from __future__ import annotations
 
 from array import array
-from typing import Sequence
+from typing import Any
 
-from repro.caches.base import AccessResult, Cache, NextLevelStream, log2_exact
-from repro.stats.counters import CacheStats
+from repro.caches.base import AccessResult, Cache, log2_exact
 
 
 class VictimBufferCache(Cache):
@@ -31,6 +30,7 @@ class VictimBufferCache(Cache):
 
     #: A buffer hit swaps the block in: one extra cycle.
     has_slow_hits = True
+    kernel = "victim_buffer"
 
     def __init__(
         self,
@@ -101,33 +101,15 @@ class VictimBufferCache(Cache):
             hit=False, set_index=index, evicted=evicted, evicted_dirty=evicted_dirty
         )
 
-    def _batch_trace(
-        self,
-        addresses: Sequence[int],
-        kinds: Sequence[int] | None,
-        next_level: NextLevelStream | None = None,
-    ) -> CacheStats:
-        """Batch kernel (see :meth:`Cache.access_trace`): the compiled
-        kernel (:mod:`repro.caches.native`), which also fills
-        ``next_level``."""
-        if type(self)._access_block is VictimBufferCache._access_block:
-            # Imported per batch, not per module: see repro.caches.native.
-            from repro.caches import native
+    def _kernel_args(self) -> tuple[tuple[Any, ...], int]:
+        return (
+            self.offset_bits, self.index_bits, self._tags, self._dirty,
+            self.victim_entries, self._buffer_blocks, self._buffer_dirty,
+            self._buffer_stamps,
+        ), self._clock
 
-            counters = native.replay(
-                self,
-                "victim_buffer",
-                (
-                    self.offset_bits, self.index_bits, self._tags, self._dirty,
-                    self.victim_entries, self._buffer_blocks, self._buffer_dirty,
-                    self._buffer_stamps,
-                ),
-                addresses, kinds, next_level, self._clock,
-            )
-            if counters is not None:
-                self._clock = counters[native.CLOCK]
-                return self.stats
-        return super()._batch_trace(addresses, kinds, next_level)
+    def _kernel_done(self, clock: int, counters: list[int], n: int) -> None:
+        self._clock = clock
 
     def _probe_block(self, block: int) -> bool:
         index = block & self._index_mask

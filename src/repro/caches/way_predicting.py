@@ -38,7 +38,8 @@ class PartialAddressMatchingCache(SetAssociativeCache):
 
     #: A multiple or wrong PAD match costs one extra cycle.
     has_slow_hits = True
-    #: The compiled kernel's rule for this class's ``_access_block``.
+    #: The compiled kernel and its rule for this class's ``_access_block``.
+    kernel = "set_associative"
     way_prediction = "pam"
 
     def __init__(
@@ -87,7 +88,8 @@ class PredictiveSequentialCache(SetAssociativeCache):
 
     #: A hit outside the predicted way costs its extra probes.
     has_slow_hits = True
-    #: The compiled kernel's rule for this class's ``_access_block``.
+    #: The compiled kernel and its rule for this class's ``_access_block``.
+    kernel = "set_associative"
     way_prediction = "psa"
 
     def __init__(

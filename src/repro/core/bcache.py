@@ -23,13 +23,12 @@ The three PD scenarios of Section 2.3 are implemented faithfully:
 from __future__ import annotations
 
 from array import array
-from typing import Sequence
+from typing import Any
 
-from repro.caches.base import AccessResult, Cache, NextLevelStream
+from repro.caches.base import AccessResult, Cache
 from repro.core.config import BCacheGeometry
 from repro.core.decoder import ProgrammableDecoderBank
 from repro.replacement import Replacement
-from repro.stats.counters import CacheStats
 
 
 class BCache(Cache):
@@ -46,6 +45,8 @@ class BCache(Cache):
             paper; ``fifo``/``plru`` also accepted for ablations).
         seed: seed for stochastic policies.
     """
+
+    kernel = "bcache"
 
     def __init__(
         self,
@@ -129,40 +130,21 @@ class BCache(Cache):
         cluster = self._replacement.victim(row, invalid or None)
         return self._replace(row, cluster, pi, tag, is_write, pd_hit=False)
 
-    def _batch_trace(
-        self,
-        addresses: Sequence[int],
-        kinds: Sequence[int] | None,
-        next_level: NextLevelStream | None = None,
-    ) -> CacheStats:
-        """Batch kernel (see :meth:`Cache.access_trace`): the compiled
-        kernel (:mod:`repro.caches.native`), which also fills
-        ``next_level``."""
-        if type(self)._access_block is BCache._access_block:
-            # Imported per batch, not per module: see repro.caches.native.
-            from repro.caches import native
+    def _kernel_args(self) -> tuple[tuple[Any, ...], int]:
+        geometry = self.geometry
+        return (
+            self.offset_bits, geometry.npi_bits, geometry.pi_bits,
+            geometry.num_clusters, self._tags, self._dirty, self.decoder._values,
+            *self._replacement.kernel_args(),
+        ), self._replacement.clock
 
-            geometry, decoder = self.geometry, self.decoder
-            replacement = self._replacement
-            counters = native.replay(
-                self,
-                "bcache",
-                (
-                    self.offset_bits, geometry.npi_bits, geometry.pi_bits,
-                    geometry.num_clusters, self._tags, self._dirty, decoder._values,
-                    *replacement.kernel_args(),
-                ),
-                addresses, kinds, next_level, replacement.clock,
-            )
-            if counters is not None:
-                replacement.clock = counters[native.CLOCK]
-                # The per-access path performs one CAM search per reference.
-                decoder.searches += len(addresses)
-                decoder.programs += counters[native.PROGRAMS]
-                return self.stats
-        # A subclass customising per-access behaviour, or no compiled
-        # kernels: the generic kernel drives _access_block.
-        return super()._batch_trace(addresses, kinds, next_level)
+    def _kernel_done(self, clock: int, counters: list[int], n: int) -> None:
+        from repro.caches.native import PROGRAMS
+
+        self._replacement.clock = clock
+        # The per-access path performs one CAM search per reference.
+        self.decoder.searches += n
+        self.decoder.programs += counters[PROGRAMS]
 
     # ------------------------------------------------------------------
     def _probe_block(self, block: int) -> bool:

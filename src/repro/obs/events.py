@@ -20,7 +20,7 @@ failing — ``bcache-top`` keeps rendering through a dying run.  Multiple
 processes (the sweep supervisor and its workers) may append to the same
 log; per-line appends keep records intact.
 
-Spans are context managers only (lint rule BCL012)::
+Spans are context managers only::
 
     with span("engine.sweep", jobs=26):
         ...
@@ -294,8 +294,8 @@ def span(
 ) -> Iterator[TraceContext | None]:
     """Time a block; emit one event on exit with duration and outcome.
 
-    Must be used in context-manager form (``with span(...):`` — rule
-    BCL012); manual ``__enter__`` calls leak the frame on error paths.
+    Must be used in context-manager form (``with span(...):``); a
+    manual ``__enter__`` leaks the frame and its ambient trace context.
 
     When ``trace`` is a sampled :class:`TraceContext`, the span becomes
     a child of it: the yielded value is the child context (also made

@@ -138,6 +138,10 @@ class CacheStats:
         store recomputes it rather than reviving it with a zero.
         """
         try:
+            per_set = {
+                key: _per_set(state[key])
+                for key in ("set_accesses", "set_hits", "set_misses")
+            }
             stats = cls(
                 num_sets=int(state["num_sets"]),
                 accesses=int(state["accesses"]),
@@ -151,17 +155,16 @@ class CacheStats:
                 pd_miss_misses=int(state["pd_miss_misses"]),
                 slow_hits=int(state["slow_hits"]),
                 slow_hit_cycles=int(state["slow_hit_cycles"]),
-                set_accesses=_per_set(state["set_accesses"]),
-                set_hits=_per_set(state["set_hits"]),
-                set_misses=_per_set(state["set_misses"]),
+                **per_set,
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed stats snapshot: {exc}") from exc
-        for per_set in (stats.set_accesses, stats.set_hits, stats.set_misses):
-            if len(per_set) != stats.num_sets:
+        # The lists as read: __post_init__ zero-fills an empty one.
+        for values in per_set.values():
+            if len(values) != stats.num_sets:
                 raise ValueError(
                     "malformed stats snapshot: per-set counter length "
-                    f"{len(per_set)} != num_sets {stats.num_sets}"
+                    f"{len(values)} != num_sets {stats.num_sets}"
                 )
         return stats
 

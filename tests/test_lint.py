@@ -5,13 +5,13 @@ fixture under ``tests/fixtures/lint/``; the corpus tests assert each
 positive is reported and each negative is silent.  The remaining
 classes cover BCL009's loop semantics, BCL014's entry points and task
 leaks, noqa suppression, output formats, CLI exit codes — and the
-acceptance criterion that the repo itself is clean under all fifteen
-rules.
+acceptance criterion that the repo itself is clean under every rule.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,8 @@ from repro.analysis.lint import (
     render_sarif,
 )
 
-REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+REPO_SRC = ROOT / "src"
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
 HOT_PATH = "src/repro/caches/example.py"
 COLD_PATH = "src/repro/experiments/example.py"
@@ -220,7 +221,7 @@ class TestForkSafetyFlow:
 # ----------------------------------------------------------------------
 class TestMechanics:
     def test_noqa_for_other_code_does_not_suppress(self):
-        source = "rng = random.Random()  # noqa: BCL001\n"
+        source = "rng = random.Random()  # noqa: BCL007\n"
         assert codes(source, COLD_PATH) == {"BCL005"}
 
     def test_syntax_error_reported_as_bcl000(self):
@@ -296,7 +297,47 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
-# The repo itself must stay clean under all 15 rules (acceptance).
+# Rule codes: one list, RULES.  The audit history (the "Sabotage audit"
+# section of docs/analysis.md, CHANGES.md, ROADMAP.md) may name retired
+# codes; nothing else may.
+# ----------------------------------------------------------------------
+ANALYSIS_DOC = ROOT / "docs" / "analysis.md"
+CODE_RE = re.compile(r"BCL\d{3}")
+AUDIT_RE = re.compile(r"^## Sabotage audit$.*?(?=^## )", re.M | re.S)
+
+
+def _current_text(path: Path) -> str:
+    text = path.read_text(encoding="utf-8")
+    return AUDIT_RE.sub("", text) if path == ANALYSIS_DOC else text
+
+
+def _scanned() -> list[Path]:
+    files = [ROOT / "README.md", ROOT / "Makefile"]
+    for directory, pattern in (("src", "*.py"), ("tests", "*.py"),
+                               ("docs", "*.md"), (".github", "*")):
+        files.extend(p for p in sorted((ROOT / directory).rglob(pattern))
+                     if p.is_file() and "__pycache__" not in p.parts)
+    return files
+
+
+class TestRuleCodes:
+    def test_every_code_mentioned_is_a_rule(self):
+        known = set(RULES) | {"BCL000"}
+        stale = {
+            f"{path.relative_to(ROOT)}: {code}"
+            for path in _scanned()
+            for code in CODE_RE.findall(_current_text(path))
+            if code not in known
+        }
+        assert not stale, sorted(stale)
+
+    def test_doc_table_lists_exactly_the_rules(self):
+        rows = re.findall(r"^\| (BCL\d{3}) \|", _current_text(ANALYSIS_DOC), re.M)
+        assert sorted(rows) == ["BCL000", *sorted(RULES)]
+
+
+# ----------------------------------------------------------------------
+# The repo itself must stay clean under every rule (acceptance).
 # One syntactic walk per file: well under a second for all of src/.
 # ----------------------------------------------------------------------
 def test_repo_is_lint_clean():

@@ -192,6 +192,15 @@ class TestSnapshotInputs:
         with pytest.raises(ValueError, match="per-set counter length"):
             CacheStats.from_snapshot(self.snapshot(per_set))
 
+    def test_empty_set_accesses_rejected(self):
+        # An empty list must not be zero-filled over the other counters.
+        state = CacheStats(num_sets=4).snapshot()
+        state["set_accesses"] = []
+        state["set_hits"] = [9, 9, 9, 9]
+        with pytest.raises(ValueError, match="per-set counter length 0"):
+            CacheStats.from_snapshot(state)
+        assert CacheStats(num_sets=4).set_hits == [0, 0, 0, 0]
+
     @pytest.mark.parametrize("key", ["set_hits", "slow_hits", "num_sets"])
     def test_missing_key_rejected(self, key):
         state = CacheStats(num_sets=3).snapshot()
